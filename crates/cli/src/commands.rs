@@ -11,9 +11,9 @@
 
 use crate::args::ArgMap;
 use crate::matrix_io;
-use fg_core::estimator_by_name_with;
 use fg_core::estimators::registry as estimator_registry;
 use fg_core::prelude::*;
+use fg_core::{estimator_by_name_with, EntryMeta, GraphKey};
 use fg_datasets::{synthesize, DatasetId};
 use fg_propagation::{registry, PropagatorOptions};
 use rand::rngs::StdRng;
@@ -224,7 +224,7 @@ pub fn cmd_construct(args: &ArgMap) -> CommandResult {
     let spec_name = builder.name();
     let cached = store
         .as_ref()
-        .and_then(|s| match s.load_graph(features_fp, &spec_name) {
+        .and_then(|s| match s.load(&GraphKey(features_fp, &spec_name)) {
             Ok(found) => found,
             Err(e) => {
                 eprintln!("warning: {e}; reconstructing");
@@ -237,7 +237,7 @@ pub fn cmd_construct(args: &ArgMap) -> CommandResult {
         None => {
             let graph = builder.build(&features).map_err(err)?;
             if let Some(s) = &store {
-                if let Err(e) = s.save_graph(features_fp, &spec_name, &graph) {
+                if let Err(e) = s.save(&GraphKey(features_fp, &spec_name), &graph) {
                     eprintln!("warning: cannot persist the constructed graph: {e}");
                 }
             }
@@ -538,53 +538,43 @@ pub fn cmd_cache(args: &ArgMap) -> CommandResult {
                 entries.len(),
                 if entries.len() == 1 { "" } else { "s" }
             )];
+            let short = |fp: fg_graph::Fingerprint| fp.to_hex()[..12].to_string();
             for entry in entries {
-                if let Some(meta) = entry.meta {
-                    out.push(format!(
-                        "  {}  k={} lmax={} mode={} graph={}.. seeds={}.. ({} bytes)",
-                        entry.file,
+                let description = match entry.meta {
+                    Some(EntryMeta::Summary(meta)) => format!(
+                        "k={} lmax={} mode={} graph={}.. seeds={}..",
                         meta.k,
                         meta.max_length,
                         if meta.non_backtracking { "nb" } else { "all" },
-                        &meta.graph_fp.to_hex()[..12],
-                        &meta.seed_fp.to_hex()[..12],
-                        entry.bytes
-                    ));
-                } else if let Some(meta) = entry.h_meta {
-                    out.push(format!(
-                        "  {}  H estimate k={} estimator={} graph={}.. seeds={}.. ({} bytes)",
-                        entry.file,
+                        short(meta.graph_fp),
+                        short(meta.seed_fp)
+                    ),
+                    Some(EntryMeta::Estimate(meta)) => format!(
+                        "H estimate k={} estimator={} graph={}.. seeds={}..",
                         meta.k,
                         meta.estimator,
-                        &meta.graph_fp.to_hex()[..12],
-                        &meta.seed_fp.to_hex()[..12],
-                        entry.bytes
-                    ));
-                } else if let Some(meta) = entry.graph_meta {
-                    out.push(format!(
-                        "  {}  constructed graph nodes={} edges={} builder={} features={}.. ({} bytes)",
-                        entry.file,
+                        short(meta.graph_fp),
+                        short(meta.seed_fp)
+                    ),
+                    Some(EntryMeta::Graph(meta)) => format!(
+                        "constructed graph nodes={} edges={} builder={} features={}..",
                         meta.nodes,
                         meta.edges,
                         meta.builder,
-                        &meta.features_fp.to_hex()[..12],
-                        entry.bytes
-                    ));
-                } else if let Some(meta) = entry.factor_meta {
-                    out.push(format!(
-                        "  {}  low-rank factor rank={} nodes={} graph={}.. ({} bytes)",
-                        entry.file,
+                        short(meta.features_fp)
+                    ),
+                    Some(EntryMeta::Factor(meta)) => format!(
+                        "low-rank factor rank={} nodes={} graph={}..",
                         meta.rank,
                         meta.nodes,
-                        &meta.graph_fp.to_hex()[..12],
-                        entry.bytes
-                    ));
-                } else {
-                    out.push(format!(
-                        "  {}  CORRUPT or unreadable ({} bytes)",
-                        entry.file, entry.bytes
-                    ));
-                }
+                        short(meta.graph_fp)
+                    ),
+                    None => "CORRUPT or unreadable".to_string(),
+                };
+                out.push(format!(
+                    "  {}  {description} ({} bytes)",
+                    entry.file, entry.bytes
+                ));
             }
             Ok(out.join("\n"))
         }
@@ -652,35 +642,40 @@ fn cache_entries_json(store: &SummaryStore, entries: Vec<fg_core::StoreEntry>) -
                     },
                 ),
             ];
-            if let Some(meta) = entry.meta {
-                fields.push(("kind", Json::str("summary")));
-                fields.push(("k", Json::num(meta.k)));
-                fields.push(("lmax", Json::num(meta.max_length)));
-                fields.push((
-                    "mode",
-                    Json::str(if meta.non_backtracking { "nb" } else { "all" }),
-                ));
-                fields.push(("graph_fingerprint", Json::str(meta.graph_fp.to_hex())));
-                fields.push(("seed_fingerprint", Json::str(meta.seed_fp.to_hex())));
-            } else if let Some(meta) = entry.h_meta {
-                fields.push(("kind", Json::str("h")));
-                fields.push(("k", Json::num(meta.k)));
-                fields.push(("estimator", Json::str(meta.estimator)));
-                fields.push(("graph_fingerprint", Json::str(meta.graph_fp.to_hex())));
-                fields.push(("seed_fingerprint", Json::str(meta.seed_fp.to_hex())));
-            } else if let Some(meta) = entry.graph_meta {
-                fields.push(("kind", Json::str("graph")));
-                fields.push(("nodes", Json::num(meta.nodes)));
-                fields.push(("edges", Json::num(meta.edges)));
-                fields.push(("builder", Json::str(meta.builder)));
-                fields.push(("features_fingerprint", Json::str(meta.features_fp.to_hex())));
-            } else if let Some(meta) = entry.factor_meta {
-                fields.push(("kind", Json::str("factor")));
-                fields.push(("rank", Json::num(meta.rank)));
-                fields.push(("nodes", Json::num(meta.nodes)));
-                fields.push(("graph_fingerprint", Json::str(meta.graph_fp.to_hex())));
-            } else {
-                fields.push(("kind", Json::str("corrupt")));
+            let hex = |fp: fg_graph::Fingerprint| Json::str(fp.to_hex());
+            match entry.meta {
+                Some(EntryMeta::Summary(meta)) => fields.extend([
+                    ("kind", Json::str("summary")),
+                    ("k", Json::num(meta.k)),
+                    ("lmax", Json::num(meta.max_length)),
+                    (
+                        "mode",
+                        Json::str(if meta.non_backtracking { "nb" } else { "all" }),
+                    ),
+                    ("graph_fingerprint", hex(meta.graph_fp)),
+                    ("seed_fingerprint", hex(meta.seed_fp)),
+                ]),
+                Some(EntryMeta::Estimate(meta)) => fields.extend([
+                    ("kind", Json::str("h")),
+                    ("k", Json::num(meta.k)),
+                    ("estimator", Json::str(meta.estimator)),
+                    ("graph_fingerprint", hex(meta.graph_fp)),
+                    ("seed_fingerprint", hex(meta.seed_fp)),
+                ]),
+                Some(EntryMeta::Graph(meta)) => fields.extend([
+                    ("kind", Json::str("graph")),
+                    ("nodes", Json::num(meta.nodes)),
+                    ("edges", Json::num(meta.edges)),
+                    ("builder", Json::str(meta.builder)),
+                    ("features_fingerprint", hex(meta.features_fp)),
+                ]),
+                Some(EntryMeta::Factor(meta)) => fields.extend([
+                    ("kind", Json::str("factor")),
+                    ("rank", Json::num(meta.rank)),
+                    ("nodes", Json::num(meta.nodes)),
+                    ("graph_fingerprint", hex(meta.graph_fp)),
+                ]),
+                None => fields.push(("kind", Json::str("corrupt"))),
             }
             Json::obj(fields)
         })

@@ -70,7 +70,7 @@
 //! malformed values are rejected with the offending line number.
 
 use fg_core::prelude::*;
-use fg_core::{estimator_by_name_with, EstimatorOptions};
+use fg_core::{estimator_by_name_with, EstimatorOptions, GraphKey};
 use fg_datasets::{synthesize, DatasetId};
 use fg_propagation::{registry, PropagatorOptions};
 use rand::rngs::StdRng;
@@ -524,7 +524,7 @@ fn load_feature_run(
     let features_fp = fg_datasets::features_fingerprint(&data.features);
     let spec_name = builder.name();
     let cached = store.as_ref().and_then(|s| {
-        match s.load_graph(features_fp, &spec_name) {
+        match s.load(&GraphKey(features_fp, &spec_name)) {
             Ok(found) => found,
             // A corrupt or foreign cache entry is loud but non-fatal: rebuild.
             Err(e) => {
@@ -538,7 +538,7 @@ fn load_feature_run(
         None => {
             let graph = builder.build(&data.features).map_err(err)?;
             if let Some(s) = &store {
-                if let Err(e) = s.save_graph(features_fp, &spec_name, &graph) {
+                if let Err(e) = s.save(&GraphKey(features_fp, &spec_name), &graph) {
                     eprintln!("warning: cannot persist the constructed graph: {e}");
                 }
             }

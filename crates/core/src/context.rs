@@ -41,7 +41,7 @@ use crate::paths::{
     compute_path_counts, summary_from_counts, validate_summary_inputs, CountingBackend,
     GraphSummary, SummaryConfig,
 };
-use crate::store::SummaryStore;
+use crate::store::{FactorKey, SummaryKey, SummaryStore};
 use fg_graph::{factor_fingerprint, FactorConfig, Fingerprint, Graph, LowRankFactor, SeedLabels};
 use fg_sparse::{DenseMatrix, Threads};
 use std::collections::HashMap;
@@ -479,7 +479,7 @@ impl<'a> EstimationContext<'a> {
             return Ok(Arc::clone(factor));
         }
         if let Some(store) = &self.store {
-            match store.load_factor(self.graph_fp, factor_config) {
+            match store.load(&FactorKey(self.graph_fp, *factor_config)) {
                 Ok(Some(factor)) => {
                     self.cache.factor_store_hits.fetch_add(1, Ordering::Relaxed);
                     let factor = Arc::new(factor);
@@ -499,7 +499,7 @@ impl<'a> EstimationContext<'a> {
             .factor_computations
             .fetch_add(1, Ordering::Relaxed);
         if let Some(store) = &self.store {
-            if let Err(e) = store.save_factor(&factor) {
+            if let Err(e) = store.save(&FactorKey::of(&factor), &factor) {
                 eprintln!("warning: could not persist factor: {e}");
             }
         }
@@ -512,11 +512,12 @@ impl<'a> EstimationContext<'a> {
     /// caller records the hit in the per-key and cache-wide counters.
     fn load_from_store(&self, config: &SummaryConfig) -> Option<Vec<DenseMatrix>> {
         let store = self.store.as_ref()?;
-        match store.load(self.graph_fp, self.seed_fp, config.non_backtracking) {
-            Ok(Some(stored))
-                if stored.k == self.seeds.k() && stored.counts.len() >= config.max_length =>
+        let key = SummaryKey(self.graph_fp, self.seed_fp, config.non_backtracking);
+        match store.load(&key) {
+            Ok(Some(counts))
+                if counts[0].rows() == self.seeds.k() && counts.len() >= config.max_length =>
             {
-                Some(stored.counts)
+                Some(counts)
             }
             // Present but too short (or absent): recompute; a k mismatch with equal
             // fingerprints cannot happen for intact files, so it falls out as corrupt
@@ -533,13 +534,8 @@ impl<'a> EstimationContext<'a> {
     /// are otherwise ignored — the result is already in memory).
     fn write_back(&self, config: &SummaryConfig, counts: &[DenseMatrix]) {
         if let Some(store) = &self.store {
-            if let Err(e) = store.save(
-                self.graph_fp,
-                self.seed_fp,
-                config.non_backtracking,
-                self.seeds.k(),
-                counts,
-            ) {
+            let key = SummaryKey(self.graph_fp, self.seed_fp, config.non_backtracking);
+            if let Err(e) = store.save(&key, counts) {
                 eprintln!("warning: could not persist summary: {e}");
             }
         }
@@ -853,7 +849,7 @@ mod tests {
         let expected = writer.summary(&config).unwrap();
 
         // Damage the persisted file.
-        let path = store.path_for(graph.fingerprint(), seeds.fingerprint(), true);
+        let path = store.path(&SummaryKey(graph.fingerprint(), seeds.fingerprint(), true));
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
@@ -967,7 +963,7 @@ mod tests {
 
         // A damaged `.fgv` entry is rejected, recomputed, and repaired in place.
         let factor_config = FactorConfig::with_rank(8);
-        let path = store.path_for_factor(graph.fingerprint(), &factor_config);
+        let path = store.path(&FactorKey(graph.fingerprint(), factor_config));
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;

@@ -50,7 +50,7 @@ use crate::error::{CoreError, Result};
 use crate::paths::{
     compute_path_counts_and_intermediates, summary_from_counts, GraphSummary, SummaryConfig,
 };
-use crate::store::SummaryStore;
+use crate::store::{SummaryKey, SummaryStore};
 use fg_graph::{Fingerprint, Graph, SeedLabels};
 use fg_sparse::{DenseMatrix, Threads};
 use std::sync::Arc;
@@ -343,15 +343,12 @@ impl DeltaSummary {
     /// fingerprints, so even a restarted process skips summarization. Best-effort
     /// like the context's write-back path.
     pub fn persist_to(&self, store: &SummaryStore) -> Result<()> {
-        store
-            .save(
-                self.graph_fingerprint(),
-                self.seed_fingerprint(),
-                self.non_backtracking,
-                self.seeds.k(),
-                &self.counts,
-            )
-            .map(|_| ())
+        let key = SummaryKey(
+            self.graph_fingerprint(),
+            self.seed_fingerprint(),
+            self.non_backtracking,
+        );
+        store.save(&key, &self.counts).map(|_| ())
     }
 
     /// An independent engine for the same `(graph, mode, ℓmax)` configuration,

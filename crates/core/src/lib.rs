@@ -118,8 +118,8 @@ pub use paths::{
 };
 pub use pipeline::{Pipeline, PipelineReport};
 pub use store::{
-    FactorStoreMeta, GcOutcome, GraphStoreMeta, HStoreMeta, StoreEntry, StoreMeta, StoredCounts,
-    SummaryStore,
+    EntryMeta, EstimateKey, EstimateMeta, FactorKey, FactorMeta, GcOutcome, GraphKey, GraphMeta,
+    Record, RecordKind, StoreEntry, SummaryKey, SummaryMeta, SummaryStore,
 };
 
 /// Convenience re-exports covering the most common end-to-end usage: graph generation,

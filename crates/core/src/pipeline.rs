@@ -20,7 +20,7 @@
 use crate::context::EstimationContext;
 use crate::error::{CoreError, Result};
 use crate::estimators::CompatibilityEstimator;
-use crate::store::SummaryStore;
+use crate::store::{EstimateKey, SummaryStore};
 use fg_graph::{Graph, Labeling, SeedLabels};
 use fg_obs::{Span, Trace};
 use fg_propagation::{LinBp, PropagationOutcome, Propagator};
@@ -497,13 +497,14 @@ impl<'a> Pipeline<'a> {
                         .summary_store()
                         .filter(|_| estimator.content_addressable())
                         .map(Arc::clone);
-                    let store_key = estimator.name();
+                    let canonical_name = estimator.name();
+                    let store_key = EstimateKey(
+                        ctx.graph_fingerprint(),
+                        ctx.seed_fingerprint(),
+                        &canonical_name,
+                    );
                     let stored_h = h_store.as_ref().and_then(|store| {
-                        match store.load_h(
-                            ctx.graph_fingerprint(),
-                            ctx.seed_fingerprint(),
-                            &store_key,
-                        ) {
+                        match store.load(&store_key) {
                             Ok(found) => found,
                             Err(e) => {
                                 // Loud-rejection policy: warn, re-estimate, overwrite.
@@ -533,12 +534,7 @@ impl<'a> Pipeline<'a> {
                         drop(estimate_span);
                         if let Some(store) = &h_store {
                             // Best effort: a full disk never costs correctness.
-                            if let Err(e) = store.save_h(
-                                ctx.graph_fingerprint(),
-                                ctx.seed_fingerprint(),
-                                &store_key,
-                                &h,
-                            ) {
+                            if let Err(e) = store.save(&store_key, &h) {
                                 eprintln!("warning: cannot persist the estimate: {e}");
                             }
                         }
@@ -948,7 +944,11 @@ mod tests {
         // (the pre-existing warm tier) and re-optimizes to the same matrix.
         let name = DceWithRestarts::default().name();
         assert!(store
-            .remove_h(syn.graph.fingerprint(), seeds.fingerprint(), &name)
+            .remove(&EstimateKey(
+                syn.graph.fingerprint(),
+                seeds.fingerprint(),
+                &name
+            ))
             .unwrap());
         let half_warm = Pipeline::on(&syn.graph)
             .seeds(&seeds)
@@ -962,7 +962,11 @@ mod tests {
         assert_eq!(half_warm.estimated_h.data(), cold.estimated_h.data());
         // ... and it re-persisted the estimate for the next run.
         assert!(store
-            .load_h(syn.graph.fingerprint(), seeds.fingerprint(), &name)
+            .load(&EstimateKey(
+                syn.graph.fingerprint(),
+                seeds.fingerprint(),
+                &name
+            ))
             .unwrap()
             .is_some());
         std::fs::remove_dir_all(&dir).ok();
@@ -990,7 +994,11 @@ mod tests {
             assert_eq!(report.optimize_store_hits, 0);
         }
         assert!(store
-            .load_h(syn.graph.fingerprint(), seeds.fingerprint(), "GS")
+            .load(&EstimateKey(
+                syn.graph.fingerprint(),
+                seeds.fingerprint(),
+                "GS"
+            ))
             .unwrap()
             .is_none());
         std::fs::remove_dir_all(&dir).ok();

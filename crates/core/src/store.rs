@@ -7,168 +7,326 @@
 //! process (or a later `fg` invocation) that loads the same dataset recomputes the
 //! fingerprints, finds the file, and skips summarization entirely; the
 //! [`EstimationContext`](crate::EstimationContext) uses the store as a
-//! read-through / write-back tier below its in-memory cache.
+//! read-through / write-back tier below its in-memory cache. The same directory
+//! also holds estimated `H` matrices, constructed graphs and low-rank factors.
 //!
-//! # File format (version 1)
+//! # Record envelope (version 1)
 //!
-//! One file per `(graph, seeds, counting mode)` triple, named
-//! `<graph_fp>-<seed_fp>-<nb|all>.fgsum`, all integers and floats little-endian:
+//! Every record is one file, framed the same way; integers and floats are
+//! little-endian and every `f64` is stored as its exact bit pattern, so a loaded
+//! record is **bit-identical** to the value that was saved — the store never
+//! changes a result, only whether it is recomputed.
 //!
-//! | field      | size          | content                                          |
-//! |------------|---------------|--------------------------------------------------|
-//! | magic      | 6 bytes       | `FGSUMM`                                         |
-//! | version    | `u16`         | `1`                                              |
-//! | graph_fp   | `u128`        | [`Graph::fingerprint`](fg_graph::Graph::fingerprint) |
-//! | seed_fp    | `u128`        | [`SeedLabels::fingerprint`](fg_graph::SeedLabels::fingerprint) |
-//! | mode       | `u8`          | `1` = non-backtracking counts, `0` = plain paths |
-//! | k          | `u32`         | number of classes                                |
-//! | lmax       | `u32`         | number of stored lengths                         |
-//! | counts     | `lmax·k²` f64 | `M(1)..M(lmax)`, row-major, exact bit patterns   |
-//! | checksum   | `u128`        | fingerprint hash of every preceding byte         |
+//! | field    | size     | content                                              |
+//! |----------|----------|------------------------------------------------------|
+//! | magic    | 6 bytes  | the kind's magic (table below)                       |
+//! | version  | `u16`    | `1`                                                  |
+//! | header   | per kind | the kind's key and shape fields                      |
+//! | payload  | per kind | the kind's values; the header fixes its length       |
+//! | checksum | `u128`   | FNV-1a 128 over every preceding byte, seeded with the kind's domain tag |
 //!
-//! Because `f64` bit patterns round-trip exactly through the encoding, a loaded
-//! summary is **bit-identical** to the freshly computed one — the store never changes
-//! a result, only whether it is recomputed.
+//! | kind     | magic    | file name                                    | checksum domain       |
+//! |----------|----------|----------------------------------------------|-----------------------|
+//! | summary  | `FGSUMM` | `<graph_fp>-<seed_fp>-<nb or all>.fgsum`     | `fg-summary-store-v1` |
+//! | `H`      | `FGHEST` | `<graph_fp>-<seed_fp>-<name digest>.fgh`     | `fg-h-store-v1`       |
+//! | graph    | `FGGRPH` | `<features_fp>-<spec digest>.fgg`            | `fg-graph-store-v1`   |
+//! | factor   | `FGVFAC` | `<graph_fp>-<factor_fp>.fgv`                 | `fg-v-store-v1`       |
 //!
-//! # `H`-estimate entries (version 1)
+//! Names and specs carry characters that are awkward in file names, so the file
+//! name holds only a digest; the full string is embedded in the header and
+//! validated on load. Each kind's header and payload, in order:
 //!
-//! The store also persists *estimated compatibility matrices* so warm runs skip the
-//! optimization stage too. One `.fgh` file per `(graph, seeds, estimator name)`
-//! triple, named `<graph_fp>-<seed_fp>-<name digest>.fgh`:
+//! **Summary** (`.fgsum`, one per `(graph, seeds, counting mode)`):
 //!
-//! | field      | size       | content                                          |
-//! |------------|------------|--------------------------------------------------|
-//! | magic      | 6 bytes    | `FGHEST`                                         |
-//! | version    | `u16`      | `1`                                              |
-//! | graph_fp   | `u128`     | graph fingerprint                                |
-//! | seed_fp    | `u128`     | seed-set fingerprint                             |
-//! | name_len   | `u32`      | byte length of the estimator name                |
-//! | k          | `u32`      | number of classes                                |
-//! | name       | `name_len` | the parameterized estimator name, UTF-8          |
-//! | h          | `k²` f64   | the estimate, row-major, exact bit patterns      |
-//! | checksum   | `u128`     | domain-separated hash of every preceding byte    |
+//! | field    | size          | content                                          |
+//! |----------|---------------|--------------------------------------------------|
+//! | graph_fp | `u128`        | [`Graph::fingerprint`]                           |
+//! | seed_fp  | `u128`        | [`SeedLabels::fingerprint`](fg_graph::SeedLabels::fingerprint) |
+//! | mode     | `u8`          | `1` = non-backtracking counts, `0` = plain paths |
+//! | k        | `u32`         | number of classes                                |
+//! | lmax     | `u32`         | number of stored lengths                         |
+//! | counts   | `lmax·k²` f64 | `M(1)..M(lmax)`, row-major                       |
 //!
-//! The full estimator name is embedded (the file name only carries a digest of it)
-//! and validated on load, so an estimate can never be served to a differently
-//! parameterized estimator. The same loud-rejection policy applies.
+//! **Estimated `H`** (`.fgh`, one per `(graph, seeds, estimator name)`):
 //!
-//! # Constructed-graph entries (version 1)
+//! | field    | size       | content                                        |
+//! |----------|------------|------------------------------------------------|
+//! | graph_fp | `u128`     | graph fingerprint                              |
+//! | seed_fp  | `u128`     | seed-set fingerprint                           |
+//! | name_len | `u32`      | byte length of the estimator name              |
+//! | k        | `u32`      | number of classes                              |
+//! | name     | `name_len` | the parameterized estimator name, UTF-8        |
+//! | h        | `k²` f64   | the estimate, row-major                        |
 //!
-//! Finally, the store persists *constructed* graphs so warm `fg construct` runs skip
-//! the `O(n²·d)` build. One `.fgg` file per `(feature matrix, builder spec)` pair,
-//! named `<features_fp>-<spec digest>.fgg`: magic `FGGRPH`, version, the feature
-//! matrix's content fingerprint, the embedded builder spec, node/edge counts, the
-//! sorted weighted edge list with exact `f64` weight bit patterns, and a
-//! domain-separated checksum. A loaded graph has the same content fingerprint as
-//! the freshly built one.
+//! **Constructed graph** (`.fgg`, one per `(feature matrix, builder spec)`):
 //!
-//! # Low-rank factor entries (version 1)
+//! | field       | size         | content                                       |
+//! |-------------|--------------|-----------------------------------------------|
+//! | features_fp | `u128`       | the feature matrix's content fingerprint      |
+//! | name_len    | `u32`        | byte length of the builder spec               |
+//! | nodes       | `u64`        | node count                                    |
+//! | edges       | `u64`        | undirected edge count `m`                     |
+//! | spec        | `name_len`   | the parameterized builder spec, UTF-8         |
+//! | edge list   | `m·24` bytes | sorted `(u: u64, v: u64, weight: f64)` triples |
 //!
-//! The store also persists the spectral factors behind the low-rank counting
-//! backend, so warm runs skip the eigensolve — the only edge-proportional cost
-//! of that backend. One `.fgv` file per `(graph, factor config)` pair, named
-//! `<graph_fp>-<factor_fp>.fgv` where the factor fingerprint is derived from
-//! `(graph fingerprint, rank, solver parameters)`:
+//! **Low-rank factor** (`.fgv`, one per `(graph, factor config)`; the factor
+//! fingerprint folds in the rank and every solver parameter):
 //!
-//! | field      | size          | content                                       |
-//! |------------|---------------|-----------------------------------------------|
-//! | magic      | 6 bytes       | `FGVFAC`                                      |
-//! | version    | `u16`         | `1`                                           |
-//! | graph_fp   | `u128`        | graph fingerprint                             |
-//! | factor_fp  | `u128`        | [`fg_graph::factor_fingerprint`]              |
-//! | rank       | `u32`         | retained rank `r`                             |
-//! | max_iter   | `u64`         | eigensolver iteration budget                  |
-//! | tol        | `f64`         | eigensolver tolerance, exact bit pattern      |
-//! | seed       | `u64`         | eigensolver starting-block seed               |
-//! | nodes      | `u64`         | node count `n`                                |
-//! | iterations | `u64`         | subspace-iteration rounds the solve used      |
-//! | V          | `n·r` f64     | eigenvector block, row-major, exact bits      |
-//! | lambda     | `r` f64       | eigenvalues, magnitude-descending             |
-//! | G          | `r²` f64      | projected degree correction `Vᵀ(D−I)V`        |
-//! | degrees    | `n` f64       | per-node weighted degrees                     |
-//! | checksum   | `u128`        | domain-separated hash of every preceding byte |
-//!
-//! Because all four solver parameters are embedded and validated (and enter the
-//! factor fingerprint), a stored factor can never be served to a differently
-//! configured solve. The loaded factor is bit-identical to the computed one.
+//! | field      | size      | content                                       |
+//! |------------|-----------|-----------------------------------------------|
+//! | graph_fp   | `u128`    | graph fingerprint                             |
+//! | factor_fp  | `u128`    | [`fg_graph::factor_fingerprint`]              |
+//! | rank       | `u32`     | retained rank `r`                             |
+//! | max_iter   | `u64`     | eigensolver iteration budget                  |
+//! | tol        | `f64`     | eigensolver tolerance                         |
+//! | seed       | `u64`     | eigensolver starting-block seed               |
+//! | nodes      | `u64`     | node count `n`                                |
+//! | iterations | `u64`     | subspace-iteration rounds the solve used      |
+//! | V          | `n·r` f64 | eigenvector block, row-major                  |
+//! | lambda     | `r` f64   | eigenvalues, magnitude-descending             |
+//! | G          | `r²` f64  | projected degree correction `Vᵀ(D−I)V`        |
+//! | degrees    | `n` f64   | per-node weighted degrees                     |
 //!
 //! # Failure policy
 //!
-//! Corrupt or mismatched files (wrong magic or version, truncated payload, failed
-//! checksum, embedded fingerprints that disagree with the request) are *rejected
-//! loudly*: [`SummaryStore::load`] returns [`CoreError::Store`] instead of silently
-//! serving bad data. The [`EstimationContext`](crate::EstimationContext) reacts by
-//! warning on stderr, recomputing from scratch, and overwriting the bad file — a
-//! damaged cache can cost time, never correctness.
+//! Corrupt or mismatched files (wrong magic or version, a payload length that
+//! disagrees with — or overflows — the header, failed checksum, embedded key
+//! fields that disagree with the request) are *rejected loudly*:
+//! [`SummaryStore::load`] returns [`CoreError::Store`] instead of silently serving
+//! bad data. The [`EstimationContext`](crate::EstimationContext) reacts by warning
+//! on stderr, recomputing from scratch, and overwriting the bad file — a damaged
+//! cache can cost time, never correctness.
 
 use crate::error::{CoreError, Result};
-use fg_graph::{factor_fingerprint, FactorConfig, Fingerprint, FingerprintBuilder, LowRankFactor};
+use fg_graph::{
+    factor_fingerprint, FactorConfig, Fingerprint, FingerprintBuilder, Graph, LowRankFactor,
+};
 use fg_sparse::DenseMatrix;
 use std::fs;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// File-format magic bytes.
-const MAGIC: &[u8; 6] = b"FGSUMM";
-/// Current file-format version.
-pub const STORE_FORMAT_VERSION: u16 = 1;
-/// File extension used by the store.
-pub const STORE_EXTENSION: &str = "fgsum";
-/// Magic bytes of a persisted *estimated compatibility matrix* (`H`) entry.
-const H_MAGIC: &[u8; 6] = b"FGHEST";
-/// Current `H`-entry format version.
-pub const H_STORE_FORMAT_VERSION: u16 = 1;
-/// File extension used by persisted `H` estimates.
-pub const H_STORE_EXTENSION: &str = "fgh";
-/// Magic bytes of a persisted *constructed graph* entry.
-const G_MAGIC: &[u8; 6] = b"FGGRPH";
-/// Current constructed-graph entry format version.
-pub const GRAPH_STORE_FORMAT_VERSION: u16 = 1;
-/// File extension used by persisted constructed graphs.
-pub const GRAPH_STORE_EXTENSION: &str = "fgg";
-/// Magic bytes of a persisted *low-rank factor* entry.
-const V_MAGIC: &[u8; 6] = b"FGVFAC";
-/// Current low-rank factor entry format version.
-pub const FACTOR_STORE_FORMAT_VERSION: u16 = 1;
-/// File extension used by persisted low-rank factors.
-pub const FACTOR_STORE_EXTENSION: &str = "fgv";
-/// Fixed header size: magic + version + two fingerprints + mode + k + lmax.
-const HEADER_LEN: usize = 6 + 2 + 16 + 16 + 1 + 4 + 4;
-/// Fixed `H`-entry header size: magic + version + two fingerprints + name length +
-/// k (the variable-length estimator name follows the fixed part).
-const H_HEADER_LEN: usize = 6 + 2 + 16 + 16 + 4 + 4;
-/// Fixed constructed-graph header size: magic + version + features fingerprint +
-/// builder-name length + node count + edge count (the variable-length builder name
-/// follows the fixed part).
-const G_HEADER_LEN: usize = 6 + 2 + 16 + 4 + 8 + 8;
-/// Fixed low-rank factor header size: magic + version + two fingerprints + rank +
-/// max_iter + tol + seed + node count + iteration count.
-const V_HEADER_LEN: usize = 6 + 2 + 16 + 16 + 4 + 8 + 8 + 8 + 8 + 8;
 /// Trailing checksum size.
 const CHECKSUM_LEN: usize = 16;
 /// Per-process counter disambiguating concurrent temp-file writes (see
 /// [`SummaryStore::save`]).
-static TMP_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// A directory of persisted graph summaries (see the [module docs](self) for the
-/// format and failure policy).
-#[derive(Debug, Clone)]
-pub struct SummaryStore {
-    dir: PathBuf,
+/// The framing of one record kind: what the shared envelope writes around the
+/// kind's header and payload.
+#[derive(Debug)]
+pub struct RecordKind {
+    magic: &'static [u8; 6],
+    version: u16,
+    /// File extension, without the dot.
+    extension: &'static str,
+    /// Domain tag of the checksum, separating it from every other hash.
+    domain: &'static [u8],
 }
 
-/// Raw counts loaded from the store: the variant-independent `M(1)..M(lmax)`
-/// matrices plus the class count they were computed with.
-#[derive(Debug, Clone)]
-pub struct StoredCounts {
-    /// The raw count matrices, index 0 holding `ℓ = 1`.
-    pub counts: Vec<DenseMatrix>,
-    /// Number of classes `k` (each matrix is `k x k`).
-    pub k: usize,
+impl RecordKind {
+    const fn v1(magic: &'static [u8; 6], extension: &'static str, domain: &'static [u8]) -> Self {
+        RecordKind {
+            magic,
+            version: 1,
+            extension,
+            domain,
+        }
+    }
+
+    fn checksum(&self, bytes: &[u8]) -> [u8; CHECKSUM_LEN] {
+        FingerprintBuilder::new(self.domain)
+            .write_bytes(bytes)
+            .finish()
+            .as_u128()
+            .to_le_bytes()
+    }
 }
 
-/// Parsed header of a stored summary, for `fg cache ls`-style listings.
+/// One record kind of the store, implemented on the kind's lookup key. An impl
+/// encodes and decodes only its own header and payload and checks its own
+/// embedded key; [`SummaryStore::save`] / [`load`](SummaryStore::load) /
+/// [`remove`](SummaryStore::remove) do the rest.
+pub trait Record {
+    /// What [`SummaryStore::save`] persists under this key.
+    type Value: ?Sized;
+    /// What [`SummaryStore::load`] returns for this key.
+    type Loaded;
+    /// The kind's parsed header.
+    type Meta;
+    /// The kind's framing.
+    const KIND: RecordKind;
+    /// How [`SummaryStore::entries`] lists the kind's header.
+    const ENTRY: fn(Self::Meta) -> EntryMeta;
+
+    /// File name of this key's record, without directory or extension.
+    fn file_stem(&self) -> String;
+
+    /// Append this key's header fields and `value`'s payload (the envelope adds
+    /// magic, version and checksum), or refuse a value that cannot be persisted.
+    fn encode(&self, value: &Self::Value, out: &mut Vec<u8>) -> Result<()>;
+
+    /// Read the kind's header fields; returns them with the payload byte length
+    /// they declare.
+    fn read_header(r: &mut HeaderReader<'_>) -> HeaderResult<Self::Meta>;
+
+    /// Check a checksum-verified header against this key, then decode the payload
+    /// (already known to have the declared length).
+    fn decode(&self, meta: Self::Meta, payload: &[u8]) -> DecodeResult<Self::Loaded>;
+}
+
+/// A parsed header plus the payload length it declares, or why it is corrupt.
+pub type HeaderResult<M> = std::result::Result<(M, usize), &'static str>;
+/// A decoded record, or why it is rejected.
+pub type DecodeResult<T> = std::result::Result<T, String>;
+
+/// Bounds-checked cursor over a record's bytes: a short file is an error, never
+/// a panic.
+#[derive(Debug)]
+pub struct HeaderReader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl<'a> HeaderReader<'a> {
+    fn take(&mut self, n: usize) -> std::result::Result<&'a [u8], &'static str> {
+        let end = self
+            .at
+            .checked_add(n)
+            .filter(|&end| end <= self.bytes.len())
+            .ok_or("file too short for its header")?;
+        let out = &self.bytes[self.at..end];
+        self.at = end;
+        Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> std::result::Result<[u8; N], &'static str> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
+    fn u32(&mut self) -> std::result::Result<usize, &'static str> {
+        Ok(u32::from_le_bytes(self.array()?) as usize)
+    }
+
+    fn u64(&mut self) -> std::result::Result<usize, &'static str> {
+        Ok(u64::from_le_bytes(self.array()?) as usize)
+    }
+
+    fn fingerprint(&mut self) -> std::result::Result<Fingerprint, &'static str> {
+        Ok(Fingerprint::from_u128(u128::from_le_bytes(self.array()?)))
+    }
+
+    fn utf8(&mut self, len: usize) -> std::result::Result<String, &'static str> {
+        let bytes = self.take(len)?;
+        std::str::from_utf8(bytes)
+            .map(str::to_owned)
+            .map_err(|_| "embedded name is not valid UTF-8")
+    }
+}
+
+/// Byte length of a payload of `width`-byte items, one term per product of
+/// dimensions, checked so a crafted header can never wrap it.
+fn payload_bytes(width: usize, terms: &[&[usize]]) -> std::result::Result<usize, &'static str> {
+    terms
+        .iter()
+        .try_fold(0usize, |sum, dims| {
+            let term = dims.iter().try_fold(width, |acc, &d| acc.checked_mul(d))?;
+            sum.checked_add(term)
+        })
+        .ok_or("header declares an oversized payload")
+}
+
+fn put_fingerprint(out: &mut Vec<u8>, fp: Fingerprint) {
+    out.extend_from_slice(&fp.as_u128().to_le_bytes());
+}
+
+fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    for v in values {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
+fn f64_at(bytes: &[u8]) -> f64 {
+    f64::from_bits(u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")))
+}
+
+fn f64s(payload: &[u8]) -> Vec<f64> {
+    payload.chunks_exact(8).map(f64_at).collect()
+}
+
+/// The `u32` length field of an embedded key name, which must be non-empty.
+fn name_len(name: &str, what: &str) -> Result<u32> {
+    u32::try_from(name.len())
+        .ok()
+        .filter(|&len| len > 0)
+        .ok_or_else(|| {
+            CoreError::Store(format!("{what} must be non-empty to key a persisted entry"))
+        })
+}
+
+/// Hex digest of an estimator name or builder spec, used only for file naming
+/// (the authoritative name is embedded in the entry and validated on load).
+fn name_digest(name: &str) -> String {
+    FingerprintBuilder::new(b"fg-h-store-name-v1")
+        .write_bytes(name.as_bytes())
+        .finish()
+        .to_hex()
+}
+
+/// Parse a record's framing and header: returns the header and the payload.
+/// The checksum is not verified here (listings read headers only).
+fn open_envelope<R: Record>(bytes: &[u8]) -> std::result::Result<(R::Meta, &[u8]), &'static str> {
+    let body = &bytes[..bytes.len().saturating_sub(CHECKSUM_LEN)];
+    let mut r = HeaderReader { bytes: body, at: 0 };
+    if r.take(6)? != R::KIND.magic {
+        return Err("bad magic bytes");
+    }
+    if u16::from_le_bytes(r.array()?) != R::KIND.version {
+        return Err("unsupported format version");
+    }
+    let (meta, payload_len) = R::read_header(&mut r)?;
+    let payload = &body[r.at..];
+    if payload.len() != payload_len {
+        return Err("payload length disagrees with header");
+    }
+    Ok((meta, payload))
+}
+
+fn decode_record<R: Record>(key: &R, bytes: &[u8]) -> DecodeResult<R::Loaded> {
+    let (meta, payload) = open_envelope::<R>(bytes)?;
+    let (body, checksum) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
+    if R::KIND.checksum(body) != checksum {
+        return Err("checksum mismatch".into());
+    }
+    key.decode(meta, payload)
+}
+
+fn list_meta<R: Record>(bytes: &[u8]) -> Option<EntryMeta> {
+    open_envelope::<R>(bytes)
+        .ok()
+        .map(|(meta, _)| R::ENTRY(meta))
+}
+
+/// Parses one kind's header for [`SummaryStore::entries`].
+type ListHeader = fn(&[u8]) -> Option<EntryMeta>;
+
+/// Every record kind: its file extension and how to list its header.
+const KINDS: [(&str, ListHeader); 4] = [
+    (SummaryKey::KIND.extension, list_meta::<SummaryKey>),
+    (EstimateKey::KIND.extension, list_meta::<EstimateKey>),
+    (GraphKey::KIND.extension, list_meta::<GraphKey>),
+    (FactorKey::KIND.extension, list_meta::<FactorKey>),
+];
+
+/// Key of a persisted summary, `SummaryKey(graph_fp, seed_fp, non_backtracking)`:
+/// the raw counts of one graph under one seed set in one counting mode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SummaryKey(pub Fingerprint, pub Fingerprint, pub bool);
+
+/// Parsed header of a stored summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreMeta {
+pub struct SummaryMeta {
     /// Fingerprint of the summarized graph.
     pub graph_fp: Fingerprint,
     /// Fingerprint of the seed set.
@@ -181,28 +339,177 @@ pub struct StoreMeta {
     pub max_length: usize,
 }
 
-/// Parsed header of a persisted `H` estimate, for `fg cache ls`-style listings.
+impl Record for SummaryKey {
+    /// The count matrices `M(1)..M(lmax)`, all `k x k`.
+    type Value = [DenseMatrix];
+    type Loaded = Vec<DenseMatrix>;
+    type Meta = SummaryMeta;
+    const KIND: RecordKind = RecordKind::v1(b"FGSUMM", "fgsum", b"fg-summary-store-v1");
+    const ENTRY: fn(SummaryMeta) -> EntryMeta = EntryMeta::Summary;
+
+    fn file_stem(&self) -> String {
+        let mode = if self.2 { "nb" } else { "all" };
+        format!("{}-{}-{mode}", self.0.to_hex(), self.1.to_hex())
+    }
+
+    fn encode(&self, counts: &[DenseMatrix], out: &mut Vec<u8>) -> Result<()> {
+        let k = counts.first().map_or(0, DenseMatrix::rows);
+        if k == 0 || counts.iter().any(|m| m.shape() != (k, k)) {
+            return Err(CoreError::Store(
+                "refusing to persist an empty or non-square summary".into(),
+            ));
+        }
+        put_fingerprint(out, self.0);
+        put_fingerprint(out, self.1);
+        out.push(u8::from(self.2));
+        out.extend_from_slice(&(k as u32).to_le_bytes());
+        out.extend_from_slice(&(counts.len() as u32).to_le_bytes());
+        for m in counts {
+            put_f64s(out, m.data());
+        }
+        Ok(())
+    }
+
+    fn read_header(r: &mut HeaderReader<'_>) -> HeaderResult<SummaryMeta> {
+        let graph_fp = r.fingerprint()?;
+        let seed_fp = r.fingerprint()?;
+        let non_backtracking = match r.array::<1>()? {
+            [0] => false,
+            [1] => true,
+            _ => return Err("invalid counting-mode byte"),
+        };
+        let k = r.u32()?;
+        let max_length = r.u32()?;
+        if k == 0 || max_length == 0 {
+            return Err("header declares an empty summary");
+        }
+        let payload = payload_bytes(8, &[&[max_length, k, k]])?;
+        let meta = SummaryMeta {
+            graph_fp,
+            seed_fp,
+            non_backtracking,
+            k,
+            max_length,
+        };
+        Ok((meta, payload))
+    }
+
+    fn decode(&self, meta: SummaryMeta, payload: &[u8]) -> DecodeResult<Vec<DenseMatrix>> {
+        if meta.graph_fp != self.0 || meta.seed_fp != self.1 {
+            return Err("embedded fingerprints do not match the requested graph/seeds".into());
+        }
+        if meta.non_backtracking != self.2 {
+            return Err("embedded counting mode does not match".into());
+        }
+        let k = meta.k;
+        payload
+            .chunks_exact(k * k * 8)
+            .map(|m| {
+                DenseMatrix::from_vec(k, k, f64s(m)).map_err(|e| format!("invalid matrix: {e}"))
+            })
+            .collect()
+    }
+}
+
+/// Key of a persisted *estimated compatibility matrix*,
+/// `EstimateKey(graph_fp, seed_fp, estimator)`. The parameterized estimator name
+/// (e.g. `DCEr(r=10,l=5,lambda=10)`) is part of the key, since different
+/// estimators yield different matrices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EstimateKey<'a>(pub Fingerprint, pub Fingerprint, pub &'a str);
+
+/// Parsed header of a persisted `H` estimate.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HStoreMeta {
+pub struct EstimateMeta {
     /// Fingerprint of the graph the estimate was computed on.
     pub graph_fp: Fingerprint,
     /// Fingerprint of the seed set the estimate was computed from.
     pub seed_fp: Fingerprint,
-    /// The parameterized estimator name (e.g. `DCEr(r=10,l=5,lambda=10)`) — part of
-    /// the key, since different estimators yield different matrices.
+    /// The parameterized estimator name.
     pub estimator: String,
     /// Number of classes (`H` is `k x k`).
     pub k: usize,
 }
 
-/// Parsed header of a persisted constructed graph, for `fg cache ls`-style
-/// listings.
+impl Record for EstimateKey<'_> {
+    /// The estimate `H`, square and non-empty.
+    type Value = DenseMatrix;
+    type Loaded = DenseMatrix;
+    type Meta = EstimateMeta;
+    const KIND: RecordKind = RecordKind::v1(b"FGHEST", "fgh", b"fg-h-store-v1");
+    const ENTRY: fn(EstimateMeta) -> EntryMeta = EntryMeta::Estimate;
+
+    fn file_stem(&self) -> String {
+        format!(
+            "{}-{}-{}",
+            self.0.to_hex(),
+            self.1.to_hex(),
+            name_digest(self.2)
+        )
+    }
+
+    fn encode(&self, h: &DenseMatrix, out: &mut Vec<u8>) -> Result<()> {
+        let k = h.rows();
+        if k == 0 || h.cols() != k {
+            return Err(CoreError::Store(format!(
+                "refusing to persist a {}x{} estimate (H must be square and non-empty)",
+                h.rows(),
+                h.cols()
+            )));
+        }
+        let len = name_len(self.2, "estimator name")?;
+        put_fingerprint(out, self.0);
+        put_fingerprint(out, self.1);
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&(k as u32).to_le_bytes());
+        out.extend_from_slice(self.2.as_bytes());
+        put_f64s(out, h.data());
+        Ok(())
+    }
+
+    fn read_header(r: &mut HeaderReader<'_>) -> HeaderResult<EstimateMeta> {
+        let graph_fp = r.fingerprint()?;
+        let seed_fp = r.fingerprint()?;
+        let name_len = r.u32()?;
+        let k = r.u32()?;
+        if k == 0 || name_len == 0 {
+            return Err("header declares an empty estimate");
+        }
+        let estimator = r.utf8(name_len)?;
+        let payload = payload_bytes(8, &[&[k, k]])?;
+        let meta = EstimateMeta {
+            graph_fp,
+            seed_fp,
+            estimator,
+            k,
+        };
+        Ok((meta, payload))
+    }
+
+    fn decode(&self, meta: EstimateMeta, payload: &[u8]) -> DecodeResult<DenseMatrix> {
+        if meta.graph_fp != self.0 || meta.seed_fp != self.1 {
+            return Err("embedded fingerprints do not match the requested graph/seeds".into());
+        }
+        if meta.estimator != self.2 {
+            return Err("embedded estimator name does not match the request".into());
+        }
+        DenseMatrix::from_vec(meta.k, meta.k, f64s(payload))
+            .map_err(|e| format!("invalid matrix: {e}"))
+    }
+}
+
+/// Key of a persisted *constructed graph*, `GraphKey(features_fp, builder)`. The
+/// parameterized builder spec (e.g. `Knn(k=10,metric=euclidean,...)`) is part of
+/// the key, since different builders yield different graphs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GraphKey<'a>(pub Fingerprint, pub &'a str);
+
+/// Parsed header of a persisted constructed graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphStoreMeta {
+pub struct GraphMeta {
     /// Fingerprint of the feature matrix the graph was constructed from.
     pub features_fp: Fingerprint,
-    /// The parameterized builder spec (e.g. `Knn(k=10,metric=euclidean,...)`) —
-    /// part of the key, since different builders yield different graphs.
+    /// The parameterized builder spec.
     pub builder: String,
     /// Number of nodes.
     pub nodes: usize,
@@ -210,10 +517,84 @@ pub struct GraphStoreMeta {
     pub edges: usize,
 }
 
-/// Parsed header of a persisted low-rank factor, for `fg cache ls`-style
-/// listings.
+impl Record for GraphKey<'_> {
+    type Value = Graph;
+    type Loaded = Graph;
+    type Meta = GraphMeta;
+    const KIND: RecordKind = RecordKind::v1(b"FGGRPH", "fgg", b"fg-graph-store-v1");
+    const ENTRY: fn(GraphMeta) -> EntryMeta = EntryMeta::Graph;
+
+    fn file_stem(&self) -> String {
+        format!("{}-{}", self.0.to_hex(), name_digest(self.1))
+    }
+
+    fn encode(&self, graph: &Graph, out: &mut Vec<u8>) -> Result<()> {
+        let len = name_len(self.1, "builder spec")?;
+        let edges: Vec<(usize, usize, f64)> = graph.edges().collect();
+        put_fingerprint(out, self.0);
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&(graph.num_nodes() as u64).to_le_bytes());
+        out.extend_from_slice(&(edges.len() as u64).to_le_bytes());
+        out.extend_from_slice(self.1.as_bytes());
+        for (u, v, w) in edges {
+            out.extend_from_slice(&(u as u64).to_le_bytes());
+            out.extend_from_slice(&(v as u64).to_le_bytes());
+            out.extend_from_slice(&w.to_bits().to_le_bytes());
+        }
+        Ok(())
+    }
+
+    fn read_header(r: &mut HeaderReader<'_>) -> HeaderResult<GraphMeta> {
+        let features_fp = r.fingerprint()?;
+        let name_len = r.u32()?;
+        let nodes = r.u64()?;
+        let edges = r.u64()?;
+        if name_len == 0 {
+            return Err("header declares an empty builder spec");
+        }
+        let builder = r.utf8(name_len)?;
+        let payload = payload_bytes(24, &[&[edges]])?;
+        let meta = GraphMeta {
+            features_fp,
+            builder,
+            nodes,
+            edges,
+        };
+        Ok((meta, payload))
+    }
+
+    fn decode(&self, meta: GraphMeta, payload: &[u8]) -> DecodeResult<Graph> {
+        if meta.features_fp != self.0 {
+            return Err("embedded fingerprints do not match the requested features".into());
+        }
+        if meta.builder != self.1 {
+            return Err("embedded builder spec does not match".into());
+        }
+        let index = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 bytes")) as usize;
+        let edges: Vec<(usize, usize, f64)> = payload
+            .chunks_exact(24)
+            .map(|e| (index(&e[0..8]), index(&e[8..16]), f64_at(&e[16..])))
+            .collect();
+        Graph::from_weighted_edges(meta.nodes, &edges).map_err(|e| format!("invalid graph: {e}"))
+    }
+}
+
+/// Key of a persisted *low-rank factor*, `FactorKey(graph_fp, config)`. All
+/// solver parameters enter the factor fingerprint, so a stored factor can never
+/// be served to a differently configured solve.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FactorKey(pub Fingerprint, pub FactorConfig);
+
+impl FactorKey {
+    /// The key `factor` is stored under.
+    pub fn of(factor: &LowRankFactor) -> Self {
+        FactorKey(factor.graph_fingerprint(), *factor.config())
+    }
+}
+
+/// Parsed header of a persisted low-rank factor.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FactorStoreMeta {
+pub struct FactorMeta {
     /// Fingerprint of the graph the factor was computed from.
     pub graph_fp: Fingerprint,
     /// The factor's own fingerprint, derived from `(graph, rank, solver params)`.
@@ -222,6 +603,108 @@ pub struct FactorStoreMeta {
     pub rank: usize,
     /// Number of graph nodes `n`.
     pub nodes: usize,
+    /// Subspace-iteration rounds the eigensolve used.
+    pub iterations: usize,
+}
+
+impl Record for FactorKey {
+    type Value = LowRankFactor;
+    type Loaded = LowRankFactor;
+    type Meta = FactorMeta;
+    const KIND: RecordKind = RecordKind::v1(b"FGVFAC", "fgv", b"fg-v-store-v1");
+    const ENTRY: fn(FactorMeta) -> EntryMeta = EntryMeta::Factor;
+
+    fn file_stem(&self) -> String {
+        format!(
+            "{}-{}",
+            self.0.to_hex(),
+            factor_fingerprint(self.0, &self.1).to_hex()
+        )
+    }
+
+    fn encode(&self, factor: &LowRankFactor, out: &mut Vec<u8>) -> Result<()> {
+        if FactorKey::of(factor) != *self {
+            return Err(CoreError::Store(
+                "refusing to persist a factor under another graph's or config's key".into(),
+            ));
+        }
+        put_fingerprint(out, self.0);
+        put_fingerprint(out, factor.fingerprint());
+        out.extend_from_slice(&(factor.rank() as u32).to_le_bytes());
+        out.extend_from_slice(&(self.1.max_iter as u64).to_le_bytes());
+        out.extend_from_slice(&self.1.tol.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.1.seed.to_le_bytes());
+        out.extend_from_slice(&(factor.num_nodes() as u64).to_le_bytes());
+        out.extend_from_slice(&(factor.iterations() as u64).to_le_bytes());
+        put_f64s(out, factor.v().data());
+        put_f64s(out, factor.lambda());
+        put_f64s(out, factor.g().data());
+        put_f64s(out, factor.degrees());
+        Ok(())
+    }
+
+    fn read_header(r: &mut HeaderReader<'_>) -> HeaderResult<FactorMeta> {
+        let graph_fp = r.fingerprint()?;
+        let factor_fp = r.fingerprint()?;
+        let rank = r.u32()?;
+        // max_iter, tol and seed are validated through the factor fingerprint.
+        r.take(24)?;
+        let nodes = r.u64()?;
+        let iterations = r.u64()?;
+        if rank == 0 || nodes == 0 || rank > nodes {
+            return Err("header declares an impossible rank/node combination");
+        }
+        let payload = payload_bytes(8, &[&[nodes, rank], &[rank], &[rank, rank], &[nodes]])?;
+        let meta = FactorMeta {
+            graph_fp,
+            factor_fp,
+            rank,
+            nodes,
+            iterations,
+        };
+        Ok((meta, payload))
+    }
+
+    fn decode(&self, meta: FactorMeta, payload: &[u8]) -> DecodeResult<LowRankFactor> {
+        if meta.graph_fp != self.0 {
+            return Err("embedded fingerprint does not match the requested graph".into());
+        }
+        if meta.factor_fp != factor_fingerprint(self.0, &self.1) {
+            return Err(
+                "embedded factor fingerprint does not match the requested solver config".into(),
+            );
+        }
+        let (n, r) = (meta.nodes, meta.rank);
+        let mut rest = f64s(payload);
+        let degrees = rest.split_off(n * r + r + r * r);
+        let g_data = rest.split_off(n * r + r);
+        let lambda = rest.split_off(n * r);
+        let v = DenseMatrix::from_vec(n, r, rest).map_err(|e| format!("invalid V matrix: {e}"))?;
+        let g =
+            DenseMatrix::from_vec(r, r, g_data).map_err(|e| format!("invalid G matrix: {e}"))?;
+        LowRankFactor::from_parts(v, lambda, g, degrees, self.0, self.1, meta.iterations)
+            .map_err(|e| format!("invalid factor: {e}"))
+    }
+}
+
+/// A directory of persisted graph summaries (see the [module docs](self) for the
+/// format and failure policy).
+#[derive(Debug, Clone)]
+pub struct SummaryStore {
+    dir: PathBuf,
+}
+
+/// The parsed header of one listed store file.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EntryMeta {
+    /// A summary (`.fgsum`).
+    Summary(SummaryMeta),
+    /// An estimated `H` (`.fgh`).
+    Estimate(EstimateMeta),
+    /// A constructed graph (`.fgg`).
+    Graph(GraphMeta),
+    /// A low-rank factor (`.fgv`).
+    Factor(FactorMeta),
 }
 
 /// What a [`SummaryStore::gc`] pass did.
@@ -244,22 +727,22 @@ pub struct StoreEntry {
     pub file: String,
     /// File size in bytes.
     pub bytes: u64,
-    /// Parsed summary (`.fgsum`) header, or `None` when the file is a different
-    /// entry kind or unreadable / corrupt.
-    pub meta: Option<StoreMeta>,
-    /// Parsed `H`-estimate (`.fgh`) header, or `None` when the file is a different
-    /// entry kind or unreadable / corrupt.
-    pub h_meta: Option<HStoreMeta>,
-    /// Parsed constructed-graph (`.fgg`) header, or `None` when the file is a
-    /// different entry kind or unreadable / corrupt.
-    pub graph_meta: Option<GraphStoreMeta>,
-    /// Parsed low-rank factor (`.fgv`) header, or `None` when the file is a
-    /// different entry kind or unreadable / corrupt.
-    pub factor_meta: Option<FactorStoreMeta>,
+    /// The parsed header, or `None` when the file is unreadable, corrupt, or a
+    /// temporary file stranded by an interrupted write.
+    pub meta: Option<EntryMeta>,
 }
 
 fn io_err(action: &str, path: &Path, e: std::io::Error) -> CoreError {
     CoreError::Store(format!("cannot {action} {}: {e}", path.display()))
+}
+
+/// Delete `path`, returning whether it existed.
+fn remove_file(path: &Path) -> Result<bool> {
+    match fs::remove_file(path) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(io_err("remove", path, e)),
+    }
 }
 
 fn corrupt(path: &Path, reason: &str) -> CoreError {
@@ -288,655 +771,102 @@ impl SummaryStore {
         &self.dir
     }
 
-    /// The file path a `(graph, seeds, mode)` triple is stored under.
-    pub fn path_for(
-        &self,
-        graph_fp: Fingerprint,
-        seed_fp: Fingerprint,
-        non_backtracking: bool,
-    ) -> PathBuf {
-        let mode = if non_backtracking { "nb" } else { "all" };
-        self.dir.join(format!(
-            "{}-{}-{mode}.{STORE_EXTENSION}",
-            graph_fp.to_hex(),
-            seed_fp.to_hex()
-        ))
+    /// The file path `key`'s record is stored under.
+    pub fn path<R: Record>(&self, key: &R) -> PathBuf {
+        self.dir
+            .join(format!("{}.{}", key.file_stem(), R::KIND.extension))
     }
 
-    /// Persist raw count matrices for a `(graph, seeds, mode)` triple, overwriting any
-    /// existing file (written via a temporary file + rename so readers never observe a
-    /// partial write). Every matrix must be `k x k`.
-    pub fn save(
-        &self,
-        graph_fp: Fingerprint,
-        seed_fp: Fingerprint,
-        non_backtracking: bool,
-        k: usize,
-        counts: &[DenseMatrix],
-    ) -> Result<PathBuf> {
-        if counts.is_empty() {
-            return Err(CoreError::Store(
-                "refusing to persist an empty summary".into(),
-            ));
-        }
-        for (i, m) in counts.iter().enumerate() {
-            if m.rows() != k || m.cols() != k {
-                return Err(CoreError::Store(format!(
-                    "count matrix for length {} is {}x{} but k = {k}",
-                    i + 1,
-                    m.rows(),
-                    m.cols()
-                )));
-            }
-        }
-        let mut bytes = Vec::with_capacity(HEADER_LEN + counts.len() * k * k * 8 + CHECKSUM_LEN);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&STORE_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&graph_fp.as_u128().to_le_bytes());
-        bytes.extend_from_slice(&seed_fp.as_u128().to_le_bytes());
-        bytes.push(u8::from(non_backtracking));
-        bytes.extend_from_slice(&(k as u32).to_le_bytes());
-        bytes.extend_from_slice(&(counts.len() as u32).to_le_bytes());
-        for m in counts {
-            for &v in m.data() {
-                bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        }
-        let checksum = checksum_of(&bytes);
-        bytes.extend_from_slice(&checksum.as_u128().to_le_bytes());
+    /// Persist `value` under `key`, overwriting any existing record. The file is
+    /// written via a temporary file + rename so readers never observe a partial
+    /// write.
+    pub fn save<R: Record>(&self, key: &R, value: &R::Value) -> Result<PathBuf> {
+        let kind = &R::KIND;
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(kind.magic);
+        bytes.extend_from_slice(&kind.version.to_le_bytes());
+        key.encode(value, &mut bytes)?;
+        bytes.extend_from_slice(&kind.checksum(&bytes));
 
-        let path = self.path_for(graph_fp, seed_fp, non_backtracking);
+        let path = self.path(key);
         // The temporary name is unique per (process, save call): two writers racing
         // to upgrade the same key — e.g. sessions extending a stored prefix to
         // different lmax — each write their own temp file and the atomic renames
         // land whole files in either order, so readers only ever observe a valid
-        // summary (one of the two, never an interleaving).
+        // record (one of the two, never an interleaving).
         let tmp = path.with_extension(format!(
-            "{STORE_EXTENSION}.{}-{}.tmp",
+            "{}.{}-{}.tmp",
+            kind.extension,
             std::process::id(),
-            TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         fs::write(&tmp, &bytes).map_err(|e| io_err("write", &tmp, e))?;
         fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
         Ok(path)
     }
 
-    /// Load the persisted counts for a `(graph, seeds, mode)` triple.
+    /// Load the record stored under `key`.
     ///
     /// Returns `Ok(None)` when no file exists, `Ok(Some(..))` with the bit-exact
-    /// stored counts, and [`CoreError::Store`] when the file exists but is corrupt or
-    /// describes different inputs than requested (the loud-rejection policy).
-    pub fn load(
-        &self,
-        graph_fp: Fingerprint,
-        seed_fp: Fingerprint,
-        non_backtracking: bool,
-    ) -> Result<Option<StoredCounts>> {
-        let path = self.path_for(graph_fp, seed_fp, non_backtracking);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err("read", &path, e)),
-        };
-        let (meta, payload_start) = parse_header(&bytes).map_err(|r| corrupt(&path, r))?;
-        if bytes.len() < payload_start + CHECKSUM_LEN {
-            return Err(corrupt(&path, "truncated payload"));
+    /// stored value, and [`CoreError::Store`] when the file exists but is corrupt
+    /// or keyed to different inputs than requested (the loud-rejection policy).
+    pub fn load<R: Record>(&self, key: &R) -> Result<Option<R::Loaded>> {
+        let path = self.path(key);
+        match fs::read(&path) {
+            Ok(bytes) => decode_record(key, &bytes)
+                .map(Some)
+                .map_err(|reason| corrupt(&path, &reason)),
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(io_err("read", &path, e)),
         }
-        let (body, checksum_bytes) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-        let stored_checksum = Fingerprint::from_u128(u128::from_le_bytes(
-            checksum_bytes.try_into().expect("checksum is 16 bytes"),
-        ));
-        if checksum_of(body) != stored_checksum {
-            return Err(corrupt(&path, "checksum mismatch"));
-        }
-        if meta.graph_fp != graph_fp || meta.seed_fp != seed_fp {
-            return Err(corrupt(
-                &path,
-                "embedded fingerprints do not match the requested graph/seeds",
-            ));
-        }
-        if meta.non_backtracking != non_backtracking {
-            return Err(corrupt(&path, "embedded counting mode does not match"));
-        }
-        let k = meta.k;
-        let expected_payload = meta.max_length * k * k * 8;
-        let payload = &body[HEADER_LEN..];
-        if payload.len() != expected_payload {
-            return Err(corrupt(&path, "payload length disagrees with header"));
-        }
-        let mut counts = Vec::with_capacity(meta.max_length);
-        for l in 0..meta.max_length {
-            let mut data = Vec::with_capacity(k * k);
-            for e in 0..k * k {
-                let offset = (l * k * k + e) * 8;
-                let raw = u64::from_le_bytes(
-                    payload[offset..offset + 8]
-                        .try_into()
-                        .expect("8-byte slice"),
-                );
-                data.push(f64::from_bits(raw));
-            }
-            counts.push(
-                DenseMatrix::from_vec(k, k, data)
-                    .map_err(|e| corrupt(&path, &format!("invalid matrix: {e}")))?,
-            );
-        }
-        Ok(Some(StoredCounts { counts, k }))
+    }
+
+    /// Delete the record stored under `key`, returning whether a file was
+    /// removed. Long-lived sessions use this to prune the entries of superseded
+    /// seed sets, whose fingerprints will never be requested again.
+    pub fn remove<R: Record>(&self, key: &R) -> Result<bool> {
+        remove_file(&self.path(key))
     }
 
     /// List every store file — `.fgsum` summaries, `.fgh` persisted `H` estimates,
     /// `.fgg` constructed graphs, `.fgv` low-rank factors, plus any `.tmp`
-    /// leftovers of interrupted writes — with its parsed header (all meta fields
-    /// `None` marks unreadable / corrupt / stale-temporary files). Sorted by file
-    /// name for stable output.
+    /// leftovers of interrupted writes — with its parsed header (`meta: None`
+    /// marks unreadable / corrupt / stale-temporary files). Sorted by file name
+    /// for stable output.
     pub fn entries(&self) -> Result<Vec<StoreEntry>> {
         let mut entries = Vec::new();
         let dir_iter = match fs::read_dir(&self.dir) {
             Ok(iter) => iter,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(entries),
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(entries),
             Err(e) => return Err(io_err("read store directory", &self.dir, e)),
         };
-        let store_suffix = format!(".{STORE_EXTENSION}");
-        let h_suffix = format!(".{H_STORE_EXTENSION}");
-        let g_suffix = format!(".{GRAPH_STORE_EXTENSION}");
-        let v_suffix = format!(".{FACTOR_STORE_EXTENSION}");
-        let tmp_markers = [
-            format!(".{STORE_EXTENSION}."),
-            format!(".{H_STORE_EXTENSION}."),
-            format!(".{GRAPH_STORE_EXTENSION}."),
-            format!(".{FACTOR_STORE_EXTENSION}."),
-        ];
         for item in dir_iter {
             let item = item.map_err(|e| io_err("read store directory", &self.dir, e))?;
-            let path = item.path();
             let file = item.file_name().to_string_lossy().into_owned();
-            let is_store_file = file.ends_with(&store_suffix);
-            let is_h_file = file.ends_with(&h_suffix);
-            let is_g_file = file.ends_with(&g_suffix);
-            let is_v_file = file.ends_with(&v_suffix);
+            let kind = KINDS
+                .iter()
+                .find(|(ext, _)| file.ends_with(&format!(".{ext}")));
             // A crash between `fs::write` and `fs::rename` strands a temp file
-            // (`*.fgsum.<pid>-<seq>.tmp`, same pattern for `.fgh` / `.fgg` /
-            // `.fgv`, or the pre-unique `*.fgsum.tmp` spelling); listing it
-            // (always as corrupt) keeps it visible and clearable.
-            let is_tmp_file = !is_store_file
-                && !is_h_file
-                && !is_g_file
-                && !is_v_file
-                && file.ends_with(".tmp")
-                && tmp_markers.iter().any(|m| file.contains(m));
-            if !is_store_file && !is_h_file && !is_g_file && !is_v_file && !is_tmp_file {
+            // (`*.<ext>.<pid>-<seq>.tmp`, or the pre-unique `*.fgsum.tmp`
+            // spelling); listing it (always as corrupt) keeps it visible and
+            // clearable.
+            let stranded = file.ends_with(".tmp")
+                && KINDS
+                    .iter()
+                    .any(|(ext, _)| file.contains(&format!(".{ext}.")));
+            if kind.is_none() && !stranded {
                 continue;
             }
             let bytes = item.metadata().map(|m| m.len()).unwrap_or(0);
-            let meta = if is_store_file {
-                fs::read(&path)
-                    .ok()
-                    .and_then(|bytes| parse_header(&bytes).ok().map(|(meta, _)| meta))
-            } else {
-                None
-            };
-            let h_meta = if is_h_file {
-                fs::read(&path)
-                    .ok()
-                    .and_then(|bytes| parse_h_header(&bytes).ok().map(|(meta, _)| meta))
-            } else {
-                None
-            };
-            let graph_meta = if is_g_file {
-                fs::read(&path)
-                    .ok()
-                    .and_then(|bytes| parse_graph_header(&bytes).ok().map(|(meta, _)| meta))
-            } else {
-                None
-            };
-            let factor_meta = if is_v_file {
-                fs::read(&path)
-                    .ok()
-                    .and_then(|bytes| parse_factor_header(&bytes).ok().map(|(meta, _)| meta))
-            } else {
-                None
-            };
-            entries.push(StoreEntry {
-                file,
-                bytes,
-                meta,
-                h_meta,
-                graph_meta,
-                factor_meta,
-            });
+            let meta = kind.and_then(|(_, list)| fs::read(item.path()).ok().and_then(|b| list(&b)));
+            entries.push(StoreEntry { file, bytes, meta });
         }
         entries.sort_by(|a, b| a.file.cmp(&b.file));
         Ok(entries)
     }
 
-    /// Delete the stored summary for one `(graph, seeds, mode)` triple, returning
-    /// whether a file was removed. Long-lived sessions use this to prune the entry
-    /// of a superseded seed set (whose fingerprint will never be requested again)
-    /// when they persist its replacement.
-    pub fn remove(
-        &self,
-        graph_fp: Fingerprint,
-        seed_fp: Fingerprint,
-        non_backtracking: bool,
-    ) -> Result<bool> {
-        let path = self.path_for(graph_fp, seed_fp, non_backtracking);
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(io_err("remove", &path, e)),
-        }
-    }
-
-    /// The file path an estimated `H` is stored under. The parameterized estimator
-    /// name contains characters that are awkward in file names (`(`, `=`, `,`), so
-    /// the name is folded into a hex digest for the path while the full string is
-    /// embedded in (and validated against) the file itself.
-    pub fn path_for_h(
-        &self,
-        graph_fp: Fingerprint,
-        seed_fp: Fingerprint,
-        estimator: &str,
-    ) -> PathBuf {
-        self.dir.join(format!(
-            "{}-{}-{}.{H_STORE_EXTENSION}",
-            graph_fp.to_hex(),
-            seed_fp.to_hex(),
-            name_digest(estimator)
-        ))
-    }
-
-    /// Persist an estimated compatibility matrix `H` keyed by
-    /// `(graph, seeds, estimator name)`, overwriting any existing entry (written via
-    /// a unique temporary file + atomic rename, like [`SummaryStore::save`]). The
-    /// matrix must be square.
-    pub fn save_h(
-        &self,
-        graph_fp: Fingerprint,
-        seed_fp: Fingerprint,
-        estimator: &str,
-        h: &DenseMatrix,
-    ) -> Result<PathBuf> {
-        let k = h.rows();
-        if k == 0 || h.cols() != k {
-            return Err(CoreError::Store(format!(
-                "refusing to persist a {}x{} estimate (H must be square and non-empty)",
-                h.rows(),
-                h.cols()
-            )));
-        }
-        let name = estimator.as_bytes();
-        if name.is_empty() || name.len() > u32::MAX as usize {
-            return Err(CoreError::Store(
-                "estimator name must be non-empty to key a persisted estimate".into(),
-            ));
-        }
-        let mut bytes = Vec::with_capacity(H_HEADER_LEN + name.len() + k * k * 8 + CHECKSUM_LEN);
-        bytes.extend_from_slice(H_MAGIC);
-        bytes.extend_from_slice(&H_STORE_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&graph_fp.as_u128().to_le_bytes());
-        bytes.extend_from_slice(&seed_fp.as_u128().to_le_bytes());
-        bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&(k as u32).to_le_bytes());
-        bytes.extend_from_slice(name);
-        for &v in h.data() {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let checksum = h_checksum_of(&bytes);
-        bytes.extend_from_slice(&checksum.as_u128().to_le_bytes());
-
-        let path = self.path_for_h(graph_fp, seed_fp, estimator);
-        let tmp = path.with_extension(format!(
-            "{H_STORE_EXTENSION}.{}-{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        fs::write(&tmp, &bytes).map_err(|e| io_err("write", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
-        Ok(path)
-    }
-
-    /// Load the persisted `H` estimate for a `(graph, seeds, estimator)` triple.
-    ///
-    /// Returns `Ok(None)` when no file exists, `Ok(Some(..))` with the bit-exact
-    /// stored matrix, and [`CoreError::Store`] when the file exists but is corrupt
-    /// or keyed to different inputs than requested (the loud-rejection policy).
-    pub fn load_h(
-        &self,
-        graph_fp: Fingerprint,
-        seed_fp: Fingerprint,
-        estimator: &str,
-    ) -> Result<Option<DenseMatrix>> {
-        let path = self.path_for_h(graph_fp, seed_fp, estimator);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err("read", &path, e)),
-        };
-        let (meta, payload_start) = parse_h_header(&bytes).map_err(|r| corrupt(&path, r))?;
-        if bytes.len() < payload_start + CHECKSUM_LEN {
-            return Err(corrupt(&path, "truncated payload"));
-        }
-        let (body, checksum_bytes) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-        let stored_checksum = Fingerprint::from_u128(u128::from_le_bytes(
-            checksum_bytes.try_into().expect("checksum is 16 bytes"),
-        ));
-        if h_checksum_of(body) != stored_checksum {
-            return Err(corrupt(&path, "checksum mismatch"));
-        }
-        if meta.graph_fp != graph_fp || meta.seed_fp != seed_fp {
-            return Err(corrupt(
-                &path,
-                "embedded fingerprints do not match the requested graph/seeds",
-            ));
-        }
-        if meta.estimator != estimator {
-            return Err(corrupt(
-                &path,
-                "embedded estimator name does not match the request",
-            ));
-        }
-        let k = meta.k;
-        let payload = &body[payload_start..];
-        if payload.len() != k * k * 8 {
-            return Err(corrupt(&path, "payload length disagrees with header"));
-        }
-        let mut data = Vec::with_capacity(k * k);
-        for e in 0..k * k {
-            let raw = u64::from_le_bytes(
-                payload[e * 8..(e + 1) * 8]
-                    .try_into()
-                    .expect("8-byte slice"),
-            );
-            data.push(f64::from_bits(raw));
-        }
-        let h = DenseMatrix::from_vec(k, k, data)
-            .map_err(|e| corrupt(&path, &format!("invalid matrix: {e}")))?;
-        Ok(Some(h))
-    }
-
-    /// Delete the persisted `H` estimate for one `(graph, seeds, estimator)` triple,
-    /// returning whether a file was removed.
-    pub fn remove_h(
-        &self,
-        graph_fp: Fingerprint,
-        seed_fp: Fingerprint,
-        estimator: &str,
-    ) -> Result<bool> {
-        let path = self.path_for_h(graph_fp, seed_fp, estimator);
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(io_err("remove", &path, e)),
-        }
-    }
-
-    /// The file path a constructed graph is stored under, keyed by the feature
-    /// matrix's content fingerprint and (a digest of) the parameterized builder
-    /// spec; the full spec string is embedded in the file and validated on load.
-    pub fn path_for_graph(&self, features_fp: Fingerprint, builder: &str) -> PathBuf {
-        self.dir.join(format!(
-            "{}-{}.{GRAPH_STORE_EXTENSION}",
-            features_fp.to_hex(),
-            name_digest(builder)
-        ))
-    }
-
-    /// Persist a constructed graph keyed by `(features fingerprint, builder spec)`,
-    /// overwriting any existing entry (unique temporary file + atomic rename, like
-    /// [`SummaryStore::save`]). Warm `fg construct` runs load the finished edge
-    /// list instead of repeating the `O(n²·d)` build.
-    pub fn save_graph(
-        &self,
-        features_fp: Fingerprint,
-        builder: &str,
-        graph: &fg_graph::Graph,
-    ) -> Result<PathBuf> {
-        let name = builder.as_bytes();
-        if name.is_empty() || name.len() > u32::MAX as usize {
-            return Err(CoreError::Store(
-                "builder spec must be non-empty to key a persisted graph".into(),
-            ));
-        }
-        let edges: Vec<(usize, usize, f64)> = graph.edges().collect();
-        let mut bytes =
-            Vec::with_capacity(G_HEADER_LEN + name.len() + edges.len() * 24 + CHECKSUM_LEN);
-        bytes.extend_from_slice(G_MAGIC);
-        bytes.extend_from_slice(&GRAPH_STORE_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&features_fp.as_u128().to_le_bytes());
-        bytes.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&(graph.num_nodes() as u64).to_le_bytes());
-        bytes.extend_from_slice(&(edges.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(name);
-        for (u, v, w) in edges {
-            bytes.extend_from_slice(&(u as u64).to_le_bytes());
-            bytes.extend_from_slice(&(v as u64).to_le_bytes());
-            bytes.extend_from_slice(&w.to_bits().to_le_bytes());
-        }
-        let checksum = graph_checksum_of(&bytes);
-        bytes.extend_from_slice(&checksum.as_u128().to_le_bytes());
-
-        let path = self.path_for_graph(features_fp, builder);
-        let tmp = path.with_extension(format!(
-            "{GRAPH_STORE_EXTENSION}.{}-{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        fs::write(&tmp, &bytes).map_err(|e| io_err("write", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
-        Ok(path)
-    }
-
-    /// Load the persisted constructed graph for a `(features, builder)` pair.
-    ///
-    /// Returns `Ok(None)` when no file exists, `Ok(Some(..))` with a graph whose
-    /// edge weights are bit-exact, and [`CoreError::Store`] when the file exists
-    /// but is corrupt or keyed to different inputs (the loud-rejection policy).
-    pub fn load_graph(
-        &self,
-        features_fp: Fingerprint,
-        builder: &str,
-    ) -> Result<Option<fg_graph::Graph>> {
-        let path = self.path_for_graph(features_fp, builder);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err("read", &path, e)),
-        };
-        let (meta, payload_start) = parse_graph_header(&bytes).map_err(|r| corrupt(&path, r))?;
-        if bytes.len() < payload_start + CHECKSUM_LEN {
-            return Err(corrupt(&path, "truncated payload"));
-        }
-        let (body, checksum_bytes) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-        let stored_checksum = Fingerprint::from_u128(u128::from_le_bytes(
-            checksum_bytes.try_into().expect("checksum is 16 bytes"),
-        ));
-        if graph_checksum_of(body) != stored_checksum {
-            return Err(corrupt(&path, "checksum mismatch"));
-        }
-        if meta.features_fp != features_fp {
-            return Err(corrupt(
-                &path,
-                "embedded fingerprints do not match the requested features",
-            ));
-        }
-        if meta.builder != builder {
-            return Err(corrupt(&path, "embedded builder spec does not match"));
-        }
-        let payload = &body[payload_start..];
-        if payload.len() != meta.edges * 24 {
-            return Err(corrupt(&path, "payload length disagrees with header"));
-        }
-        let mut edges = Vec::with_capacity(meta.edges);
-        for e in 0..meta.edges {
-            let at = |off: usize| e * 24 + off;
-            let u = u64::from_le_bytes(payload[at(0)..at(8)].try_into().expect("8-byte slice"))
-                as usize;
-            let v = u64::from_le_bytes(payload[at(8)..at(16)].try_into().expect("8-byte slice"))
-                as usize;
-            let w = f64::from_bits(u64::from_le_bytes(
-                payload[at(16)..at(24)].try_into().expect("8-byte slice"),
-            ));
-            edges.push((u, v, w));
-        }
-        let graph = fg_graph::Graph::from_weighted_edges(meta.nodes, &edges)
-            .map_err(|e| corrupt(&path, &format!("invalid graph: {e}")))?;
-        Ok(Some(graph))
-    }
-
-    /// Delete the persisted constructed graph for one `(features, builder)` pair,
-    /// returning whether a file was removed.
-    pub fn remove_graph(&self, features_fp: Fingerprint, builder: &str) -> Result<bool> {
-        let path = self.path_for_graph(features_fp, builder);
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(io_err("remove", &path, e)),
-        }
-    }
-
-    /// The file path a low-rank factor is stored under, keyed by the graph
-    /// fingerprint and the factor fingerprint (which folds in the rank and every
-    /// solver parameter).
-    pub fn path_for_factor(&self, graph_fp: Fingerprint, config: &FactorConfig) -> PathBuf {
-        self.dir.join(format!(
-            "{}-{}.{FACTOR_STORE_EXTENSION}",
-            graph_fp.to_hex(),
-            factor_fingerprint(graph_fp, config).to_hex()
-        ))
-    }
-
-    /// Persist a computed low-rank factor keyed by `(graph, factor config)`,
-    /// overwriting any existing entry (unique temporary file + atomic rename,
-    /// like [`SummaryStore::save`]). Warm runs of the low-rank counting backend
-    /// load the factor instead of repeating the eigensolve — the backend's only
-    /// edge-proportional cost.
-    pub fn save_factor(&self, factor: &LowRankFactor) -> Result<PathBuf> {
-        let graph_fp = factor.graph_fingerprint();
-        let config = factor.config();
-        let n = factor.num_nodes();
-        let r = factor.rank();
-        let payload_values = n * r + r + r * r + n;
-        let mut bytes = Vec::with_capacity(V_HEADER_LEN + payload_values * 8 + CHECKSUM_LEN);
-        bytes.extend_from_slice(V_MAGIC);
-        bytes.extend_from_slice(&FACTOR_STORE_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&graph_fp.as_u128().to_le_bytes());
-        bytes.extend_from_slice(&factor.fingerprint().as_u128().to_le_bytes());
-        bytes.extend_from_slice(&(r as u32).to_le_bytes());
-        bytes.extend_from_slice(&(config.max_iter as u64).to_le_bytes());
-        bytes.extend_from_slice(&config.tol.to_bits().to_le_bytes());
-        bytes.extend_from_slice(&config.seed.to_le_bytes());
-        bytes.extend_from_slice(&(n as u64).to_le_bytes());
-        bytes.extend_from_slice(&(factor.iterations() as u64).to_le_bytes());
-        for &v in factor.v().data() {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        for &v in factor.lambda() {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        for &v in factor.g().data() {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        for &v in factor.degrees() {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        let checksum = factor_checksum_of(&bytes);
-        bytes.extend_from_slice(&checksum.as_u128().to_le_bytes());
-
-        let path = self.path_for_factor(graph_fp, config);
-        let tmp = path.with_extension(format!(
-            "{FACTOR_STORE_EXTENSION}.{}-{}.tmp",
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        fs::write(&tmp, &bytes).map_err(|e| io_err("write", &tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err("rename", &tmp, e))?;
-        Ok(path)
-    }
-
-    /// Load the persisted low-rank factor for a `(graph, factor config)` pair.
-    ///
-    /// Returns `Ok(None)` when no file exists, `Ok(Some(..))` with the bit-exact
-    /// stored factor, and [`CoreError::Store`] when the file exists but is
-    /// corrupt or keyed to different inputs than requested (the loud-rejection
-    /// policy).
-    pub fn load_factor(
-        &self,
-        graph_fp: Fingerprint,
-        config: &FactorConfig,
-    ) -> Result<Option<LowRankFactor>> {
-        let path = self.path_for_factor(graph_fp, config);
-        let bytes = match fs::read(&path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err("read", &path, e)),
-        };
-        let (meta, payload_start) = parse_factor_header(&bytes).map_err(|r| corrupt(&path, r))?;
-        if bytes.len() < payload_start + CHECKSUM_LEN {
-            return Err(corrupt(&path, "truncated payload"));
-        }
-        let (body, checksum_bytes) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-        let stored_checksum = Fingerprint::from_u128(u128::from_le_bytes(
-            checksum_bytes.try_into().expect("checksum is 16 bytes"),
-        ));
-        if factor_checksum_of(body) != stored_checksum {
-            return Err(corrupt(&path, "checksum mismatch"));
-        }
-        if meta.graph_fp != graph_fp {
-            return Err(corrupt(
-                &path,
-                "embedded fingerprint does not match the requested graph",
-            ));
-        }
-        if meta.factor_fp != factor_fingerprint(graph_fp, config) {
-            return Err(corrupt(
-                &path,
-                "embedded factor fingerprint does not match the requested solver config",
-            ));
-        }
-        let (n, r) = (meta.nodes, meta.rank);
-        let payload = &body[payload_start..];
-        if payload.len() != (n * r + r + r * r + n) * 8 {
-            return Err(corrupt(&path, "payload length disagrees with header"));
-        }
-        let mut values = Vec::with_capacity(payload.len() / 8);
-        for chunk in payload.chunks_exact(8) {
-            values.push(f64::from_bits(u64::from_le_bytes(
-                chunk.try_into().expect("8-byte slice"),
-            )));
-        }
-        let mut rest = values;
-        let degrees = rest.split_off(n * r + r + r * r);
-        let g_data = rest.split_off(n * r + r);
-        let lambda = rest.split_off(n * r);
-        let v = DenseMatrix::from_vec(n, r, rest)
-            .map_err(|e| corrupt(&path, &format!("invalid V matrix: {e}")))?;
-        let g = DenseMatrix::from_vec(r, r, g_data)
-            .map_err(|e| corrupt(&path, &format!("invalid G matrix: {e}")))?;
-        // The iteration count sits in the last header field (validated by the
-        // checksum like everything else).
-        let iterations = u64::from_le_bytes(
-            body[V_HEADER_LEN - 8..V_HEADER_LEN]
-                .try_into()
-                .expect("8 bytes"),
-        ) as usize;
-        LowRankFactor::from_parts(v, lambda, g, degrees, graph_fp, *config, iterations)
-            .map(Some)
-            .map_err(|e| corrupt(&path, &format!("invalid factor: {e}")))
-    }
-
-    /// Delete the persisted low-rank factor for one `(graph, factor config)`
-    /// pair, returning whether a file was removed.
-    pub fn remove_factor(&self, graph_fp: Fingerprint, config: &FactorConfig) -> Result<bool> {
-        let path = self.path_for_factor(graph_fp, config);
-        match fs::remove_file(&path) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(io_err("remove", &path, e)),
-        }
-    }
-
-    /// Delete every store file (including stale `.fgsum.tmp` leftovers), returning
-    /// how many were removed.
+    /// Delete every store file of every kind, including temporary files stranded
+    /// by interrupted writes, returning how many were removed.
     pub fn clear(&self) -> Result<usize> {
         let mut removed = 0;
         for entry in self.entries()? {
@@ -979,260 +909,26 @@ impl SummaryStore {
             .collect();
         files.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
 
+        // Expired files are the oldest, so they all come first: by the time the
+        // size cap is consulted, `total` counts only the files that survived age.
+        let mut total: u64 = files.iter().map(|f| f.2).sum();
         let mut outcome = GcOutcome::default();
-        let mut survivors: Vec<(String, u64)> = Vec::new();
         for (mtime, file, bytes) in files {
-            let expired = match max_age {
-                Some(age) => now.duration_since(mtime).is_ok_and(|d| d > age),
-                None => false,
-            };
-            if expired {
-                self.remove_for_gc(&file, bytes, &mut outcome)?;
-            } else {
-                survivors.push((file, bytes));
-            }
-        }
-        if let Some(cap) = max_bytes {
-            let mut total: u64 = survivors.iter().map(|(_, b)| b).sum();
-            let mut survivors = survivors.into_iter();
-            for (file, bytes) in survivors.by_ref() {
-                if total <= cap {
-                    outcome.kept += 1;
-                    outcome.bytes_kept += bytes;
-                    continue;
-                }
-                self.remove_for_gc(&file, bytes, &mut outcome)?;
+            let expired =
+                max_age.is_some_and(|age| now.duration_since(mtime).is_ok_and(|d| d > age));
+            if expired || max_bytes.is_some_and(|cap| total > cap) {
+                // A file deleted by a concurrent clear/gc still counts as removed.
+                remove_file(&self.dir.join(&file))?;
+                outcome.removed += 1;
+                outcome.bytes_removed += bytes;
                 total -= bytes;
-            }
-        } else {
-            for (_, bytes) in &survivors {
+            } else {
                 outcome.kept += 1;
                 outcome.bytes_kept += bytes;
             }
         }
         Ok(outcome)
     }
-
-    fn remove_for_gc(&self, file: &str, bytes: u64, outcome: &mut GcOutcome) -> Result<()> {
-        let path = self.dir.join(file);
-        match fs::remove_file(&path) {
-            // A file deleted by a concurrent clear/gc still counts as removed.
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(io_err("remove", &path, e)),
-        }
-        outcome.removed += 1;
-        outcome.bytes_removed += bytes;
-        Ok(())
-    }
-}
-
-/// Checksum over the encoded bytes, using the same FNV-1a 128 core as the
-/// fingerprints (domain-tagged so a checksum can never alias a fingerprint).
-fn checksum_of(bytes: &[u8]) -> Fingerprint {
-    let mut h = FingerprintBuilder::new(b"fg-summary-store-v1");
-    h.write_bytes(bytes);
-    h.finish()
-}
-
-/// Checksum over an encoded `H` entry, domain-separated from both the fingerprint
-/// hashes and the summary-store checksum.
-fn h_checksum_of(bytes: &[u8]) -> Fingerprint {
-    let mut h = FingerprintBuilder::new(b"fg-h-store-v1");
-    h.write_bytes(bytes);
-    h.finish()
-}
-
-/// Checksum over an encoded constructed-graph entry, domain-separated from every
-/// other hash in the workspace.
-fn graph_checksum_of(bytes: &[u8]) -> Fingerprint {
-    let mut h = FingerprintBuilder::new(b"fg-graph-store-v1");
-    h.write_bytes(bytes);
-    h.finish()
-}
-
-/// Checksum over an encoded low-rank factor entry, domain-separated from every
-/// other hash in the workspace.
-fn factor_checksum_of(bytes: &[u8]) -> Fingerprint {
-    let mut h = FingerprintBuilder::new(b"fg-v-store-v1");
-    h.write_bytes(bytes);
-    h.finish()
-}
-
-/// Hex digest of an estimator name or builder spec, used only for file naming
-/// (the authoritative name is embedded in the entry and validated on load).
-fn name_digest(name: &str) -> String {
-    let mut h = FingerprintBuilder::new(b"fg-h-store-name-v1");
-    h.write_bytes(name.as_bytes());
-    h.finish().to_hex()
-}
-
-/// Parse and validate an `H`-entry header; returns the metadata and the payload
-/// offset (past the variable-length estimator name). Errors are static
-/// descriptions suitable for [`corrupt`].
-fn parse_h_header(bytes: &[u8]) -> std::result::Result<(HStoreMeta, usize), &'static str> {
-    if bytes.len() < H_HEADER_LEN + CHECKSUM_LEN {
-        return Err("file too short for an estimate header");
-    }
-    if &bytes[0..6] != H_MAGIC {
-        return Err("bad magic bytes");
-    }
-    let version = u16::from_le_bytes(bytes[6..8].try_into().expect("2 bytes"));
-    if version != H_STORE_FORMAT_VERSION {
-        return Err("unsupported format version");
-    }
-    let graph_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[8..24].try_into().expect("16 bytes"),
-    ));
-    let seed_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[24..40].try_into().expect("16 bytes"),
-    ));
-    let name_len = u32::from_le_bytes(bytes[40..44].try_into().expect("4 bytes")) as usize;
-    let k = u32::from_le_bytes(bytes[44..48].try_into().expect("4 bytes")) as usize;
-    if k == 0 || name_len == 0 {
-        return Err("header declares an empty estimate");
-    }
-    let payload_start = match H_HEADER_LEN.checked_add(name_len) {
-        Some(end) => end,
-        None => return Err("estimator name length overflows"),
-    };
-    if bytes.len() < payload_start + CHECKSUM_LEN {
-        return Err("file too short for the declared estimator name");
-    }
-    let estimator = std::str::from_utf8(&bytes[H_HEADER_LEN..payload_start])
-        .map_err(|_| "estimator name is not valid UTF-8")?
-        .to_string();
-    Ok((
-        HStoreMeta {
-            graph_fp,
-            seed_fp,
-            estimator,
-            k,
-        },
-        payload_start,
-    ))
-}
-
-/// Parse and validate a constructed-graph header; returns the metadata and the
-/// payload offset (past the variable-length builder spec). Errors are static
-/// descriptions suitable for [`corrupt`].
-fn parse_graph_header(bytes: &[u8]) -> std::result::Result<(GraphStoreMeta, usize), &'static str> {
-    if bytes.len() < G_HEADER_LEN + CHECKSUM_LEN {
-        return Err("file too short for a graph header");
-    }
-    if &bytes[0..6] != G_MAGIC {
-        return Err("bad magic bytes");
-    }
-    let version = u16::from_le_bytes(bytes[6..8].try_into().expect("2 bytes"));
-    if version != GRAPH_STORE_FORMAT_VERSION {
-        return Err("unsupported format version");
-    }
-    let features_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[8..24].try_into().expect("16 bytes"),
-    ));
-    let name_len = u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes")) as usize;
-    let nodes = u64::from_le_bytes(bytes[28..36].try_into().expect("8 bytes")) as usize;
-    let edges = u64::from_le_bytes(bytes[36..44].try_into().expect("8 bytes")) as usize;
-    if name_len == 0 {
-        return Err("header declares an empty builder spec");
-    }
-    let payload_start = match G_HEADER_LEN.checked_add(name_len) {
-        Some(end) => end,
-        None => return Err("builder spec length overflows"),
-    };
-    if bytes.len() < payload_start + CHECKSUM_LEN {
-        return Err("file too short for the declared builder spec");
-    }
-    let builder = std::str::from_utf8(&bytes[G_HEADER_LEN..payload_start])
-        .map_err(|_| "builder spec is not valid UTF-8")?
-        .to_string();
-    Ok((
-        GraphStoreMeta {
-            features_fp,
-            builder,
-            nodes,
-            edges,
-        },
-        payload_start,
-    ))
-}
-
-/// Parse and validate a low-rank factor header; returns the metadata and the
-/// payload offset. Errors are static descriptions suitable for [`corrupt`].
-fn parse_factor_header(
-    bytes: &[u8],
-) -> std::result::Result<(FactorStoreMeta, usize), &'static str> {
-    if bytes.len() < V_HEADER_LEN + CHECKSUM_LEN {
-        return Err("file too short for a factor header");
-    }
-    if &bytes[0..6] != V_MAGIC {
-        return Err("bad magic bytes");
-    }
-    let version = u16::from_le_bytes(bytes[6..8].try_into().expect("2 bytes"));
-    if version != FACTOR_STORE_FORMAT_VERSION {
-        return Err("unsupported format version");
-    }
-    let graph_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[8..24].try_into().expect("16 bytes"),
-    ));
-    let factor_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[24..40].try_into().expect("16 bytes"),
-    ));
-    let rank = u32::from_le_bytes(bytes[40..44].try_into().expect("4 bytes")) as usize;
-    let nodes = u64::from_le_bytes(bytes[68..76].try_into().expect("8 bytes")) as usize;
-    if rank == 0 || nodes == 0 || rank > nodes {
-        return Err("header declares an impossible rank/node combination");
-    }
-    Ok((
-        FactorStoreMeta {
-            graph_fp,
-            factor_fp,
-            rank,
-            nodes,
-        },
-        V_HEADER_LEN,
-    ))
-}
-
-/// Parse and validate the fixed-size header; returns the metadata and the payload
-/// offset. Errors are static descriptions suitable for [`corrupt`].
-fn parse_header(bytes: &[u8]) -> std::result::Result<(StoreMeta, usize), &'static str> {
-    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
-        return Err("file too short for a summary header");
-    }
-    if &bytes[0..6] != MAGIC {
-        return Err("bad magic bytes");
-    }
-    let version = u16::from_le_bytes(bytes[6..8].try_into().expect("2 bytes"));
-    if version != STORE_FORMAT_VERSION {
-        return Err("unsupported format version");
-    }
-    let graph_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[8..24].try_into().expect("16 bytes"),
-    ));
-    let seed_fp = Fingerprint::from_u128(u128::from_le_bytes(
-        bytes[24..40].try_into().expect("16 bytes"),
-    ));
-    let non_backtracking = match bytes[40] {
-        0 => false,
-        1 => true,
-        _ => return Err("invalid counting-mode byte"),
-    };
-    let k = u32::from_le_bytes(bytes[41..45].try_into().expect("4 bytes")) as usize;
-    let max_length = u32::from_le_bytes(bytes[45..49].try_into().expect("4 bytes")) as usize;
-    if k == 0 || max_length == 0 {
-        return Err("header declares an empty summary");
-    }
-    Ok((
-        StoreMeta {
-            graph_fp,
-            seed_fp,
-            non_backtracking,
-            k,
-            max_length,
-        },
-        HEADER_LEN,
-    ))
 }
 
 #[cfg(test)]
@@ -1259,22 +955,24 @@ mod tests {
         )
     }
 
+    fn bits(m: &DenseMatrix) -> Vec<u64> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn save_load_round_trip_is_bit_exact() {
         let store = temp_store("round_trip");
         let (g, s) = fps();
         let counts = sample_counts();
-        store.save(g, s, true, 2, &counts).unwrap();
-        let loaded = store.load(g, s, true).unwrap().unwrap();
-        assert_eq!(loaded.k, 2);
-        assert_eq!(loaded.counts.len(), 2);
-        for (a, b) in counts.iter().zip(&loaded.counts) {
+        store.save(&SummaryKey(g, s, true), &counts).unwrap();
+        let loaded = store.load(&SummaryKey(g, s, true)).unwrap().unwrap();
+        assert_eq!(loaded.len(), 2);
+        for (a, b) in counts.iter().zip(&loaded) {
             // Bit-exact: compare raw bit patterns, not approximate values.
-            let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(a), bits(b));
         }
         // The other counting mode is a separate (absent) file.
-        assert!(store.load(g, s, false).unwrap().is_none());
+        assert!(store.load(&SummaryKey(g, s, false)).unwrap().is_none());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1282,7 +980,7 @@ mod tests {
     fn missing_file_is_none_not_error() {
         let store = temp_store("missing");
         let (g, s) = fps();
-        assert!(store.load(g, s, true).unwrap().is_none());
+        assert!(store.load(&SummaryKey(g, s, true)).unwrap().is_none());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1290,37 +988,37 @@ mod tests {
     fn corrupt_files_are_rejected_loudly() {
         let store = temp_store("corrupt");
         let (g, s) = fps();
-        let path = store.save(g, s, true, 2, &sample_counts()).unwrap();
+        let key = SummaryKey(g, s, true);
+        let path = store.save(&key, &sample_counts()).unwrap();
 
         // Flip one payload byte: checksum must catch it.
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let err = store.load(g, s, true).unwrap_err();
+        let err = store.load(&key).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
 
         // Truncation is caught.
         let good = {
-            store.save(g, s, true, 2, &sample_counts()).unwrap();
+            store.save(&key, &sample_counts()).unwrap();
             std::fs::read(&path).unwrap()
         };
         std::fs::write(&path, &good[..good.len() - 7]).unwrap();
-        assert!(store.load(g, s, true).is_err());
+        assert!(store.load(&key).is_err());
 
         // Wrong magic is caught.
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
         std::fs::write(&path, &bad_magic).unwrap();
-        let err = store.load(g, s, true).unwrap_err();
+        let err = store.load(&key).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
 
         // A file copied under the wrong name (mismatched fingerprints) is caught.
         std::fs::write(&path, &good).unwrap();
-        let other = Fingerprint::from_u128(0x9999);
-        let wrong_name = store.path_for(g, other, true);
-        std::fs::copy(&path, &wrong_name).unwrap();
-        let err = store.load(g, other, true).unwrap_err();
+        let other = SummaryKey(g, Fingerprint::from_u128(0x9999), true);
+        std::fs::copy(&path, store.path(&other)).unwrap();
+        let err = store.load(&other).unwrap_err();
         assert!(err.to_string().contains("fingerprints"), "{err}");
         std::fs::remove_dir_all(store.dir()).ok();
     }
@@ -1329,9 +1027,11 @@ mod tests {
     fn save_validates_shapes() {
         let store = temp_store("shapes");
         let (g, s) = fps();
-        assert!(store.save(g, s, true, 2, &[]).is_err());
-        let wrong = vec![DenseMatrix::zeros(2, 3)];
-        assert!(store.save(g, s, true, 2, &wrong).is_err());
+        let key = SummaryKey(g, s, true);
+        assert!(store.save(&key, &[]).is_err());
+        assert!(store.save(&key, &[DenseMatrix::zeros(2, 3)]).is_err());
+        let mixed = [DenseMatrix::zeros(2, 2), DenseMatrix::zeros(3, 3)];
+        assert!(store.save(&key, &mixed).is_err());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1340,10 +1040,14 @@ mod tests {
         let store = temp_store("gc");
         let (g, s) = fps();
         // Three files with distinct mtimes (oldest first).
-        let p1 = store.save(g, s, false, 2, &sample_counts()).unwrap();
-        let p2 = store.save(g, s, true, 2, &sample_counts()).unwrap();
-        let other = Fingerprint::from_u128(0x77);
-        let p3 = store.save(g, other, true, 2, &sample_counts()).unwrap();
+        let p1 = store
+            .save(&SummaryKey(g, s, false), &sample_counts())
+            .unwrap();
+        let p2 = store
+            .save(&SummaryKey(g, s, true), &sample_counts())
+            .unwrap();
+        let other = SummaryKey(g, Fingerprint::from_u128(0x77), true);
+        let p3 = store.save(&other, &sample_counts()).unwrap();
         let hour = std::time::Duration::from_secs(3600);
         let old = std::time::SystemTime::now() - 10 * hour;
         set_mtime(&p1, old);
@@ -1355,11 +1059,13 @@ mod tests {
         assert_eq!(outcome.removed, 2);
         assert_eq!(outcome.kept, 1);
         assert_eq!(outcome.bytes_kept, bytes);
-        assert!(store.load(g, other, true).unwrap().is_some());
+        assert!(store.load(&other).unwrap().is_some());
 
         // Size cap alone: rebuild two files, cap to one file's size — the older
         // (least recently written) one goes.
-        let p1 = store.save(g, s, true, 2, &sample_counts()).unwrap();
+        let p1 = store
+            .save(&SummaryKey(g, s, true), &sample_counts())
+            .unwrap();
         set_mtime(&p1, old);
         let outcome = store.gc(Some(bytes), None).unwrap();
         assert_eq!(outcome.removed, 1);
@@ -1390,6 +1096,7 @@ mod tests {
         // never an interleaving.
         let store = std::sync::Arc::new(temp_store("race"));
         let (g, s) = fps();
+        let key = SummaryKey(g, s, true);
         let short = sample_counts();
         let long: Vec<DenseMatrix> = short
             .iter()
@@ -1404,7 +1111,7 @@ mod tests {
                 let store = std::sync::Arc::clone(&store);
                 scope.spawn(move || {
                     for _ in 0..rounds {
-                        store.save(g, s, true, 2, &counts).unwrap();
+                        store.save(&key, &counts).unwrap();
                     }
                 })
             };
@@ -1413,25 +1120,21 @@ mod tests {
             // A concurrent reader must never observe corruption (absent is fine
             // in the first instants).
             for _ in 0..rounds {
-                if let Some(loaded) = store.load(g, s, true).unwrap() {
-                    assert!(loaded.counts.len() == 2 || loaded.counts.len() == 3);
+                if let Some(loaded) = store.load(&key).unwrap() {
+                    assert!(loaded.len() == 2 || loaded.len() == 3);
                 }
             }
             a.join().unwrap();
             b.join().unwrap();
         });
-        let final_counts = store.load(g, s, true).unwrap().unwrap();
-        assert!(final_counts.counts.len() == 2 || final_counts.counts.len() == 3);
-        let reference = if final_counts.counts.len() == 2 {
-            &short
-        } else {
-            &long
+        let final_counts = store.load(&key).unwrap().unwrap();
+        let reference = match final_counts.len() {
+            2 => &short,
+            3 => &long,
+            n => panic!("{n} stored lengths"),
         };
-        for (a, b) in reference.iter().zip(&final_counts.counts) {
-            assert_eq!(
-                a.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                b.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            );
+        for (a, b) in reference.iter().zip(&final_counts) {
+            assert_eq!(bits(a), bits(b));
         }
         // No temp files were stranded by the race.
         assert!(store
@@ -1446,22 +1149,21 @@ mod tests {
     fn h_save_load_round_trip_is_bit_exact() {
         let store = temp_store("h_round_trip");
         let (g, s) = fps();
+        let key = EstimateKey(g, s, "Holdout(b=3)");
         let h = DenseMatrix::from_rows(&[vec![0.75, 0.25], vec![0.25, 0.75]]).unwrap();
-        store.save_h(g, s, "Holdout(b=3)", &h).unwrap();
-        let loaded = store.load_h(g, s, "Holdout(b=3)").unwrap().unwrap();
-        let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&h), bits(&loaded));
+        store.save(&key, &h).unwrap();
+        assert_eq!(bits(&h), bits(&store.load(&key).unwrap().unwrap()));
         // A differently parameterized estimator is a separate (absent) entry.
-        assert!(store.load_h(g, s, "Holdout(b=5)").unwrap().is_none());
+        let other = EstimateKey(g, s, "Holdout(b=5)");
+        assert!(store.load(&other).unwrap().is_none());
         // Overwrites replace the entry in place.
         let h2 = DenseMatrix::from_rows(&[vec![0.5, 0.5], vec![0.5, 0.5]]).unwrap();
-        store.save_h(g, s, "Holdout(b=3)", &h2).unwrap();
-        let loaded = store.load_h(g, s, "Holdout(b=3)").unwrap().unwrap();
-        assert_eq!(bits(&h2), bits(&loaded));
-        // remove_h deletes exactly the requested entry.
-        assert!(store.remove_h(g, s, "Holdout(b=3)").unwrap());
-        assert!(!store.remove_h(g, s, "Holdout(b=3)").unwrap());
-        assert!(store.load_h(g, s, "Holdout(b=3)").unwrap().is_none());
+        store.save(&key, &h2).unwrap();
+        assert_eq!(bits(&h2), bits(&store.load(&key).unwrap().unwrap()));
+        // remove deletes exactly the requested entry.
+        assert!(store.remove(&key).unwrap());
+        assert!(!store.remove(&key).unwrap());
+        assert!(store.load(&key).unwrap().is_none());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1469,8 +1171,9 @@ mod tests {
     fn h_entries_are_validated_loudly() {
         let store = temp_store("h_corrupt");
         let (g, s) = fps();
+        let key = EstimateKey(g, s, "DCE(l=5)");
         let h = DenseMatrix::from_rows(&[vec![0.9, 0.1], vec![0.1, 0.9]]).unwrap();
-        let path = store.save_h(g, s, "DCE(l=5)", &h).unwrap();
+        let path = store.save(&key, &h).unwrap();
         let good = std::fs::read(&path).unwrap();
 
         // Flipped payload byte (inside the matrix data, past the embedded name so
@@ -1479,37 +1182,37 @@ mod tests {
         let idx = bad.len() - CHECKSUM_LEN - 4;
         bad[idx] ^= 0xff;
         std::fs::write(&path, &bad).unwrap();
-        let err = store.load_h(g, s, "DCE(l=5)").unwrap_err();
+        let err = store.load(&key).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
 
         // Truncation is caught.
         std::fs::write(&path, &good[..good.len() - 5]).unwrap();
-        assert!(store.load_h(g, s, "DCE(l=5)").is_err());
+        assert!(store.load(&key).is_err());
 
         // Wrong magic is caught.
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
         std::fs::write(&path, &bad_magic).unwrap();
-        let err = store.load_h(g, s, "DCE(l=5)").unwrap_err();
+        let err = store.load(&key).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
 
         // A file copied under another key's name (mismatched fingerprints) is caught.
         std::fs::write(&path, &good).unwrap();
-        let other = Fingerprint::from_u128(0x4242);
-        std::fs::copy(&path, store.path_for_h(g, other, "DCE(l=5)")).unwrap();
-        let err = store.load_h(g, other, "DCE(l=5)").unwrap_err();
+        let other = EstimateKey(g, Fingerprint::from_u128(0x4242), "DCE(l=5)");
+        std::fs::copy(&path, store.path(&other)).unwrap();
+        let err = store.load(&other).unwrap_err();
         assert!(err.to_string().contains("fingerprints"), "{err}");
 
         // A file copied under another estimator's name is caught by the embedded name.
-        std::fs::copy(&path, store.path_for_h(g, s, "DCEr(r=10)")).unwrap();
-        let err = store.load_h(g, s, "DCEr(r=10)").unwrap_err();
+        let renamed = EstimateKey(g, s, "DCEr(r=10)");
+        std::fs::copy(&path, store.path(&renamed)).unwrap();
+        let err = store.load(&renamed).unwrap_err();
         assert!(err.to_string().contains("estimator name"), "{err}");
 
         // Shape / key validation on save.
-        assert!(store
-            .save_h(g, s, "DCE(l=5)", &DenseMatrix::zeros(2, 3))
-            .is_err());
-        assert!(store.save_h(g, s, "", &DenseMatrix::zeros(2, 2)).is_err());
+        assert!(store.save(&key, &DenseMatrix::zeros(2, 3)).is_err());
+        let unnamed = EstimateKey(g, s, "");
+        assert!(store.save(&unnamed, &DenseMatrix::zeros(2, 2)).is_err());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1517,23 +1220,27 @@ mod tests {
     fn graph_save_load_round_trip_preserves_the_fingerprint() {
         let store = temp_store("graph_round_trip");
         let features_fp = Fingerprint::from_u128(0xfeed_beef);
-        let spec = "Knn(k=2,metric=euclidean,weighting=heat,sym=union)";
-        let graph = fg_graph::Graph::from_weighted_edges(
+        let key = GraphKey(
+            features_fp,
+            "Knn(k=2,metric=euclidean,weighting=heat,sym=union)",
+        );
+        let graph = Graph::from_weighted_edges(
             5,
             &[(0, 1, 0.5), (1, 2, 1.0), (2, 3, 0.125), (3, 4, 1e-300)],
         )
         .unwrap();
-        store.save_graph(features_fp, spec, &graph).unwrap();
-        let loaded = store.load_graph(features_fp, spec).unwrap().unwrap();
+        store.save(&key, &graph).unwrap();
+        let loaded = store.load(&key).unwrap().unwrap();
         // Content fingerprints match: the stored graph is the built graph.
         assert_eq!(loaded.fingerprint(), graph.fingerprint());
         assert_eq!(loaded.num_nodes(), 5);
         assert_eq!(loaded.num_edges(), 4);
         // A different builder spec is a separate (absent) entry.
-        assert!(store.load_graph(features_fp, "Knn(k=3)").unwrap().is_none());
-        // remove_graph deletes exactly the requested entry.
-        assert!(store.remove_graph(features_fp, spec).unwrap());
-        assert!(!store.remove_graph(features_fp, spec).unwrap());
+        let other = GraphKey(features_fp, "Knn(k=3)");
+        assert!(store.load(&other).unwrap().is_none());
+        // remove deletes exactly the requested entry.
+        assert!(store.remove(&key).unwrap());
+        assert!(!store.remove(&key).unwrap());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1542,8 +1249,9 @@ mod tests {
         let store = temp_store("graph_corrupt");
         let features_fp = Fingerprint::from_u128(0xc0ffee);
         let spec = "SparseReg(k=4,alpha=0.1,iters=50,sym=union)";
-        let graph = fg_graph::Graph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]).unwrap();
-        let path = store.save_graph(features_fp, spec, &graph).unwrap();
+        let key = GraphKey(features_fp, spec);
+        let graph = Graph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]).unwrap();
+        let path = store.save(&key, &graph).unwrap();
         let good = std::fs::read(&path).unwrap();
 
         // Flipped payload byte (past the embedded spec): checksum catches it.
@@ -1551,33 +1259,32 @@ mod tests {
         let idx = bad.len() - CHECKSUM_LEN - 4;
         bad[idx] ^= 0xff;
         std::fs::write(&path, &bad).unwrap();
-        let err = store.load_graph(features_fp, spec).unwrap_err();
+        let err = store.load(&key).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
 
         // A file copied under another key's name is caught.
         std::fs::write(&path, &good).unwrap();
-        let other = Fingerprint::from_u128(0xdead);
-        std::fs::copy(&path, store.path_for_graph(other, spec)).unwrap();
-        let err = store.load_graph(other, spec).unwrap_err();
+        let other = GraphKey(Fingerprint::from_u128(0xdead), spec);
+        std::fs::copy(&path, store.path(&other)).unwrap();
+        let err = store.load(&other).unwrap_err();
         assert!(err.to_string().contains("fingerprints"), "{err}");
 
         // Entries list the graph with its parsed metadata; clear removes it.
         let entries = store.entries().unwrap();
-        let g_entry = entries
+        let meta = entries
             .iter()
-            .find(|e| {
-                e.file.ends_with(&format!(".{GRAPH_STORE_EXTENSION}")) && e.graph_meta.is_some()
+            .find_map(|e| match &e.meta {
+                Some(EntryMeta::Graph(meta)) if meta.features_fp == features_fp => Some(meta),
+                _ => None,
             })
             .unwrap();
-        let meta = g_entry.graph_meta.as_ref().unwrap();
-        assert_eq!(meta.features_fp, features_fp);
         assert_eq!(meta.builder, spec);
         assert_eq!(meta.nodes, 3);
         assert_eq!(meta.edges, 2);
         assert_eq!(store.clear().unwrap(), 2);
         assert!(store.entries().unwrap().is_empty());
         // Empty builder specs are rejected on save.
-        assert!(store.save_graph(features_fp, "", &graph).is_err());
+        assert!(store.save(&GraphKey(features_fp, ""), &graph).is_err());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1585,30 +1292,24 @@ mod tests {
     fn h_entries_are_listed_cleared_and_gced() {
         let store = temp_store("h_entries");
         let (g, s) = fps();
-        store.save(g, s, true, 2, &sample_counts()).unwrap();
+        store
+            .save(&SummaryKey(g, s, true), &sample_counts())
+            .unwrap();
         let h = DenseMatrix::from_rows(&[vec![0.6, 0.4], vec![0.4, 0.6]]).unwrap();
-        store.save_h(g, s, "LCE(l=3)", &h).unwrap();
+        store.save(&EstimateKey(g, s, "LCE(l=3)"), &h).unwrap();
         // A stranded `.fgh` temp file is listed (as corrupt) and clearable.
-        std::fs::write(
-            store
-                .dir()
-                .join(format!("stale.{H_STORE_EXTENSION}.7-0.tmp")),
-            b"half a write",
-        )
-        .unwrap();
+        std::fs::write(store.dir().join("stale.fgh.7-0.tmp"), b"half a write").unwrap();
 
         let entries = store.entries().unwrap();
         assert_eq!(entries.len(), 3);
-        let h_entry = entries
-            .iter()
-            .find(|e| e.file.ends_with(&format!(".{H_STORE_EXTENSION}")))
-            .unwrap();
-        let meta = h_entry.h_meta.as_ref().unwrap();
-        assert_eq!(meta.graph_fp, g);
-        assert_eq!(meta.seed_fp, s);
-        assert_eq!(meta.estimator, "LCE(l=3)");
-        assert_eq!(meta.k, 2);
-        assert!(h_entry.meta.is_none());
+        let h_entry = entries.iter().find(|e| e.file.ends_with(".fgh")).unwrap();
+        let expected = EstimateMeta {
+            graph_fp: g,
+            seed_fp: s,
+            estimator: "LCE(l=3)".into(),
+            k: 2,
+        };
+        assert_eq!(h_entry.meta, Some(EntryMeta::Estimate(expected)));
 
         // gc with max-bytes 0 removes `.fgh` files alongside `.fgsum`.
         let outcome = store.gc(Some(0), None).unwrap();
@@ -1620,19 +1321,14 @@ mod tests {
     #[test]
     fn factor_save_load_round_trip_is_bit_exact() {
         let store = temp_store("factor_round_trip");
-        let graph = fg_graph::Graph::from_edges(
-            6,
-            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)],
-        )
-        .unwrap();
+        let graph = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+            .unwrap();
         let config = FactorConfig::with_rank(4);
         let factor = LowRankFactor::compute(&graph, &config, fg_sparse::Threads::Serial).unwrap();
-        store.save_factor(&factor).unwrap();
-        let loaded = store
-            .load_factor(graph.fingerprint(), &config)
-            .unwrap()
-            .unwrap();
-        let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let key = FactorKey::of(&factor);
+        assert_eq!(key, FactorKey(graph.fingerprint(), config));
+        store.save(&key, &factor).unwrap();
+        let loaded = store.load(&key).unwrap().unwrap();
         assert_eq!(bits(factor.v()), bits(loaded.v()));
         assert_eq!(bits(factor.g()), bits(loaded.g()));
         let fbits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -1641,28 +1337,25 @@ mod tests {
         assert_eq!(factor.iterations(), loaded.iterations());
         assert_eq!(factor.fingerprint(), loaded.fingerprint());
         // A different rank is a separate (absent) entry.
-        assert!(store
-            .load_factor(graph.fingerprint(), &FactorConfig::with_rank(3))
-            .unwrap()
-            .is_none());
-        // remove_factor deletes exactly the requested entry.
-        assert!(store.remove_factor(graph.fingerprint(), &config).unwrap());
-        assert!(!store.remove_factor(graph.fingerprint(), &config).unwrap());
-        assert!(store
-            .load_factor(graph.fingerprint(), &config)
-            .unwrap()
-            .is_none());
+        let rank3 = FactorKey(graph.fingerprint(), FactorConfig::with_rank(3));
+        assert!(store.load(&rank3).unwrap().is_none());
+        // A factor is only ever saved under its own key.
+        assert!(store.save(&rank3, &factor).is_err());
+        // remove deletes exactly the requested entry.
+        assert!(store.remove(&key).unwrap());
+        assert!(!store.remove(&key).unwrap());
+        assert!(store.load(&key).unwrap().is_none());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
     #[test]
     fn factor_entries_are_validated_listed_and_cleared() {
         let store = temp_store("factor_corrupt");
-        let graph =
-            fg_graph::Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
+        let graph = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).unwrap();
         let config = FactorConfig::with_rank(3);
         let factor = LowRankFactor::compute(&graph, &config, fg_sparse::Threads::Serial).unwrap();
-        let path = store.save_factor(&factor).unwrap();
+        let key = FactorKey::of(&factor);
+        let path = store.save(&key, &factor).unwrap();
         let good = std::fs::read(&path).unwrap();
 
         // Flipped payload byte: checksum catches it.
@@ -1670,40 +1363,43 @@ mod tests {
         let idx = bad.len() - CHECKSUM_LEN - 4;
         bad[idx] ^= 0xff;
         std::fs::write(&path, &bad).unwrap();
-        let err = store.load_factor(graph.fingerprint(), &config).unwrap_err();
+        let err = store.load(&key).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
 
         // Truncation is caught.
         std::fs::write(&path, &good[..good.len() - 5]).unwrap();
-        assert!(store.load_factor(graph.fingerprint(), &config).is_err());
+        assert!(store.load(&key).is_err());
 
         // Wrong magic is caught.
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
         std::fs::write(&path, &bad_magic).unwrap();
-        let err = store.load_factor(graph.fingerprint(), &config).unwrap_err();
+        let err = store.load(&key).unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
 
         // A file copied under another solver config's name is caught by the
         // embedded factor fingerprint.
         std::fs::write(&path, &good).unwrap();
-        let other = FactorConfig {
-            seed: 0x1234,
-            ..config
-        };
-        std::fs::copy(&path, store.path_for_factor(graph.fingerprint(), &other)).unwrap();
-        let err = store.load_factor(graph.fingerprint(), &other).unwrap_err();
+        let other = FactorKey(
+            graph.fingerprint(),
+            FactorConfig {
+                seed: 0x1234,
+                ..config
+            },
+        );
+        std::fs::copy(&path, store.path(&other)).unwrap();
+        let err = store.load(&other).unwrap_err();
         assert!(err.to_string().contains("factor fingerprint"), "{err}");
 
         // Entries list the factor with its parsed metadata; clear removes it.
         let entries = store.entries().unwrap();
-        let f_entry = entries
+        let meta = entries
             .iter()
-            .find(|e| {
-                e.file.ends_with(&format!(".{FACTOR_STORE_EXTENSION}")) && e.factor_meta.is_some()
+            .find_map(|e| match &e.meta {
+                Some(EntryMeta::Factor(meta)) => Some(meta),
+                _ => None,
             })
             .unwrap();
-        let meta = f_entry.factor_meta.as_ref().unwrap();
         assert_eq!(meta.graph_fp, graph.fingerprint());
         assert_eq!(meta.factor_fp, factor.fingerprint());
         assert_eq!(meta.rank, 3);
@@ -1717,25 +1413,30 @@ mod tests {
     fn entries_and_clear() {
         let store = temp_store("entries");
         let (g, s) = fps();
-        store.save(g, s, true, 2, &sample_counts()).unwrap();
-        store.save(g, s, false, 2, &sample_counts()).unwrap();
+        store
+            .save(&SummaryKey(g, s, true), &sample_counts())
+            .unwrap();
+        store
+            .save(&SummaryKey(g, s, false), &sample_counts())
+            .unwrap();
         // A stray corrupt file is listed with meta = None and still cleared.
-        std::fs::write(store.dir().join(format!("junk.{STORE_EXTENSION}")), b"nope").unwrap();
+        std::fs::write(store.dir().join("junk.fgsum"), b"nope").unwrap();
         // So is a temp file stranded by an interrupted save.
-        std::fs::write(
-            store.dir().join(format!("stale.{STORE_EXTENSION}.tmp")),
-            b"half a write",
-        )
-        .unwrap();
+        std::fs::write(store.dir().join("stale.fgsum.tmp"), b"half a write").unwrap();
         // Non-store files are ignored.
         std::fs::write(store.dir().join("README.txt"), b"not a summary").unwrap();
 
         let entries = store.entries().unwrap();
         assert_eq!(entries.len(), 4);
-        let parsed: Vec<_> = entries.iter().filter(|e| e.meta.is_some()).collect();
+        let parsed: Vec<&SummaryMeta> = entries
+            .iter()
+            .filter_map(|e| match &e.meta {
+                Some(EntryMeta::Summary(meta)) => Some(meta),
+                _ => None,
+            })
+            .collect();
         assert_eq!(parsed.len(), 2);
-        for entry in &parsed {
-            let meta = entry.meta.as_ref().unwrap();
+        for meta in parsed {
             assert_eq!(meta.graph_fp, g);
             assert_eq!(meta.seed_fp, s);
             assert_eq!(meta.k, 2);
@@ -1746,5 +1447,84 @@ mod tests {
         // The non-store file survives a clear.
         assert!(store.dir().join("README.txt").exists());
         std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    /// Write a crafted record under `key`: the kind's header `fields`, no
+    /// payload, and a valid checksum — so only the header's sizes are wrong.
+    fn assert_crafted_header_is_rejected<R: Record>(name: &str, key: &R, fields: &[&[u8]]) {
+        let store = temp_store(name);
+        let mut bytes = R::KIND.magic.to_vec();
+        bytes.extend_from_slice(&R::KIND.version.to_le_bytes());
+        for field in fields {
+            bytes.extend_from_slice(field);
+        }
+        bytes.extend_from_slice(&R::KIND.checksum(&bytes));
+        std::fs::write(store.path(key), &bytes).unwrap();
+        match store.load(key) {
+            Err(CoreError::Store(reason)) => assert!(reason.contains("oversized"), "{reason}"),
+            Err(other) => panic!("unexpected error kind: {other}"),
+            Ok(_) => panic!("crafted record was accepted"),
+        }
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn summary_with_overflowing_size_is_rejected() {
+        let (g, s) = fps();
+        let fields: [&[u8]; 5] = [
+            &g.as_u128().to_le_bytes(),
+            &s.as_u128().to_le_bytes(),
+            &[1],
+            &(1u32 << 31).to_le_bytes(),
+            &4u32.to_le_bytes(),
+        ];
+        assert_crafted_header_is_rejected("crafted_summary", &SummaryKey(g, s, true), &fields);
+    }
+
+    #[test]
+    fn estimate_with_overflowing_size_is_rejected() {
+        let (g, s) = fps();
+        let fields: [&[u8]; 5] = [
+            &g.as_u128().to_le_bytes(),
+            &s.as_u128().to_le_bytes(),
+            &3u32.to_le_bytes(),
+            &u32::MAX.to_le_bytes(),
+            b"MCE",
+        ];
+        assert_crafted_header_is_rejected("crafted_h", &EstimateKey(g, s, "MCE"), &fields);
+    }
+
+    #[test]
+    fn graph_with_overflowing_size_is_rejected() {
+        let features_fp = Fingerprint::from_u128(0xfeed);
+        let fields: [&[u8]; 5] = [
+            &features_fp.as_u128().to_le_bytes(),
+            &3u32.to_le_bytes(),
+            &5u64.to_le_bytes(),
+            &(1u64 << 62).to_le_bytes(),
+            b"Knn",
+        ];
+        let key = GraphKey(features_fp, "Knn");
+        assert_crafted_header_is_rejected("crafted_graph", &key, &fields);
+    }
+
+    #[test]
+    fn factor_with_overflowing_size_is_rejected() {
+        let config = FactorConfig::with_rank(u32::MAX as usize);
+        let graph_fp = Fingerprint::from_u128(0xabc);
+        let fields: [&[u8]; 8] = [
+            &graph_fp.as_u128().to_le_bytes(),
+            &factor_fingerprint(graph_fp, &config)
+                .as_u128()
+                .to_le_bytes(),
+            &u32::MAX.to_le_bytes(),
+            &(config.max_iter as u64).to_le_bytes(),
+            &config.tol.to_bits().to_le_bytes(),
+            &config.seed.to_le_bytes(),
+            &(1u64 << 40).to_le_bytes(),
+            &1u64.to_le_bytes(),
+        ];
+        let key = FactorKey(graph_fp, config);
+        assert_crafted_header_is_rejected("crafted_factor", &key, &fields);
     }
 }

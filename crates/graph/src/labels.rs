@@ -327,7 +327,7 @@ impl SeedLabels {
     /// [`fingerprint_from_scratch`](Self::fingerprint_from_scratch) is the O(n)
     /// re-derivation the property tests check this against.
     pub fn fingerprint(&self) -> Fingerprint {
-        Self::finish_fingerprint(b"fg-seed-labels-v2", &[], self.n(), self.k, self.rolling)
+        Self::finish_fingerprint(self.n(), self.k, self.rolling)
     }
 
     /// The same fingerprint as [`fingerprint`](Self::fingerprint), re-derived with a
@@ -340,46 +340,17 @@ impl SeedLabels {
     /// the warm serving path never falls back to this.
     pub fn fingerprint_from_scratch(&self) -> Fingerprint {
         self.scratch_derivations.fetch_add(1, Ordering::Relaxed);
-        Self::finish_fingerprint(
-            b"fg-seed-labels-v2",
-            &[],
-            self.n(),
-            self.k,
-            rolling_from_observed(&self.observed),
-        )
-    }
-
-    /// A keyed variant of [`fingerprint`](Self::fingerprint) for stores and sessions
-    /// that cross trust boundaries (domain tag `fg-seed-labels-keyed-v2`).
-    ///
-    /// The caller's `key` is folded into the finishing hash, so fingerprints produced
-    /// under different keys are unrelated (an actor who can observe fingerprints
-    /// under one key learns nothing that lets them forge or correlate fingerprints
-    /// under another), while remaining stable per `(key, seed content)` pair. Same
-    /// O(1) cost in `n` as the unkeyed variant (O(|key|) overall).
-    pub fn keyed_fingerprint(&self, key: &[u8]) -> Fingerprint {
-        Self::finish_fingerprint(
-            b"fg-seed-labels-keyed-v2",
-            key,
-            self.n(),
-            self.k,
-            self.rolling,
-        )
+        Self::finish_fingerprint(self.n(), self.k, rolling_from_observed(&self.observed))
     }
 
     /// Finish a seed-set fingerprint from its maintained (or re-derived) rolling
-    /// state: a constant-size domain-tagged stream over the key, `n`, `k`, and the
+    /// state: a constant-size domain-tagged stream over `n`, `k`, and the
     /// accumulator's `(count, sum)`.
-    fn finish_fingerprint(
-        domain: &[u8],
-        key: &[u8],
-        n: usize,
-        k: usize,
-        rolling: RollingFingerprint,
-    ) -> Fingerprint {
-        let mut h = FingerprintBuilder::new(domain);
-        h.write_usize(key.len());
-        h.write_bytes(key);
+    fn finish_fingerprint(n: usize, k: usize, rolling: RollingFingerprint) -> Fingerprint {
+        let mut h = FingerprintBuilder::new(b"fg-seed-labels-v2");
+        // An always-empty key field, kept so fingerprints (and the store file
+        // names derived from them) stay unchanged.
+        h.write_usize(0);
         h.write_usize(n);
         h.write_usize(k);
         h.write_u64(rolling.len());
@@ -644,10 +615,6 @@ mod tests {
             }
             let rebuilt = SeedLabels::new(seeds.as_slice().to_vec(), k).unwrap();
             assert_eq!(seeds.fingerprint(), rebuilt.fingerprint());
-            assert_eq!(
-                seeds.keyed_fingerprint(b"trust-key"),
-                rebuilt.keyed_fingerprint(b"trust-key")
-            );
         }
     }
 
@@ -659,7 +626,6 @@ mod tests {
         for i in 0..50 {
             seeds.set_label(i, Some(i % 3)).unwrap();
             let _ = seeds.fingerprint();
-            let _ = seeds.keyed_fingerprint(b"session");
         }
         assert_eq!(seeds.scratch_derivations(), 0);
         // Only the explicit oracle pays O(n) — and says so in the counter.
@@ -667,30 +633,6 @@ mod tests {
         assert_eq!(seeds.scratch_derivations(), 1);
         // Clones restart the diagnostic at zero.
         assert_eq!(seeds.clone().scratch_derivations(), 0);
-    }
-
-    #[test]
-    fn keyed_fingerprints_differ_per_key_and_are_stable_per_key_and_content() {
-        let seeds = SeedLabels::new(vec![Some(1), None, Some(0), Some(2)], 3).unwrap();
-        let copy = SeedLabels::new(vec![Some(1), None, Some(0), Some(2)], 3).unwrap();
-        // Stable per (key, content): independently built copies agree under each key.
-        assert_eq!(
-            seeds.keyed_fingerprint(b"key-a"),
-            copy.keyed_fingerprint(b"key-a")
-        );
-        // Different keys give unrelated fingerprints, and none matches the unkeyed one.
-        assert_ne!(
-            seeds.keyed_fingerprint(b"key-a"),
-            seeds.keyed_fingerprint(b"key-b")
-        );
-        assert_ne!(seeds.keyed_fingerprint(b"key-a"), seeds.fingerprint());
-        assert_ne!(seeds.keyed_fingerprint(b""), seeds.fingerprint());
-        // Content still separates under a fixed key.
-        let other = SeedLabels::new(vec![Some(1), None, Some(0), None], 3).unwrap();
-        assert_ne!(
-            seeds.keyed_fingerprint(b"key-a"),
-            other.keyed_fingerprint(b"key-a")
-        );
     }
 
     #[test]

@@ -60,7 +60,7 @@
 use crate::json::Json;
 use fg_core::incremental::{validate_mutations, DeltaSummary, SeedMutation};
 use fg_core::prelude::*;
-use fg_core::{estimator_by_name_with, EstimatorOptions, SummaryStore};
+use fg_core::{estimator_by_name_with, EstimateKey, EstimatorOptions, SummaryKey, SummaryStore};
 use fg_graph::Fingerprint;
 use fg_obs::{default_latency_buckets, MetricsRegistry};
 use fg_propagation::registry as propagation_registry;
@@ -543,7 +543,7 @@ impl Session {
         dataset.states.clear();
         if let (Some(store), Some(fp)) = (&self.store, dataset.persisted_intermediate.take()) {
             for non_backtracking in [false, true] {
-                if let Err(e) = store.remove(graph_fp, fp, non_backtracking) {
+                if let Err(e) = store.remove(&SummaryKey(graph_fp, fp, non_backtracking)) {
                     eprintln!("warning: could not prune superseded summary: {e}");
                 }
             }
@@ -559,9 +559,8 @@ impl Session {
             if let Some(old) = dataset.persisted_intermediate {
                 if old != fp {
                     for non_backtracking in [false, true] {
-                        if let Err(e) =
-                            store.remove(dataset.graph_fingerprint(), old, non_backtracking)
-                        {
+                        let key = SummaryKey(dataset.graph_fingerprint(), old, non_backtracking);
+                        if let Err(e) = store.remove(&key) {
                             eprintln!("warning: could not prune superseded summary: {e}");
                         }
                     }
@@ -733,7 +732,7 @@ impl Session {
         let seed_fp = dataset.seeds.fingerprint();
         if let Some(store) = &self.store {
             if estimator.content_addressable() {
-                match store.load_h(dataset.graph_fingerprint(), seed_fp, &name) {
+                match store.load(&EstimateKey(dataset.graph_fingerprint(), seed_fp, &name)) {
                     Ok(Some(h)) => {
                         self.h_store_hits.fetch_add(1, Ordering::Relaxed);
                         self.probe();
@@ -877,9 +876,9 @@ impl Session {
         let seed_fp = dataset.seeds.fingerprint();
         if seed_fp == dataset.initial_seed_fp && estimator.content_addressable() {
             if let Some(store) = &self.store {
-                if let Err(e) =
-                    store.save_h(dataset.graph_fingerprint(), seed_fp, &estimator.name(), &h)
-                {
+                let name = estimator.name();
+                let key = EstimateKey(dataset.graph_fingerprint(), seed_fp, &name);
+                if let Err(e) = store.save(&key, &h) {
                     eprintln!("warning: could not persist the estimate: {e}");
                 }
             }

@@ -22,8 +22,6 @@
 //! * [`eigen`] — a dependency-free symmetric eigensolver (blocked subspace
 //!   iteration + Rayleigh–Ritz, deterministic seeded start) powering the
 //!   low-rank `V·Λ·Vᵀ` counting backend.
-//! * [`reorder`] — degree-sort CSR reordering for hub-heavy graphs, with
-//!   bit-exact dense row permutation helpers.
 //! * [`vector`] — plain-slice vector helpers.
 
 #![forbid(unsafe_code)]
@@ -35,7 +33,6 @@ pub mod dense;
 pub mod eigen;
 pub mod error;
 pub mod parallel;
-pub mod reorder;
 pub mod spectral;
 pub mod vector;
 
@@ -50,7 +47,6 @@ pub use error::{Result, SparseError};
 pub use parallel::{
     map_row_chunks, partition_rows, partition_rows_by_nnz, run_ordered_cells, RowBlocking, Threads,
 };
-pub use reorder::{permute_rows, reorder_by_degree, DegreeReordering};
 pub use spectral::{spectral_radius, spectral_radius_dense, spectral_radius_sparse};
 
 #[cfg(test)]

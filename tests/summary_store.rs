@@ -4,7 +4,7 @@
 //! files loudly — recomputing instead of returning damaged statistics.
 
 use fg_core::prelude::*;
-use fg_core::GraphSummary;
+use fg_core::{EntryMeta, GraphSummary, SummaryKey};
 use std::sync::Arc;
 
 fn seeded_instance(seed: u64) -> (Graph, Labeling, SeedLabels) {
@@ -67,18 +67,18 @@ fn concurrent_prefix_upgrades_by_two_sessions_leave_a_valid_store() {
     // the two lengths bit-identically, and no temp files are stranded.
     let entries = store.entries().unwrap();
     assert_eq!(entries.len(), 1, "{entries:?}");
-    let meta = entries[0].meta.as_ref().expect("file is valid");
+    let Some(EntryMeta::Summary(meta)) = &entries[0].meta else {
+        panic!("file is not a valid summary: {entries:?}");
+    };
     assert!(meta.max_length == 2 || meta.max_length == 6, "{meta:?}");
-    let loaded = store
-        .load(graph.fingerprint(), seeds.fingerprint(), true)
-        .unwrap()
-        .unwrap();
-    let reference = if loaded.counts.len() == 2 {
+    let key = SummaryKey(graph.fingerprint(), seeds.fingerprint(), true);
+    let loaded = store.load(&key).unwrap().unwrap();
+    let reference = if loaded.len() == 2 {
         &reference_short
     } else {
         &reference_long
     };
-    for (l, counts) in loaded.counts.iter().enumerate() {
+    for (l, counts) in loaded.iter().enumerate() {
         assert_eq!(counts.data(), reference.count(l + 1).unwrap().data());
     }
     std::fs::remove_dir_all(store.dir()).ok();
@@ -173,7 +173,8 @@ fn corrupted_and_mismatched_files_are_rejected_and_recomputed() {
     let config = SummaryConfig::with_max_length(4);
     let writer = EstimationContext::new(&graph, &seeds).store(Arc::clone(&store));
     let expected = writer.summary(&config).unwrap();
-    let path = store.path_for(graph.fingerprint(), seeds.fingerprint(), true);
+    let key = SummaryKey(graph.fingerprint(), seeds.fingerprint(), true);
+    let path = store.path(&key);
 
     // Corruption: flip a payload byte. load() must error, the context must fall back
     // to recomputation with correct results.
@@ -182,9 +183,7 @@ fn corrupted_and_mismatched_files_are_rejected_and_recomputed() {
     let mid = bad.len() / 2;
     bad[mid] ^= 0x55;
     std::fs::write(&path, &bad).unwrap();
-    assert!(store
-        .load(graph.fingerprint(), seeds.fingerprint(), true)
-        .is_err());
+    assert!(store.load(&key).is_err());
     let recovering = EstimationContext::new(&graph, &seeds).store(Arc::clone(&store));
     let recovered = recovering.summary(&config).unwrap();
     assert_eq!(recovering.summary_computations(), 1);
@@ -199,12 +198,10 @@ fn corrupted_and_mismatched_files_are_rejected_and_recomputed() {
     // Mismatch: a valid file copied under another dataset's name must be rejected,
     // not served (its embedded fingerprints disagree with the request).
     let (other_graph, _, other_seeds) = seeded_instance(11);
-    let foreign = store.path_for(other_graph.fingerprint(), other_seeds.fingerprint(), true);
+    let foreign = SummaryKey(other_graph.fingerprint(), other_seeds.fingerprint(), true);
     std::fs::write(&path, &good).unwrap();
-    std::fs::copy(&path, &foreign).unwrap();
-    let err = store
-        .load(other_graph.fingerprint(), other_seeds.fingerprint(), true)
-        .unwrap_err();
+    std::fs::copy(&path, store.path(&foreign)).unwrap();
+    let err = store.load(&foreign).unwrap_err();
     assert!(err.to_string().contains("fingerprints"), "{err}");
     let foreign_ctx = EstimationContext::new(&other_graph, &other_seeds).store(Arc::clone(&store));
     let foreign_summary = foreign_ctx.summary(&config).unwrap();
