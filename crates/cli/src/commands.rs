@@ -222,22 +222,21 @@ pub fn cmd_construct(args: &ArgMap) -> CommandResult {
     let store = open_summary_store(args)?;
     let features_fp = fg_datasets::features_fingerprint(&features);
     let spec_name = builder.name();
-    let cached = store
-        .as_ref()
-        .and_then(|s| match s.load(&GraphKey(features_fp, &spec_name)) {
-            Ok(found) => found,
-            Err(e) => {
-                eprintln!("warning: {e}; reconstructing");
-                None
-            }
-        });
+    let key = GraphKey(features_fp, &spec_name, features.rows());
+    let cached = store.as_ref().and_then(|s| match s.load(&key) {
+        Ok(found) => found,
+        Err(e) => {
+            eprintln!("warning: {e}; reconstructing");
+            None
+        }
+    });
     let from_cache = cached.is_some();
     let graph = match cached {
         Some(graph) => graph,
         None => {
             let graph = builder.build(&features).map_err(err)?;
             if let Some(s) = &store {
-                if let Err(e) = s.save(&GraphKey(features_fp, &spec_name), &graph) {
+                if let Err(e) = s.save(&key, &graph) {
                     eprintln!("warning: cannot persist the constructed graph: {e}");
                 }
             }

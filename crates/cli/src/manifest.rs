@@ -523,8 +523,9 @@ fn load_feature_run(
     };
     let features_fp = fg_datasets::features_fingerprint(&data.features);
     let spec_name = builder.name();
+    let key = GraphKey(features_fp, &spec_name, data.features.rows());
     let cached = store.as_ref().and_then(|s| {
-        match s.load(&GraphKey(features_fp, &spec_name)) {
+        match s.load(&key) {
             Ok(found) => found,
             // A corrupt or foreign cache entry is loud but non-fatal: rebuild.
             Err(e) => {
@@ -538,7 +539,7 @@ fn load_feature_run(
         None => {
             let graph = builder.build(&data.features).map_err(err)?;
             if let Some(s) = &store {
-                if let Err(e) = s.save(&GraphKey(features_fp, &spec_name), &graph) {
+                if let Err(e) = s.save(&key, &graph) {
                     eprintln!("warning: cannot persist the constructed graph: {e}");
                 }
             }

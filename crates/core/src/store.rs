@@ -498,11 +498,15 @@ impl Record for EstimateKey<'_> {
     }
 }
 
-/// Key of a persisted *constructed graph*, `GraphKey(features_fp, builder)`. The
-/// parameterized builder spec (e.g. `Knn(k=10,metric=euclidean,...)`) is part of
-/// the key, since different builders yield different graphs.
+/// Key of a persisted *constructed graph*, `GraphKey(features_fp, builder, nodes)`.
+/// The parameterized builder spec (e.g. `Knn(k=10,metric=euclidean,...)`) is part
+/// of the key, since different builders yield different graphs. `nodes` is the
+/// node count the caller expects (the feature matrix's row count); it is not
+/// part of the file name, but a record whose header declares another count is
+/// rejected before its edges are decoded, so a crafted header cannot force a
+/// huge allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GraphKey<'a>(pub Fingerprint, pub &'a str);
+pub struct GraphKey<'a>(pub Fingerprint, pub &'a str, pub usize);
 
 /// Parsed header of a persisted constructed graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -530,6 +534,13 @@ impl Record for GraphKey<'_> {
 
     fn encode(&self, graph: &Graph, out: &mut Vec<u8>) -> Result<()> {
         let len = name_len(self.1, "builder spec")?;
+        if graph.num_nodes() != self.2 {
+            return Err(CoreError::Store(format!(
+                "refusing to persist a {}-node graph under a {}-node key",
+                graph.num_nodes(),
+                self.2
+            )));
+        }
         let edges: Vec<(usize, usize, f64)> = graph.edges().collect();
         put_fingerprint(out, self.0);
         out.extend_from_slice(&len.to_le_bytes());
@@ -569,6 +580,12 @@ impl Record for GraphKey<'_> {
         }
         if meta.builder != self.1 {
             return Err("embedded builder spec does not match".into());
+        }
+        if meta.nodes != self.2 {
+            return Err(format!(
+                "embedded node count {} does not match the expected {}",
+                meta.nodes, self.2
+            ));
         }
         let index = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 bytes")) as usize;
         let edges: Vec<(usize, usize, f64)> = payload
@@ -1223,6 +1240,7 @@ mod tests {
         let key = GraphKey(
             features_fp,
             "Knn(k=2,metric=euclidean,weighting=heat,sym=union)",
+            5,
         );
         let graph = Graph::from_weighted_edges(
             5,
@@ -1236,7 +1254,7 @@ mod tests {
         assert_eq!(loaded.num_nodes(), 5);
         assert_eq!(loaded.num_edges(), 4);
         // A different builder spec is a separate (absent) entry.
-        let other = GraphKey(features_fp, "Knn(k=3)");
+        let other = GraphKey(features_fp, "Knn(k=3)", 5);
         assert!(store.load(&other).unwrap().is_none());
         // remove deletes exactly the requested entry.
         assert!(store.remove(&key).unwrap());
@@ -1249,7 +1267,7 @@ mod tests {
         let store = temp_store("graph_corrupt");
         let features_fp = Fingerprint::from_u128(0xc0ffee);
         let spec = "SparseReg(k=4,alpha=0.1,iters=50,sym=union)";
-        let key = GraphKey(features_fp, spec);
+        let key = GraphKey(features_fp, spec, 3);
         let graph = Graph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]).unwrap();
         let path = store.save(&key, &graph).unwrap();
         let good = std::fs::read(&path).unwrap();
@@ -1264,7 +1282,7 @@ mod tests {
 
         // A file copied under another key's name is caught.
         std::fs::write(&path, &good).unwrap();
-        let other = GraphKey(Fingerprint::from_u128(0xdead), spec);
+        let other = GraphKey(Fingerprint::from_u128(0xdead), spec, 3);
         std::fs::copy(&path, store.path(&other)).unwrap();
         let err = store.load(&other).unwrap_err();
         assert!(err.to_string().contains("fingerprints"), "{err}");
@@ -1284,7 +1302,9 @@ mod tests {
         assert_eq!(store.clear().unwrap(), 2);
         assert!(store.entries().unwrap().is_empty());
         // Empty builder specs are rejected on save.
-        assert!(store.save(&GraphKey(features_fp, ""), &graph).is_err());
+        assert!(store.save(&GraphKey(features_fp, "", 3), &graph).is_err());
+        // So is a graph whose node count disagrees with its key.
+        assert!(store.save(&GraphKey(features_fp, spec, 4), &graph).is_err());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1451,7 +1471,13 @@ mod tests {
 
     /// Write a crafted record under `key`: the kind's header `fields`, no
     /// payload, and a valid checksum — so only the header's sizes are wrong.
-    fn assert_crafted_header_is_rejected<R: Record>(name: &str, key: &R, fields: &[&[u8]]) {
+    /// The rejection must name `reason`.
+    fn assert_crafted_header_is_rejected<R: Record>(
+        name: &str,
+        key: &R,
+        fields: &[&[u8]],
+        reason: &str,
+    ) {
         let store = temp_store(name);
         let mut bytes = R::KIND.magic.to_vec();
         bytes.extend_from_slice(&R::KIND.version.to_le_bytes());
@@ -1461,7 +1487,7 @@ mod tests {
         bytes.extend_from_slice(&R::KIND.checksum(&bytes));
         std::fs::write(store.path(key), &bytes).unwrap();
         match store.load(key) {
-            Err(CoreError::Store(reason)) => assert!(reason.contains("oversized"), "{reason}"),
+            Err(CoreError::Store(message)) => assert!(message.contains(reason), "{message}"),
             Err(other) => panic!("unexpected error kind: {other}"),
             Ok(_) => panic!("crafted record was accepted"),
         }
@@ -1478,7 +1504,8 @@ mod tests {
             &(1u32 << 31).to_le_bytes(),
             &4u32.to_le_bytes(),
         ];
-        assert_crafted_header_is_rejected("crafted_summary", &SummaryKey(g, s, true), &fields);
+        let key = SummaryKey(g, s, true);
+        assert_crafted_header_is_rejected("crafted_summary", &key, &fields, "oversized");
     }
 
     #[test]
@@ -1491,7 +1518,8 @@ mod tests {
             &u32::MAX.to_le_bytes(),
             b"MCE",
         ];
-        assert_crafted_header_is_rejected("crafted_h", &EstimateKey(g, s, "MCE"), &fields);
+        let key = EstimateKey(g, s, "MCE");
+        assert_crafted_header_is_rejected("crafted_h", &key, &fields, "oversized");
     }
 
     #[test]
@@ -1504,8 +1532,24 @@ mod tests {
             &(1u64 << 62).to_le_bytes(),
             b"Knn",
         ];
-        let key = GraphKey(features_fp, "Knn");
-        assert_crafted_header_is_rejected("crafted_graph", &key, &fields);
+        let key = GraphKey(features_fp, "Knn", 5);
+        assert_crafted_header_is_rejected("crafted_graph", &key, &fields, "oversized");
+    }
+
+    #[test]
+    fn graph_with_overflowing_node_count_is_rejected() {
+        // An empty edge list keeps the payload valid; only the node count is
+        // crafted, and decoding it would allocate 2^40 CSR rows.
+        let features_fp = Fingerprint::from_u128(0xfeed);
+        let fields: [&[u8]; 5] = [
+            &features_fp.as_u128().to_le_bytes(),
+            &3u32.to_le_bytes(),
+            &(1u64 << 40).to_le_bytes(),
+            &0u64.to_le_bytes(),
+            b"Knn",
+        ];
+        let key = GraphKey(features_fp, "Knn", 5);
+        assert_crafted_header_is_rejected("crafted_graph_nodes", &key, &fields, "node count");
     }
 
     #[test]
@@ -1525,6 +1569,6 @@ mod tests {
             &1u64.to_le_bytes(),
         ];
         let key = FactorKey(graph_fp, config);
-        assert_crafted_header_is_rejected("crafted_factor", &key, &fields);
+        assert_crafted_header_is_rejected("crafted_factor", &key, &fields, "oversized");
     }
 }

@@ -39,7 +39,7 @@ fn estimate_key() -> EstimateKey<'static> {
 }
 
 fn graph_key() -> GraphKey<'static> {
-    GraphKey(Fingerprint::from_u128(0xfeed_beef), GRAPH_SPEC)
+    GraphKey(Fingerprint::from_u128(0xfeed_beef), GRAPH_SPEC, 5)
 }
 
 fn factor_graph() -> Graph {

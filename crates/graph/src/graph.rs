@@ -18,6 +18,10 @@ pub struct Graph {
     /// value along with the graph is always valid; the graph is immutable after
     /// construction.
     fingerprint: OnceLock<Fingerprint>,
+    /// Lazily computed `ρ(W)`, memoized like the fingerprint. The power
+    /// iteration's outcome is kept whole, so an error would recur exactly as the
+    /// computation would repeat it.
+    spectral_radius: OnceLock<fg_sparse::Result<f64>>,
 }
 
 impl Graph {
@@ -53,6 +57,7 @@ impl Graph {
             adjacency,
             num_edges,
             fingerprint: OnceLock::new(),
+            spectral_radius: OnceLock::new(),
         })
     }
 
@@ -80,6 +85,7 @@ impl Graph {
             adjacency,
             num_edges,
             fingerprint: OnceLock::new(),
+            spectral_radius: OnceLock::new(),
         })
     }
 
@@ -149,8 +155,16 @@ impl Graph {
     }
 
     /// Estimated spectral radius of `W` (needed for LinBP's scaling factor, Eq. 2).
+    ///
+    /// Computed by [`fg_sparse::spectral_radius`] on first use, never at
+    /// construction, and memoized: every later call on this graph or on a clone
+    /// made after the first call returns the bit-identical value without another
+    /// power iteration. The graph is immutable, so the value can never go stale.
     pub fn spectral_radius(&self) -> Result<f64> {
-        fg_sparse::spectral_radius(&self.adjacency).map_err(GraphError::Sparse)
+        self.spectral_radius
+            .get_or_init(|| fg_sparse::spectral_radius(&self.adjacency))
+            .clone()
+            .map_err(GraphError::Sparse)
     }
 
     /// Count of isolated (degree-zero) nodes.
@@ -269,6 +283,19 @@ mod tests {
     fn spectral_radius_of_triangle() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
         assert!((g.spectral_radius().unwrap() - 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn memoized_spectral_radius_is_bit_identical_to_the_power_iteration() {
+        let g = triangle_plus_pendant();
+        let direct = fg_sparse::spectral_radius(g.adjacency()).unwrap().to_bits();
+        // Repeated calls, a clone taken after the memo is filled, and an
+        // independently built copy (cold memo) all agree to the bit.
+        assert_eq!(g.spectral_radius().unwrap().to_bits(), direct);
+        assert_eq!(g.spectral_radius().unwrap().to_bits(), direct);
+        assert_eq!(g.clone().spectral_radius().unwrap().to_bits(), direct);
+        let copy = triangle_plus_pendant();
+        assert_eq!(copy.spectral_radius().unwrap().to_bits(), direct);
     }
 
     #[test]

@@ -127,11 +127,10 @@ pub fn propagate(
         None => convergence_epsilon(graph, h, config.convergence_fraction)?,
     };
 
-    let x_raw = seeds.to_matrix();
     let (x, h_used) = if config.centered {
         (prior_residuals(seeds), h.centered())
     } else {
-        (x_raw, h.clone())
+        (seeds.to_matrix(), h.clone())
     };
     let h_eff = h_used.scaled(epsilon);
 

@@ -9,6 +9,7 @@ use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
 use crate::vector;
+use fg_obs::Span;
 
 /// Default maximum number of power-iteration steps.
 pub const DEFAULT_MAX_ITER: usize = 1000;
@@ -20,8 +21,10 @@ pub const DEFAULT_TOL: f64 = 1e-9;
 ///
 /// For the symmetric, non-negative adjacency matrices used throughout this crate family
 /// the dominant eigenvalue is real and positive, so power iteration converges to the
-/// spectral radius. Returns `Ok(0.0)` for an all-zero matrix.
+/// spectral radius. Returns `Ok(0.0)` for an all-zero matrix. Each call records
+/// one `spectral_radius` span (arg `nnz`).
 pub fn spectral_radius_sparse(m: &CsrMatrix, max_iter: usize, tol: f64) -> Result<f64> {
+    let _span = Span::enter_with("spectral_radius", &[("nnz", m.nnz() as u64)]);
     if !m.is_square() {
         return Err(SparseError::NotSquare {
             rows: m.rows(),

@@ -101,6 +101,59 @@ fn tracing_is_byte_invisible_and_spans_nest() {
     }
 }
 
+/// Capture `work` under a probe root span on this thread and count the
+/// `spectral_radius` spans nested in it; spans from other tests' threads root
+/// their own paths and are not counted.
+fn spectral_radius_spans(work: impl FnOnce()) -> usize {
+    factorized_graphs::obs::start_capture();
+    {
+        let _probe = factorized_graphs::obs::Span::enter("rho_probe");
+        work();
+    }
+    let trace = factorized_graphs::obs::finish_capture();
+    trace
+        .aggregate()
+        .iter()
+        .filter(|s| s.path.starts_with("rho_probe/") && s.path.ends_with("/spectral_radius"))
+        .map(|s| s.count)
+        .sum()
+}
+
+/// `ρ(W)` is a property of the graph: however many propagations reuse one
+/// graph, its power iteration runs once, on first use.
+#[test]
+fn spectral_radius_is_computed_once_per_graph() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let (graph, seeds) = synthetic(7, 300);
+    let h = CompatibilityMatrix::from_rows(&[
+        vec![0.2, 0.6, 0.2],
+        vec![0.6, 0.2, 0.2],
+        vec![0.2, 0.2, 0.6],
+    ])
+    .unwrap()
+    .into_dense();
+    let config = LinBpConfig::default();
+    let mut runs = Vec::new();
+    let count = spectral_radius_spans(|| {
+        for _ in 0..2 {
+            runs.push(propagate(&graph, &seeds, &h, &config).unwrap());
+        }
+    });
+    assert_eq!(count, 1, "two propagations on one graph");
+    assert_eq!(runs[0].epsilon.to_bits(), runs[1].epsilon.to_bits());
+    assert_eq!(runs[0].predictions, runs[1].predictions);
+
+    // Every Nelder-Mead evaluation of a Holdout estimate propagates on the
+    // same graph; a fresh copy pays the power iteration once for all of them.
+    let (fresh, seeds) = synthetic(7, 300);
+    let count = spectral_radius_spans(|| {
+        HoldoutEstimation::default()
+            .estimate(&fresh, &seeds)
+            .unwrap();
+    });
+    assert_eq!(count, 1, "one Holdout estimate");
+}
+
 /// Write a small synthetic dataset to `dir` and return the serve `load` line
 /// plus a labeled/unlabeled node pair for seed mutations.
 fn dataset_on_disk(dir: &Path, seed: u64) -> (String, usize, usize) {
