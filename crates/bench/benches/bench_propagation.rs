@@ -8,7 +8,7 @@
 
 use fg_bench::run_bench;
 use fg_core::prelude::*;
-use fg_propagation::{registry, BpConfig, PropagatorOptions};
+use fg_propagation::{BpConfig, PropagatorOptions, PROPAGATORS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,8 +36,8 @@ fn main() {
         tolerance: Some(0.0),
         ..PropagatorOptions::default()
     };
-    for name in registry::propagator_names() {
-        let backend = registry::by_name_with(name, &opts).expect("registered backend");
+    for name in PROPAGATORS.names() {
+        let backend = PROPAGATORS.build(name, &opts).expect("registered backend");
         let label = format!("{}_10_iterations_dyn", backend.name());
         run_bench(&label, || {
             backend.propagate(&graph, &seeds, &h).expect("propagation")

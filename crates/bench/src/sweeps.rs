@@ -16,7 +16,7 @@ use crate::harness::ExperimentTable;
 use fg_core::prelude::*;
 use fg_core::Result;
 use fg_graph::{CompatibilityMatrix, FactorConfig};
-use fg_propagation::registry;
+use fg_propagation::{PropagatorOptions, PROPAGATORS};
 use fg_sparse::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -541,9 +541,9 @@ pub fn accuracy_vs_backend(
     let resolved: Vec<_> = backends
         .iter()
         .map(|name| {
-            registry::by_name(name).ok_or_else(|| {
-                fg_core::CoreError::InvalidConfig(format!("unknown propagation backend '{name}'"))
-            })
+            PROPAGATORS
+                .build(name, &PropagatorOptions::default())
+                .map_err(fg_core::CoreError::InvalidConfig)
         })
         .collect::<Result<_>>()?;
     let mut outcomes = Vec::new();
@@ -588,11 +588,9 @@ pub fn accuracy_vs_backend_parallel(
     }
     // Resolve every backend name up front so a typo fails before any work runs.
     for name in backends {
-        if registry::canonical_name(name).is_none() {
-            return Err(fg_core::CoreError::InvalidConfig(format!(
-                "unknown propagation backend '{name}'"
-            )));
-        }
+        PROPAGATORS
+            .entry(name)
+            .map_err(fg_core::CoreError::InvalidConfig)?;
     }
     let gold = measure_compatibilities(graph, labeling)?;
     let reps = repetitions.max(1);
@@ -609,7 +607,9 @@ pub fn accuracy_vs_backend_parallel(
         let fraction = fractions[fi];
         let mut rng = StdRng::seed_from_u64(seed ^ ((fi as u64) << 32) ^ rep as u64);
         let seeds = labeling.stratified_sample(fraction, &mut rng);
-        let propagator = registry::by_name(backend).expect("backend names pre-validated");
+        let propagator = PROPAGATORS
+            .build(backend, &PropagatorOptions::default())
+            .expect("backend names pre-validated");
         let report = Pipeline::on(graph)
             .seeds(&seeds)
             .compatibilities("GS", &gold)
@@ -639,9 +639,9 @@ pub fn backends_to_table(
     let display_names: Vec<String> = backends
         .iter()
         .map(|b| {
-            registry::by_name(b)
-                .map(|p| p.name())
-                .unwrap_or_else(|| b.to_string())
+            PROPAGATORS
+                .build(b, &PropagatorOptions::default())
+                .map_or_else(|_| b.to_string(), |p| p.name())
         })
         .collect();
     let mut headers = vec!["f".to_string()];

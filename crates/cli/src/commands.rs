@@ -4,18 +4,17 @@
 //! without spawning the binary. Errors are strings suitable for printing to stderr.
 //!
 //! Estimation (`--method`) and propagation (`--propagator` / `propagate --method`)
-//! backends are resolved by name through their registries (`fg_core`'s estimator
-//! registry and `fg_propagation::registry`), so every estimator and `Propagator` in
+//! backends are resolved by name through their registries (`fg_core::ESTIMATORS`
+//! and `fg_propagation::PROPAGATORS`), so every estimator and `Propagator` in
 //! the workspace is reachable from the command line — including fully parameterized
 //! estimator specs like `--method "DCEr(r=10,l=5,lambda=0.1)"`.
 
 use crate::args::ArgMap;
 use crate::matrix_io;
-use fg_core::estimators::registry as estimator_registry;
 use fg_core::prelude::*;
-use fg_core::{estimator_by_name_with, EntryMeta, GraphKey};
+use fg_core::{estimator_by_name_with, EntryMeta, GraphKey, ESTIMATORS};
 use fg_datasets::{synthesize, DatasetId};
-use fg_propagation::{registry, PropagatorOptions};
+use fg_propagation::{PropagatorOptions, PROPAGATORS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
@@ -90,19 +89,14 @@ fn build_estimator(args: &ArgMap) -> Result<(Box<dyn CompatibilityEstimator>, St
 /// (one worker per hardware thread), or `serial`; the parallel kernels are
 /// bit-identical to the serial ones, so it never changes the predictions.
 fn build_propagator(args: &ArgMap, option_name: &str) -> Result<Box<dyn Propagator>, String> {
-    let method = args.get(option_name).unwrap_or("linbp").to_string();
+    let method = args.get(option_name).unwrap_or("linbp");
     let opts = PropagatorOptions {
         max_iterations: args.get_parsed("iterations").map_err(err)?,
         tolerance: args.get_parsed("tolerance").map_err(err)?,
         damping: args.get_parsed("damping").map_err(err)?,
         threads: args.get_parsed("threads").map_err(err)?,
     };
-    registry::by_name_with(&method, &opts).ok_or_else(|| {
-        format!(
-            "unknown propagation method '{method}' (expected one of {})",
-            registry::propagator_names().join(", ")
-        )
-    })
+    PROPAGATORS.build(method, &opts)
 }
 
 /// `fg generate`: create a synthetic planted-compatibility graph and write it as an edge
@@ -209,7 +203,7 @@ pub fn cmd_construct(args: &ArgMap) -> CommandResult {
             (features, labels)
         }
     };
-    let builder = fg_datasets::construction_by_name_with(
+    let builder = fg_datasets::BUILDERS.by_spec(
         &builder_spec,
         &fg_datasets::ConstructionOptions {
             threads: Some(threads),
@@ -283,7 +277,7 @@ fn open_summary_store(args: &ArgMap) -> Result<Option<Arc<SummaryStore>>, String
 fn list_methods() -> String {
     let mut out = vec!["ESTIMATORS (fg estimate/classify --method):".to_string()];
     let defaults = EstimatorOptions::default();
-    for spec in estimator_registry::estimator_registry() {
+    for spec in ESTIMATORS.entries() {
         let built = (spec.build)(&defaults);
         let aliases = if spec.aliases.is_empty() {
             String::new()
@@ -295,7 +289,7 @@ fn list_methods() -> String {
     }
     out.push(String::new());
     out.push("PROPAGATORS (fg propagate --method / classify --propagator):".to_string());
-    for spec in registry::registry() {
+    for spec in PROPAGATORS.entries() {
         let aliases = if spec.aliases.is_empty() {
             String::new()
         } else {
@@ -1747,6 +1741,33 @@ mod tests {
         assert!(out.contains("dce-r"), "{out}");
         assert!(out.contains("loopy-bp"), "{out}");
         assert!(out.contains("DCEr(r=10,l=5,lambda=10)"), "{out}");
+    }
+
+    #[test]
+    fn list_methods_text_is_pinned() {
+        // The one output that walks the registry entries directly: names, aliases,
+        // descriptions and default estimator names, byte for byte.
+        let expected = "\
+ESTIMATORS (fg estimate/classify --method):
+  mce      Myopic Compatibility Estimation from neighbor statistics (Eq. 12) (aliases: myopic)
+           defaults: MCE
+  lce      Linear Compatibility Estimation from the LinBP energy (Eq. 8) (aliases: linear)
+           defaults: LCE
+  dce      Distant Compatibility Estimation from length-l path statistics (Eq. 13/14) (aliases: distant)
+           defaults: DCE(l=5,lambda=10)
+  dcer     DCE with restarts — the paper's recommended method (Section 4.8) (aliases: dce-r, dce_r)
+           defaults: DCEr(r=10,l=5,lambda=10)
+  holdout  Holdout baseline: black-box propagation inside a search (Eq. 7) (aliases: hold-out)
+           defaults: Holdout(b=1)
+
+PROPAGATORS (fg propagate --method / classify --propagator):
+  linbp    Linearized Belief Propagation (the paper's method; uses H) (aliases: linearized-bp, linearized_bp)
+  bp       Full loopy Belief Propagation (reference method; uses H) (aliases: loopybp, loopy-bp, loopy_bp)
+  harmonic Harmonic-functions label propagation (homophily baseline; ignores H) (aliases: harmonic-functions, homophily)
+  rw       MultiRankWalk random walks with restarts (homophily baseline; ignores H) (aliases: randomwalk, random-walk, random_walk, mrw)
+
+Parameterized estimator specs are accepted anywhere a name is, e.g. --method 'DCEr(r=10,l=5,lambda=10)'.";
+        assert_eq!(cmd_estimate(&args(&["--list-methods"])).unwrap(), expected);
     }
 
     #[test]

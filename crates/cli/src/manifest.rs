@@ -72,7 +72,8 @@
 use fg_core::prelude::*;
 use fg_core::{estimator_by_name_with, EstimatorOptions, GraphKey};
 use fg_datasets::{synthesize, DatasetId};
-use fg_propagation::{registry, PropagatorOptions};
+use fg_propagation::{PropagatorOptions, PROPAGATORS};
+use fg_serve::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -510,7 +511,7 @@ fn load_feature_run(
         None => None,
     };
     let data = fg_datasets::read_features(&resolve_path(base, &features_path)).map_err(err)?;
-    let builder = fg_datasets::construction_by_name_with(
+    let builder = fg_datasets::BUILDERS.by_spec(
         &builder_spec,
         &fg_datasets::ConstructionOptions {
             threads,
@@ -584,10 +585,6 @@ fn load_feature_run(
 
 fn err<E: std::fmt::Display>(e: E) -> String {
     e.to_string()
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Execute every `[[run]]` entry of a manifest file serially. Returns one JSON
@@ -793,12 +790,9 @@ fn execute_run(
         damping: entry_or_default!(run, defaults, f64_value, "damping"),
         threads,
     };
-    let propagator = registry::by_name_with(&propagator_name, &opts).ok_or_else(|| {
-        context(format!(
-            "unknown propagation method '{propagator_name}' (expected one of {})",
-            registry::propagator_names().join(", ")
-        ))
-    })?;
+    let propagator = PROPAGATORS
+        .build(&propagator_name, &opts)
+        .map_err(context)?;
 
     let mut pipeline = Pipeline::on(&data.graph)
         .seeds(&data.seeds)
@@ -827,9 +821,9 @@ fn execute_run(
             .map_err(context)?;
     }
     let line = format!(
-        "{{\"name\":\"{}\",\"dataset\":\"{}\",\"report\":{}}}",
-        json_escape(name),
-        json_escape(&data.dataset_label),
+        "{{\"name\":{},\"dataset\":{},\"report\":{}}}",
+        Json::str(name),
+        Json::str(data.dataset_label.as_str()),
         report.to_json()
     );
     if let Some(report_path) = run.string("report")? {
@@ -942,6 +936,21 @@ mod tests {
         assert!(dir.join("pred.tsv").exists());
         let report = std::fs::read_to_string(dir.join("report.json")).unwrap();
         assert!(report.contains("\"name\":\"small\""));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_name_with_control_characters_renders_valid_json() {
+        let dir = temp_dir("control_chars");
+        let manifest_path = dir.join("exp.toml");
+        std::fs::write(&manifest_path, "[[run]]\nname = \"a\tb\"\nnodes = 200\n").unwrap();
+        let output = run_manifest(&manifest_path).unwrap();
+        let parsed = Json::parse(&output).unwrap_or_else(|e| panic!("{e}: {output}"));
+        assert_eq!(parsed.get("name").and_then(Json::as_str), Some("a\tb"));
+        assert!(
+            output.starts_with("{\"name\":\"a\\tb\",\"dataset\":"),
+            "{output}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1255,9 +1264,11 @@ mod tests {
         std::fs::write(&path, "[[run]]\nnodes = 100\nestimator = \"nope\"\n").unwrap();
         assert!(run_manifest(&path).unwrap_err().contains("unknown"));
         std::fs::write(&path, "[[run]]\nnodes = 100\npropagator = \"nope\"\n").unwrap();
-        assert!(run_manifest(&path)
-            .unwrap_err()
-            .contains("unknown propagation method"));
+        assert_eq!(
+            run_manifest(&path).unwrap_err(),
+            "run 'run1': unknown propagation method 'nope' \
+             (expected one of linbp, bp, harmonic, rw)"
+        );
         assert!(run_manifest(&dir.join("absent.toml"))
             .unwrap_err()
             .contains("cannot read"));

@@ -6,7 +6,8 @@
 //! renders, e.g. `"DCEr(r=10,l=5,lambda=0.1)"` — so every name an estimator prints
 //! can be parsed back into an equivalent estimator (the round-trip property the
 //! registry tests assert). Generic defaults are supplied through
-//! [`EstimatorOptions`]; keys in the spec string override them.
+//! [`EstimatorOptions`]; keys in the spec string override them. The grammar and
+//! the lookup are `fg_graph::spec`'s, shared with the graph-builder registry.
 
 use super::{
     CompatibilityEstimator, DceConfig, DceWithRestarts, DistantCompatibilityEstimation,
@@ -14,6 +15,7 @@ use super::{
 };
 use crate::normalization::NormalizationVariant;
 use crate::paths::{CountingBackend, DEFAULT_LOWRANK_RANK};
+use fg_graph::spec::{parse, Entry, ParamError, Registry, SpecOptions};
 use fg_graph::FactorConfig;
 use fg_sparse::Threads;
 
@@ -60,19 +62,6 @@ impl EstimatorOptions {
             )),
         }
     }
-}
-
-/// A registry entry: canonical name, accepted aliases, a one-line description, and a
-/// constructor honoring [`EstimatorOptions`].
-pub struct EstimatorSpec {
-    /// Canonical lowercase name (what [`canonical_estimator_name`] returns).
-    pub name: &'static str,
-    /// Alternative names accepted by [`estimator_by_name`].
-    pub aliases: &'static [&'static str],
-    /// One-line human-readable description for help output.
-    pub description: &'static str,
-    /// Build the estimator with the given option overrides.
-    pub build: fn(&EstimatorOptions) -> Box<dyn CompatibilityEstimator>,
 }
 
 fn dce_config(opts: &EstimatorOptions) -> DceConfig {
@@ -135,134 +124,81 @@ fn build_holdout(opts: &EstimatorOptions) -> Box<dyn CompatibilityEstimator> {
     }
 }
 
-const REGISTRY: &[EstimatorSpec] = &[
-    EstimatorSpec {
-        name: "mce",
-        aliases: &["myopic"],
-        description: "Myopic Compatibility Estimation from neighbor statistics (Eq. 12)",
-        build: build_mce,
-    },
-    EstimatorSpec {
-        name: "lce",
-        aliases: &["linear"],
-        description: "Linear Compatibility Estimation from the LinBP energy (Eq. 8)",
-        build: build_lce,
-    },
-    EstimatorSpec {
-        name: "dce",
-        aliases: &["distant"],
-        description: "Distant Compatibility Estimation from length-l path statistics (Eq. 13/14)",
-        build: build_dce,
-    },
-    EstimatorSpec {
-        name: "dcer",
-        aliases: &["dce-r", "dce_r"],
-        description: "DCE with restarts — the paper's recommended method (Section 4.8)",
-        build: build_dcer,
-    },
-    EstimatorSpec {
-        name: "holdout",
-        aliases: &["hold-out"],
-        description: "Holdout baseline: black-box propagation inside a search (Eq. 7)",
-        build: build_holdout,
-    },
-];
+/// Every compatibility estimator, by name, alias or parameterized spec.
+pub static ESTIMATORS: Registry<dyn CompatibilityEstimator, EstimatorOptions> = Registry::new(
+    "estimation",
+    "estimator",
+    &[
+        Entry {
+            name: "mce",
+            aliases: &["myopic"],
+            description: "Myopic Compatibility Estimation from neighbor statistics (Eq. 12)",
+            build: build_mce,
+        },
+        Entry {
+            name: "lce",
+            aliases: &["linear"],
+            description: "Linear Compatibility Estimation from the LinBP energy (Eq. 8)",
+            build: build_lce,
+        },
+        Entry {
+            name: "dce",
+            aliases: &["distant"],
+            description:
+                "Distant Compatibility Estimation from length-l path statistics (Eq. 13/14)",
+            build: build_dce,
+        },
+        Entry {
+            name: "dcer",
+            aliases: &["dce-r", "dce_r"],
+            description: "DCE with restarts — the paper's recommended method (Section 4.8)",
+            build: build_dcer,
+        },
+        Entry {
+            name: "holdout",
+            aliases: &["hold-out"],
+            description: "Holdout baseline: black-box propagation inside a search (Eq. 7)",
+            build: build_holdout,
+        },
+    ],
+);
 
-/// All registered estimator specs, in registration order.
-pub fn estimator_registry() -> &'static [EstimatorSpec] {
-    REGISTRY
-}
-
-/// The canonical names of all registered estimators (the values `fg --method`
-/// accepts, with or without a parameter list).
-pub fn estimator_names() -> Vec<&'static str> {
-    REGISTRY.iter().map(|s| s.name).collect()
-}
-
-/// Resolve a (case-insensitive) base name or alias — without any parameter list — to
-/// its canonical estimator name.
-pub fn canonical_estimator_name(name: &str) -> Option<&'static str> {
-    let lowered = name.trim().to_ascii_lowercase();
-    REGISTRY
-        .iter()
-        .find(|s| s.name == lowered || s.aliases.contains(&lowered.as_str()))
-        .map(|s| s.name)
-}
-
-/// Split a spec string into its base name and the overrides encoded in its
-/// parenthesized key/value list.
-fn parse_spec(spec: &str) -> Result<(String, EstimatorOptions), String> {
-    let spec = spec.trim();
-    let (base, args) = match spec.split_once('(') {
-        None => (spec, None),
-        Some((base, rest)) => {
-            let inner = rest.strip_suffix(')').ok_or_else(|| {
-                format!("estimator spec '{spec}' has an unterminated parameter list")
-            })?;
-            (base, Some(inner))
-        }
-    };
-    let mut opts = EstimatorOptions::default();
-    if let Some(args) = args {
-        for pair in args.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = pair.split_once('=').ok_or_else(|| {
-                format!("estimator parameter '{pair}' is not of the form key=value")
-            })?;
-            let key = key.trim().to_ascii_lowercase();
-            let value = value.trim();
-            let bad =
-                |what: &str| format!("estimator parameter '{key}' has invalid {what} '{value}'");
-            match key.as_str() {
-                "r" | "restarts" => opts.restarts = Some(value.parse().map_err(|_| bad("count"))?),
-                "l" | "lmax" => opts.max_length = Some(value.parse().map_err(|_| bad("length"))?),
-                "lambda" => opts.lambda = Some(value.parse().map_err(|_| bad("number"))?),
-                "b" | "splits" => opts.splits = Some(value.parse().map_err(|_| bad("count"))?),
-                "variant" => {
-                    let index: usize = value.parse().map_err(|_| bad("variant number"))?;
-                    opts.variant = Some(
-                        NormalizationVariant::from_index(index)
-                            .ok_or_else(|| bad("variant number (expected 1-3)"))?,
-                    );
-                }
-                "nb" => {
-                    opts.non_backtracking = Some(match value.to_ascii_lowercase().as_str() {
-                        "true" | "1" => true,
-                        "false" | "0" => false,
-                        _ => return Err(bad("flag (expected true or false)")),
-                    });
-                }
-                "mode" => {
-                    opts.lowrank = Some(match value.to_ascii_lowercase().as_str() {
-                        "lowrank" => true,
-                        "exact" => false,
-                        _ => return Err(bad("backend (expected exact or lowrank)")),
-                    });
-                }
-                "rank" => opts.rank = Some(value.parse().map_err(|_| bad("rank"))?),
-                other => {
-                    return Err(format!(
-                        "unknown estimator parameter '{other}' \
-                         (expected r, l, lambda, b, variant, nb, mode, or rank)"
-                    ))
-                }
+impl SpecOptions for EstimatorOptions {
+    fn set(&mut self, key: &str, value: &str) -> Result<(), ParamError> {
+        match key {
+            "r" | "restarts" => self.restarts = Some(parse(value, "count")?),
+            "l" | "lmax" => self.max_length = Some(parse(value, "length")?),
+            "lambda" => self.lambda = Some(parse(value, "number")?),
+            "b" | "splits" => self.splits = Some(parse(value, "count")?),
+            "variant" => {
+                let index = parse(value, "variant number")?;
+                self.variant = Some(
+                    NormalizationVariant::from_index(index)
+                        .ok_or(ParamError::Invalid("variant number", Some("1-3")))?,
+                );
+            }
+            "nb" => {
+                self.non_backtracking = Some(match value.to_ascii_lowercase().as_str() {
+                    "true" | "1" => true,
+                    "false" | "0" => false,
+                    _ => return Err(ParamError::Invalid("flag", Some("true or false"))),
+                });
+            }
+            "mode" => {
+                self.lowrank = Some(match value.to_ascii_lowercase().as_str() {
+                    "lowrank" => true,
+                    "exact" => false,
+                    _ => return Err(ParamError::Invalid("backend", Some("exact or lowrank"))),
+                });
+            }
+            "rank" => self.rank = Some(parse(value, "rank")?),
+            _ => {
+                return Err(ParamError::UnknownKey(
+                    "r, l, lambda, b, variant, nb, mode, or rank",
+                ))
             }
         }
-    }
-    Ok((base.to_string(), opts))
-}
-
-/// Merge spec-string overrides (`overlay`) on top of caller defaults (`base`).
-fn merge(base: &EstimatorOptions, overlay: &EstimatorOptions) -> EstimatorOptions {
-    EstimatorOptions {
-        max_length: overlay.max_length.or(base.max_length),
-        lambda: overlay.lambda.or(base.lambda),
-        restarts: overlay.restarts.or(base.restarts),
-        splits: overlay.splits.or(base.splits),
-        variant: overlay.variant.or(base.variant),
-        non_backtracking: overlay.non_backtracking.or(base.non_backtracking),
-        lowrank: overlay.lowrank.or(base.lowrank),
-        rank: overlay.rank.or(base.rank),
-        threads: overlay.threads.or(base.threads),
+        Ok(())
     }
 }
 
@@ -278,25 +214,7 @@ pub fn estimator_by_name_with(
     spec: &str,
     defaults: &EstimatorOptions,
 ) -> Result<Box<dyn CompatibilityEstimator>, String> {
-    let (base, overrides) = parse_spec(spec)?;
-    let canonical = canonical_estimator_name(&base).ok_or_else(|| {
-        format!(
-            "unknown estimation method '{base}' (expected one of {})",
-            estimator_names().join(", ")
-        )
-    })?;
-    let spec = REGISTRY
-        .iter()
-        .find(|s| s.name == canonical)
-        .expect("canonical name is registered");
-    Ok((spec.build)(&merge(defaults, &overrides)))
-}
-
-/// Build every registered estimator with default configuration, in registration
-/// order.
-pub fn all_estimators() -> Vec<Box<dyn CompatibilityEstimator>> {
-    let opts = EstimatorOptions::default();
-    REGISTRY.iter().map(|s| (s.build)(&opts)).collect()
+    ESTIMATORS.by_spec(spec, defaults)
 }
 
 #[cfg(test)]
@@ -305,19 +223,20 @@ mod tests {
 
     #[test]
     fn canonical_names_and_aliases_resolve() {
-        assert_eq!(canonical_estimator_name("dcer"), Some("dcer"));
-        assert_eq!(canonical_estimator_name("DCEr"), Some("dcer"));
-        assert_eq!(canonical_estimator_name("dce-r"), Some("dcer"));
-        assert_eq!(canonical_estimator_name("Myopic"), Some("mce"));
-        assert_eq!(canonical_estimator_name("hold-out"), Some("holdout"));
-        assert_eq!(canonical_estimator_name("nope"), None);
+        let canonical = |name| ESTIMATORS.canonical(name);
+        assert_eq!(canonical("dcer"), Some("dcer"));
+        assert_eq!(canonical("DCEr"), Some("dcer"));
+        assert_eq!(canonical("dce-r"), Some("dcer"));
+        assert_eq!(canonical("Myopic"), Some("mce"));
+        assert_eq!(canonical("hold-out"), Some("holdout"));
+        assert_eq!(canonical("nope"), None);
     }
 
     #[test]
     fn every_built_in_name_round_trips() {
         // The acceptance property: parse every built-in estimator's rendered name and
         // get an estimator with the identical name back.
-        for est in all_estimators() {
+        for est in ESTIMATORS.build_all(&EstimatorOptions::default()) {
             let name = est.name();
             let rebuilt = estimator_by_name(&name)
                 .unwrap_or_else(|e| panic!("name '{name}' failed to parse: {e}"));
@@ -364,7 +283,7 @@ mod tests {
             threads: Some(Threads::Fixed(4)),
             ..EstimatorOptions::default()
         };
-        for name in estimator_names() {
+        for name in ESTIMATORS.names() {
             let serial = estimator_by_name(name)
                 .unwrap()
                 .estimate(&syn.graph, &seeds)
@@ -418,16 +337,26 @@ mod tests {
         assert!(err_of("dce(nb=perhaps)").contains("flag"));
         assert!(err_of("dce(mode=spectral)").contains("exact or lowrank"));
         assert!(err_of("dce(rank=lots)").contains("invalid rank"));
+        // Value errors name the value before the accepted values.
+        assert_eq!(
+            err_of("mce(variant=0)"),
+            "estimator parameter 'variant' has invalid variant number '0' (expected 1-3)"
+        );
+        assert_eq!(
+            err_of("dce(nb=perhaps)"),
+            "estimator parameter 'nb' has invalid flag 'perhaps' (expected true or false)"
+        );
     }
 
     #[test]
     fn registry_lists_all_estimators() {
         assert_eq!(
-            estimator_names(),
+            ESTIMATORS.names(),
             vec!["mce", "lce", "dce", "dcer", "holdout"]
         );
-        assert_eq!(all_estimators().len(), estimator_registry().len());
-        for spec in estimator_registry() {
+        let all = ESTIMATORS.build_all(&EstimatorOptions::default());
+        assert_eq!(all.len(), ESTIMATORS.entries().len());
+        for spec in ESTIMATORS.entries() {
             assert!(!spec.description.is_empty());
         }
     }

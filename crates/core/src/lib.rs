@@ -93,8 +93,7 @@ pub use context::{EstimationContext, SummaryCache};
 pub use energy::{distance_weights, DceEnergy, EnergyFunction, LceEnergy, MceEnergy};
 pub use error::{CoreError, Result};
 pub use estimators::registry::{
-    estimator_by_name, estimator_by_name_with, estimator_names, estimator_registry,
-    EstimatorOptions, EstimatorSpec,
+    estimator_by_name, estimator_by_name_with, EstimatorOptions, ESTIMATORS,
 };
 pub use estimators::{
     CompatibilityEstimator, DceConfig, DceWithRestarts, DistantCompatibilityEstimation,

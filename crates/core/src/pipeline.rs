@@ -742,7 +742,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let syn = generate(&cfg, &mut rng).unwrap();
         let seeds = syn.labeling.stratified_sample(0.1, &mut rng);
-        for backend in fg_propagation::all_propagators() {
+        for backend in fg_propagation::PROPAGATORS.build_all(&Default::default()) {
             let name = backend.name();
             let serial = Pipeline::on(&syn.graph)
                 .seeds(&seeds)

@@ -23,6 +23,7 @@
 //! format [`GraphBuilder::name`] renders — `Knn(k=10,metric=cosine,weighting=heat,
 //! sym=union)` — mirroring the estimator and propagator registries.
 
+use fg_graph::spec::{parse, Entry, ParamError, Registry, SpecOptions};
 use fg_graph::{Fingerprint, FingerprintBuilder, Graph, GraphError, Labeling, Result};
 use fg_sparse::{run_ordered_cells, DenseMatrix, Threads};
 use rand::rngs::StdRng;
@@ -528,19 +529,6 @@ pub struct ConstructionOptions {
     pub threads: Option<Threads>,
 }
 
-/// A registry entry: canonical name, accepted aliases, one-line description, and a
-/// constructor honoring [`ConstructionOptions`].
-pub struct ConstructionSpec {
-    /// Canonical lowercase name.
-    pub name: &'static str,
-    /// Alternative names accepted by [`construction_by_name`].
-    pub aliases: &'static [&'static str],
-    /// One-line human-readable description for help output.
-    pub description: &'static str,
-    /// Build the backend with the given option overrides.
-    pub build: fn(&ConstructionOptions) -> Box<dyn GraphBuilder>,
-}
-
 fn build_knn(opts: &ConstructionOptions) -> Box<dyn GraphBuilder> {
     let mut builder = KnnBuilder::default();
     if let Some(k) = opts.k {
@@ -584,126 +572,54 @@ fn build_sparse_reg(opts: &ConstructionOptions) -> Box<dyn GraphBuilder> {
     Box::new(builder)
 }
 
-const REGISTRY: &[ConstructionSpec] = &[
-    ConstructionSpec {
-        name: "knn",
-        aliases: &["k-nn", "nearest"],
-        description: "Exact brute-force kNN graph (euclidean/cosine; binary/heat/inverse weights)",
-        build: build_knn,
-    },
-    ConstructionSpec {
-        name: "sparsereg",
-        aliases: &["sparse-reg", "sparse", "l1"],
-        description: "Sparse-regularized graph: nonnegative l1 reconstruction per node",
-        build: build_sparse_reg,
-    },
-];
+/// Every graph-construction backend, by name, alias or parameterized spec.
+pub static BUILDERS: Registry<dyn GraphBuilder, ConstructionOptions> = Registry::new(
+    "construction",
+    "construction",
+    &[
+        Entry {
+            name: "knn",
+            aliases: &["k-nn", "nearest"],
+            description:
+                "Exact brute-force kNN graph (euclidean/cosine; binary/heat/inverse weights)",
+            build: build_knn,
+        },
+        Entry {
+            name: "sparsereg",
+            aliases: &["sparse-reg", "sparse", "l1"],
+            description: "Sparse-regularized graph: nonnegative l1 reconstruction per node",
+            build: build_sparse_reg,
+        },
+    ],
+);
 
-/// All registered construction specs, in registration order.
-pub fn construction_registry() -> &'static [ConstructionSpec] {
-    REGISTRY
-}
-
-/// The canonical names of all registered construction backends.
-pub fn construction_names() -> Vec<&'static str> {
-    REGISTRY.iter().map(|s| s.name).collect()
-}
-
-/// Resolve a (case-insensitive) base name or alias — without any parameter list —
-/// to its canonical construction name.
-pub fn canonical_construction_name(name: &str) -> Option<&'static str> {
-    let lowered = name.trim().to_ascii_lowercase();
-    REGISTRY
-        .iter()
-        .find(|s| s.name == lowered || s.aliases.contains(&lowered.as_str()))
-        .map(|s| s.name)
-}
-
-/// Split a spec string into its base name and the overrides encoded in its
-/// parenthesized key/value list.
-fn parse_spec(spec: &str) -> std::result::Result<(String, ConstructionOptions), String> {
-    let spec = spec.trim();
-    let (base, args) = match spec.split_once('(') {
-        None => (spec, None),
-        Some((base, rest)) => {
-            let inner = rest.strip_suffix(')').ok_or_else(|| {
-                format!("construction spec '{spec}' has an unterminated parameter list")
-            })?;
-            (base, Some(inner))
-        }
-    };
-    let mut opts = ConstructionOptions::default();
-    if let Some(args) = args {
-        for pair in args.split(',').filter(|p| !p.trim().is_empty()) {
-            let (key, value) = pair.split_once('=').ok_or_else(|| {
-                format!("construction parameter '{pair}' is not of the form key=value")
-            })?;
-            let key = key.trim().to_ascii_lowercase();
-            let value = value.trim();
-            let bad =
-                |what: &str| format!("construction parameter '{key}' has invalid {what} '{value}'");
-            match key.as_str() {
-                "k" => opts.k = Some(value.parse().map_err(|_| bad("count"))?),
-                "metric" => opts.metric = Some(value.parse().map_err(|e: String| e)?),
-                "weighting" | "w" => opts.weighting = Some(value.parse().map_err(|e: String| e)?),
-                "sym" | "symmetrize" => {
-                    opts.symmetrize = Some(value.parse().map_err(|e: String| e)?)
-                }
-                "sigma" => opts.sigma = Some(value.parse().map_err(|_| bad("number"))?),
-                "alpha" => opts.alpha = Some(value.parse().map_err(|_| bad("number"))?),
-                "iters" | "iterations" => {
-                    opts.iterations = Some(value.parse().map_err(|_| bad("count"))?)
-                }
-                other => {
-                    return Err(format!(
-                        "unknown construction parameter '{other}' \
-                         (expected k, metric, weighting, sym, sigma, alpha, or iters)"
-                    ))
-                }
+impl SpecOptions for ConstructionOptions {
+    fn set(&mut self, key: &str, value: &str) -> std::result::Result<(), ParamError> {
+        match key {
+            "k" => self.k = Some(parse(value, "count")?),
+            "metric" => self.metric = Some(value.parse().map_err(ParamError::Message)?),
+            "weighting" | "w" => self.weighting = Some(value.parse().map_err(ParamError::Message)?),
+            "sym" | "symmetrize" => {
+                self.symmetrize = Some(value.parse().map_err(ParamError::Message)?)
+            }
+            "sigma" => self.sigma = Some(parse(value, "number")?),
+            "alpha" => self.alpha = Some(parse(value, "number")?),
+            "iters" | "iterations" => self.iterations = Some(parse(value, "count")?),
+            _ => {
+                return Err(ParamError::UnknownKey(
+                    "k, metric, weighting, sym, sigma, alpha, or iters",
+                ))
             }
         }
-    }
-    Ok((base.to_string(), opts))
-}
-
-/// Merge spec-string overrides (`overlay`) on top of caller defaults (`base`).
-fn merge(base: &ConstructionOptions, overlay: &ConstructionOptions) -> ConstructionOptions {
-    ConstructionOptions {
-        k: overlay.k.or(base.k),
-        metric: overlay.metric.or(base.metric),
-        weighting: overlay.weighting.or(base.weighting),
-        symmetrize: overlay.symmetrize.or(base.symmetrize),
-        sigma: overlay.sigma.or(base.sigma),
-        alpha: overlay.alpha.or(base.alpha),
-        iterations: overlay.iterations.or(base.iterations),
-        threads: overlay.threads.or(base.threads),
+        Ok(())
     }
 }
 
 /// Build a construction backend from a name or parameterized spec string (e.g.
-/// `"knn"`, `"Knn(k=10,metric=cosine)"`) with default options.
+/// `"knn"`, `"Knn(k=10,metric=cosine)"`) with default options; use
+/// `BUILDERS.by_spec` to supply other defaults.
 pub fn construction_by_name(spec: &str) -> std::result::Result<Box<dyn GraphBuilder>, String> {
-    construction_by_name_with(spec, &ConstructionOptions::default())
-}
-
-/// Build a construction backend from a name or parameterized spec string, applying
-/// the given option defaults; keys in the spec string take precedence.
-pub fn construction_by_name_with(
-    spec: &str,
-    defaults: &ConstructionOptions,
-) -> std::result::Result<Box<dyn GraphBuilder>, String> {
-    let (base, overrides) = parse_spec(spec)?;
-    let canonical = canonical_construction_name(&base).ok_or_else(|| {
-        format!(
-            "unknown construction method '{base}' (expected one of {})",
-            construction_names().join(", ")
-        )
-    })?;
-    let spec = REGISTRY
-        .iter()
-        .find(|s| s.name == canonical)
-        .expect("canonical name is registered");
-    Ok((spec.build)(&merge(defaults, &overrides)))
+    BUILDERS.by_spec(spec, &ConstructionOptions::default())
 }
 
 /// Configuration for [`synthesize_blobs`]: isotropic Gaussian clusters, one per
@@ -1016,18 +932,18 @@ mod tests {
 
     #[test]
     fn registry_round_trips_every_builder_name() {
-        for spec in construction_registry() {
+        for spec in BUILDERS.entries() {
             let built = (spec.build)(&ConstructionOptions::default());
             let name = built.name();
             let rebuilt = construction_by_name(&name)
                 .unwrap_or_else(|e| panic!("name '{name}' failed to parse: {e}"));
             assert_eq!(rebuilt.name(), name, "round trip changed the builder");
         }
-        assert_eq!(construction_names(), vec!["knn", "sparsereg"]);
-        assert_eq!(canonical_construction_name("Knn"), Some("knn"));
-        assert_eq!(canonical_construction_name("sparse-reg"), Some("sparsereg"));
-        assert_eq!(canonical_construction_name("l1"), Some("sparsereg"));
-        assert_eq!(canonical_construction_name("nope"), None);
+        assert_eq!(BUILDERS.names(), vec!["knn", "sparsereg"]);
+        assert_eq!(BUILDERS.canonical("Knn"), Some("knn"));
+        assert_eq!(BUILDERS.canonical("sparse-reg"), Some("sparsereg"));
+        assert_eq!(BUILDERS.canonical("l1"), Some("sparsereg"));
+        assert_eq!(BUILDERS.canonical("nope"), None);
     }
 
     #[test]
@@ -1047,7 +963,7 @@ mod tests {
             symmetrize: Some(Symmetrize::Mutual),
             ..ConstructionOptions::default()
         };
-        let b = construction_by_name_with("knn(k=9)", &defaults).unwrap();
+        let b = BUILDERS.by_spec("knn(k=9)", &defaults).unwrap();
         assert_eq!(
             b.name(),
             "Knn(k=9,metric=euclidean,weighting=binary,sym=mutual)"
@@ -1065,6 +981,10 @@ mod tests {
         assert!(err_of("knn(metric=manhattan)").contains("unknown metric"));
         assert!(err_of("knn(weighting=wishful)").contains("unknown weighting"));
         assert!(err_of("knn(sym=sideways)").contains("unknown symmetrization"));
+        assert_eq!(
+            err_of("knn(sigma=wide)"),
+            "construction parameter 'sigma' has invalid number 'wide'"
+        );
     }
 
     #[test]

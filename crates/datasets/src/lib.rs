@@ -24,10 +24,8 @@ pub mod specs;
 pub mod synthesize;
 
 pub use construct::{
-    canonical_construction_name, construction_by_name, construction_by_name_with,
-    construction_names, construction_registry, features_fingerprint, synthesize_blobs, BlobConfig,
-    ConstructionOptions, ConstructionSpec, GraphBuilder, KnnBuilder, Metric, SparseRegBuilder,
-    Symmetrize, Weighting,
+    construction_by_name, features_fingerprint, synthesize_blobs, BlobConfig, ConstructionOptions,
+    GraphBuilder, KnnBuilder, Metric, SparseRegBuilder, Symmetrize, Weighting, BUILDERS,
 };
 pub use io::{
     format_edge_list, format_features, format_labels, parse_edge_list, parse_features,

@@ -30,6 +30,7 @@ pub mod generator;
 pub mod graph;
 pub mod labels;
 pub mod lowrank;
+pub mod spec;
 
 pub use compatibility::{two_value_heuristic, CompatibilityMatrix};
 pub use degree::DegreeDistribution;

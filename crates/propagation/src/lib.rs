@@ -16,7 +16,7 @@
 //! Each algorithm keeps its specialized free function and config/result types, and
 //! additionally implements [`Propagator`] ([`LinBp`], [`LoopyBp`], [`Harmonic`],
 //! [`RandomWalk`]) returning the unified [`PropagationOutcome`]. Backends can be
-//! looked up by name through [`registry`] (`"linbp"`, `"bp"`, `"harmonic"`, `"rw"`),
+//! looked up by name through [`PROPAGATORS`] (`"linbp"`, `"bp"`, `"harmonic"`, `"rw"`),
 //! which is what the CLI's `--method` flag and the benchmark harness use.
 
 #![forbid(unsafe_code)]
@@ -43,7 +43,4 @@ pub use metrics::{
 };
 pub use propagator::{Harmonic, LinBp, LoopyBp, PropagationOutcome, Propagator, RandomWalk};
 pub use random_walk::{multi_rank_walk, RandomWalkConfig, RandomWalkResult};
-pub use registry::{
-    all_propagators, by_name, by_name_with, canonical_name, propagator_names, PropagatorOptions,
-    PropagatorSpec,
-};
+pub use registry::{PropagatorOptions, PROPAGATORS};

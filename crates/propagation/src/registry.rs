@@ -1,15 +1,17 @@
 //! By-name lookup of propagation backends, for CLIs, benchmarks, and config files.
 //!
-//! Every [`Propagator`] implementation registers a canonical name plus aliases, and a
-//! constructor that accepts generic [`PropagatorOptions`] overrides, so callers can
-//! build `fg propagate --method bp --iterations 30` style invocations without knowing
-//! the concrete config types.
+//! Every [`Propagator`] implementation registers a canonical name plus aliases in
+//! [`PROPAGATORS`], and a constructor that accepts generic [`PropagatorOptions`]
+//! overrides, so callers can build `fg propagate --method bp --iterations 30` style
+//! invocations without knowing the concrete config types. Propagators are addressed
+//! by name only: `PROPAGATORS.build(name, &opts)`.
 
 use crate::bp::BpConfig;
 use crate::harmonic::HarmonicConfig;
 use crate::linbp::LinBpConfig;
 use crate::propagator::{Harmonic, LinBp, LoopyBp, Propagator, RandomWalk};
 use crate::random_walk::RandomWalkConfig;
+use fg_graph::spec::{Entry, Registry};
 use fg_sparse::Threads;
 
 /// Backend-agnostic configuration overrides understood by every registered backend.
@@ -26,19 +28,6 @@ pub struct PropagatorOptions {
     /// Thread policy for the backend's parallel kernels (`fg --threads N`). All
     /// backends honor it; results are bit-identical at any thread count.
     pub threads: Option<Threads>,
-}
-
-/// A registry entry: canonical name, accepted aliases, a one-line description, and a
-/// constructor honoring [`PropagatorOptions`].
-pub struct PropagatorSpec {
-    /// Canonical lowercase name (what [`canonical_name`] returns).
-    pub name: &'static str,
-    /// Alternative names accepted by [`by_name`].
-    pub aliases: &'static [&'static str],
-    /// One-line human-readable description for help output.
-    pub description: &'static str,
-    /// Build the backend with the given option overrides.
-    pub build: fn(&PropagatorOptions) -> Box<dyn Propagator>,
 }
 
 fn build_linbp(opts: &PropagatorOptions) -> Box<dyn Propagator> {
@@ -103,72 +92,37 @@ fn build_rw(opts: &PropagatorOptions) -> Box<dyn Propagator> {
     Box::new(RandomWalk::new(config))
 }
 
-const REGISTRY: &[PropagatorSpec] = &[
-    PropagatorSpec {
-        name: "linbp",
-        aliases: &["linearized-bp", "linearized_bp"],
-        description: "Linearized Belief Propagation (the paper's method; uses H)",
-        build: build_linbp,
-    },
-    PropagatorSpec {
-        name: "bp",
-        aliases: &["loopybp", "loopy-bp", "loopy_bp"],
-        description: "Full loopy Belief Propagation (reference method; uses H)",
-        build: build_bp,
-    },
-    PropagatorSpec {
-        name: "harmonic",
-        aliases: &["harmonic-functions", "homophily"],
-        description: "Harmonic-functions label propagation (homophily baseline; ignores H)",
-        build: build_harmonic,
-    },
-    PropagatorSpec {
-        name: "rw",
-        aliases: &["randomwalk", "random-walk", "random_walk", "mrw"],
-        description: "MultiRankWalk random walks with restarts (homophily baseline; ignores H)",
-        build: build_rw,
-    },
-];
-
-/// All registered backend specs, in registration order.
-pub fn registry() -> &'static [PropagatorSpec] {
-    REGISTRY
-}
-
-/// The canonical names of all registered backends (the values `fg propagate --method`
-/// accepts).
-pub fn propagator_names() -> Vec<&'static str> {
-    REGISTRY.iter().map(|s| s.name).collect()
-}
-
-/// Resolve a (case-insensitive) name or alias to its canonical backend name.
-pub fn canonical_name(name: &str) -> Option<&'static str> {
-    let lowered = name.to_ascii_lowercase();
-    REGISTRY
-        .iter()
-        .find(|s| s.name == lowered || s.aliases.contains(&lowered.as_str()))
-        .map(|s| s.name)
-}
-
-/// Build a backend by name or alias with default configuration.
-pub fn by_name(name: &str) -> Option<Box<dyn Propagator>> {
-    by_name_with(name, &PropagatorOptions::default())
-}
-
-/// Build a backend by name or alias, applying the given option overrides.
-pub fn by_name_with(name: &str, opts: &PropagatorOptions) -> Option<Box<dyn Propagator>> {
-    let canonical = canonical_name(name)?;
-    REGISTRY
-        .iter()
-        .find(|s| s.name == canonical)
-        .map(|s| (s.build)(opts))
-}
-
-/// Build every registered backend with default configuration, in registration order.
-pub fn all_propagators() -> Vec<Box<dyn Propagator>> {
-    let opts = PropagatorOptions::default();
-    REGISTRY.iter().map(|s| (s.build)(&opts)).collect()
-}
+/// Every propagation backend, by name or alias.
+pub static PROPAGATORS: Registry<dyn Propagator, PropagatorOptions> = Registry::new(
+    "propagation",
+    "propagator",
+    &[
+        Entry {
+            name: "linbp",
+            aliases: &["linearized-bp", "linearized_bp"],
+            description: "Linearized Belief Propagation (the paper's method; uses H)",
+            build: build_linbp,
+        },
+        Entry {
+            name: "bp",
+            aliases: &["loopybp", "loopy-bp", "loopy_bp"],
+            description: "Full loopy Belief Propagation (reference method; uses H)",
+            build: build_bp,
+        },
+        Entry {
+            name: "harmonic",
+            aliases: &["harmonic-functions", "homophily"],
+            description: "Harmonic-functions label propagation (homophily baseline; ignores H)",
+            build: build_harmonic,
+        },
+        Entry {
+            name: "rw",
+            aliases: &["randomwalk", "random-walk", "random_walk", "mrw"],
+            description: "MultiRankWalk random walks with restarts (homophily baseline; ignores H)",
+            build: build_rw,
+        },
+    ],
+);
 
 #[cfg(test)]
 mod tests {
@@ -176,22 +130,36 @@ mod tests {
 
     #[test]
     fn canonical_names_and_aliases_resolve() {
-        assert_eq!(canonical_name("linbp"), Some("linbp"));
-        assert_eq!(canonical_name("LinBP"), Some("linbp"));
-        assert_eq!(canonical_name("loopy-bp"), Some("bp"));
-        assert_eq!(canonical_name("RandomWalk"), Some("rw"));
-        assert_eq!(canonical_name("homophily"), Some("harmonic"));
-        assert_eq!(canonical_name("nope"), None);
+        let canonical = |name| PROPAGATORS.canonical(name);
+        assert_eq!(canonical("linbp"), Some("linbp"));
+        assert_eq!(canonical("LinBP"), Some("linbp"));
+        assert_eq!(canonical(" linbp"), Some("linbp"));
+        assert_eq!(canonical("loopy-bp"), Some("bp"));
+        assert_eq!(canonical("RandomWalk"), Some("rw"));
+        assert_eq!(canonical("homophily"), Some("harmonic"));
+        assert_eq!(canonical("nope"), None);
+        // Names are trimmed and case-insensitive when building too.
+        let defaults = PropagatorOptions::default();
+        for name in [" linbp", "LinBP"] {
+            assert_eq!(PROPAGATORS.build(name, &defaults).unwrap().name(), "LinBP");
+        }
     }
 
     #[test]
     fn by_name_builds_every_backend() {
-        for name in propagator_names() {
-            let p = by_name(name).unwrap();
+        let defaults = PropagatorOptions::default();
+        for name in PROPAGATORS.names() {
+            let p = PROPAGATORS.build(name, &defaults).unwrap();
             assert!(!p.name().is_empty());
         }
-        assert!(by_name("unknown").is_none());
-        assert_eq!(propagator_names().len(), 4);
+        assert_eq!(
+            PROPAGATORS
+                .build("unknown", &defaults)
+                .map(|_| ())
+                .unwrap_err(),
+            "unknown propagation method 'unknown' (expected one of linbp, bp, harmonic, rw)"
+        );
+        assert_eq!(PROPAGATORS.names().len(), 4);
     }
 
     #[test]
@@ -201,7 +169,7 @@ mod tests {
             ..PropagatorOptions::default()
         };
         // Smoke test: a 3-iteration LinBP on a tiny graph reports <= 3 iterations.
-        let p = by_name_with("linbp", &opts).unwrap();
+        let p = PROPAGATORS.build("linbp", &opts).unwrap();
         let graph = fg_graph::Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         let seeds = fg_graph::SeedLabels::new(vec![Some(0), None, None, Some(1)], 2).unwrap();
         let h = fg_sparse::DenseMatrix::from_rows(&[vec![0.3, 0.7], vec![0.7, 0.3]]).unwrap();
@@ -222,12 +190,14 @@ mod tests {
             threads: Some(Threads::Fixed(4)),
             ..PropagatorOptions::default()
         };
-        for name in propagator_names() {
-            let serial = by_name(name)
+        for name in PROPAGATORS.names() {
+            let serial = PROPAGATORS
+                .build(name, &PropagatorOptions::default())
                 .unwrap()
                 .propagate(&graph, &seeds, &h)
                 .unwrap();
-            let parallel = by_name_with(name, &threaded)
+            let parallel = PROPAGATORS
+                .build(name, &threaded)
                 .unwrap()
                 .propagate(&graph, &seeds, &h)
                 .unwrap();
@@ -239,8 +209,8 @@ mod tests {
 
     #[test]
     fn all_propagators_covers_registry() {
-        let all = all_propagators();
-        assert_eq!(all.len(), registry().len());
+        let all = PROPAGATORS.build_all(&PropagatorOptions::default());
+        assert_eq!(all.len(), PROPAGATORS.entries().len());
         let names: Vec<String> = all.iter().map(|p| p.name()).collect();
         assert!(names.contains(&"LinBP".to_string()));
         assert!(names.contains(&"LoopyBP".to_string()));

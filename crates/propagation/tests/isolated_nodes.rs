@@ -9,7 +9,8 @@
 
 use fg_graph::{Graph, SeedLabels};
 use fg_propagation::{
-    all_propagators, harmonic_functions, multi_rank_walk, HarmonicConfig, RandomWalkConfig,
+    harmonic_functions, multi_rank_walk, HarmonicConfig, PropagatorOptions, RandomWalkConfig,
+    PROPAGATORS,
 };
 use fg_sparse::DenseMatrix;
 
@@ -70,7 +71,7 @@ fn random_walk_gives_unreachable_nodes_uniform_scores() {
 fn no_backend_produces_nan_or_zero_rows_on_isolated_nodes() {
     let (graph, seeds) = graph_with_unreachable_nodes();
     let h = DenseMatrix::from_rows(&[vec![0.8, 0.2], vec![0.2, 0.8]]).unwrap();
-    for backend in all_propagators() {
+    for backend in PROPAGATORS.build_all(&PropagatorOptions::default()) {
         let outcome = backend.propagate(&graph, &seeds, &h).unwrap();
         let name = backend.name();
         for &v in outcome.beliefs.data() {

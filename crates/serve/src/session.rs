@@ -63,8 +63,7 @@ use fg_core::prelude::*;
 use fg_core::{estimator_by_name_with, EstimateKey, EstimatorOptions, SummaryKey, SummaryStore};
 use fg_graph::Fingerprint;
 use fg_obs::{default_latency_buckets, MetricsRegistry};
-use fg_propagation::registry as propagation_registry;
-use fg_propagation::{Propagator, PropagatorOptions};
+use fg_propagation::{Propagator, PropagatorOptions, PROPAGATORS};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -936,13 +935,7 @@ impl Session {
             damping: optional_f64(request, "damping")?,
             threads: Some(self.threads),
         };
-        let propagator =
-            propagation_registry::by_name_with(propagator_name, &opts).ok_or_else(|| {
-                format!(
-                    "unknown propagation method '{propagator_name}' (expected one of {})",
-                    propagation_registry::propagator_names().join(", ")
-                )
-            })?;
+        let propagator = PROPAGATORS.build(propagator_name, &opts)?;
         let estimator = if propagator.uses_compatibilities() {
             Some(build_estimator(request, self.threads)?)
         } else {

@@ -297,6 +297,14 @@ fn malformed_requests_get_line_numbered_errors_and_never_kill_the_session() {
     assert!(parse(&resp).get("id").is_some());
     let (resp, _) = session.handle_line("{\"cmd\":\"estimate\",\"method\":\"mce\"}", 11);
     assert_ok(&resp);
+    // An unknown propagator gets the registry's one message, as `fg classify` prints it.
+    let (resp, _) = session.handle_line("{\"cmd\":\"classify\",\"propagator\":\"nope\"}", 12);
+    assert_eq!(
+        parse(&resp).get("error").and_then(Json::as_str),
+        Some(
+            "line 12: unknown propagation method 'nope' (expected one of linbp, bp, harmonic, rw)"
+        )
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

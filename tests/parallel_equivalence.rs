@@ -6,7 +6,7 @@
 //! partitioning or stitching, never rounding noise.
 
 use fg_core::prelude::*;
-use fg_propagation::all_propagators;
+use fg_propagation::{PropagatorOptions, PROPAGATORS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,7 +33,7 @@ fn all_backends_are_bit_identical_at_1_2_and_4_threads() {
         let mut rng = StdRng::seed_from_u64(17 + gi as u64);
         let seeds = syn.labeling.stratified_sample(0.1, &mut rng);
         let h = syn.planted_h.as_dense();
-        for backend in all_propagators() {
+        for backend in PROPAGATORS.build_all(&PropagatorOptions::default()) {
             let name = backend.name();
             let serial = backend.propagate(&syn.graph, &seeds, h).unwrap();
             for workers in [1usize, 2, 4] {
@@ -92,7 +92,7 @@ fn auto_threads_matches_serial_too() {
     let mut rng = StdRng::seed_from_u64(43);
     let seeds = syn.labeling.stratified_sample(0.1, &mut rng);
     let h = syn.planted_h.as_dense();
-    for backend in all_propagators() {
+    for backend in PROPAGATORS.build_all(&PropagatorOptions::default()) {
         let serial = backend.propagate(&syn.graph, &seeds, h).unwrap();
         let auto = backend
             .with_threads(Threads::Auto)

@@ -4,7 +4,7 @@
 //! the homophily sanity check of Fig. 6i.
 
 use fg_core::prelude::*;
-use fg_propagation::registry;
+use fg_propagation::{PropagatorOptions, PROPAGATORS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -70,8 +70,10 @@ fn registry_backends_match_direct_construction() {
     let syn = homophilous(600, 2, 6.0, 17);
     let mut rng = StdRng::seed_from_u64(18);
     let seeds = syn.labeling.stratified_sample(0.1, &mut rng);
-    for name in registry::propagator_names() {
-        let via_registry = registry::by_name(name).unwrap();
+    for name in PROPAGATORS.names() {
+        let via_registry = PROPAGATORS
+            .build(name, &PropagatorOptions::default())
+            .unwrap();
         let uses_h = via_registry.uses_compatibilities();
         let mut builder = Pipeline::on(&syn.graph)
             .seeds(&seeds)
