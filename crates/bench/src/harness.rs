@@ -125,6 +125,24 @@ pub fn scaled_n(base: usize) -> usize {
     ((base as f64 * scale_factor()).round() as usize).max(200)
 }
 
+/// Logical cores visible to this process (1 if detection fails).
+pub fn detected_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Nearest-rank percentile (`p` in `[0, 100]`) over an ascending-sorted slice,
+/// in milliseconds. Empty input reports zero.
+pub fn percentile_ms(sorted: &[Duration], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    let index = rank.clamp(1, sorted.len()) - 1;
+    sorted[index].as_secs_f64() * 1e3
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,5 +182,23 @@ mod tests {
         // must be positive.
         assert!(scale_factor() > 0.0);
         assert!(scaled_n(1000) >= 200);
+    }
+
+    #[test]
+    fn detected_cores_is_at_least_one() {
+        assert!(detected_cores() >= 1);
+    }
+
+    #[test]
+    fn percentiles_use_nearest_rank() {
+        let sorted: Vec<Duration> = (1..=100).map(Duration::from_millis).collect();
+        assert_eq!(percentile_ms(&sorted, 50.0), 50.0);
+        assert_eq!(percentile_ms(&sorted, 95.0), 95.0);
+        assert_eq!(percentile_ms(&sorted, 99.0), 99.0);
+        assert_eq!(percentile_ms(&sorted, 100.0), 100.0);
+        assert_eq!(percentile_ms(&[], 50.0), 0.0);
+        let single = [Duration::from_millis(7)];
+        assert_eq!(percentile_ms(&single, 50.0), 7.0);
+        assert_eq!(percentile_ms(&single, 99.0), 7.0);
     }
 }

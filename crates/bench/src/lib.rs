@@ -1,8 +1,10 @@
 //! # fg-bench
 //!
-//! Experiment harness shared by the figure-reproduction binaries (`src/bin/fig*.rs`) and
-//! the Criterion benches. Every table and figure of the paper's evaluation section has a
-//! corresponding binary that prints the same rows/series the paper reports and writes a
+//! Experiment harness shared by the figure-reproduction binaries (`src/bin/fig*.rs`), the
+//! `cargo bench` targets (timed with the manual harness in [`micro`]; the build has no
+//! Criterion) and the end-to-end benchmark (`src/bin/benchmark/`), which is the project's
+//! one measuring instrument. Every table and figure of the paper's evaluation section has
+//! a corresponding binary that prints the same rows/series the paper reports and writes a
 //! CSV under `target/experiments/`.
 //!
 //! The harness keeps experiment sizes configurable through the `FG_SCALE` environment
@@ -13,30 +15,17 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-pub mod kernels;
-pub mod lowrank;
 pub mod micro;
-pub mod obs;
-pub mod serve_load;
 pub mod sweeps;
 
-pub use harness::{scale_factor, scaled_n, time_it, ExperimentTable};
-pub use kernels::{
-    detected_cores, gating_mode, render_kernel_report, run_kernel_bench, KernelBenchConfig,
-    KernelReport, KernelRow, SpmmComparison,
-};
-pub use lowrank::{
-    render_lowrank_report, run_lowrank_bench, LowRankBenchConfig, LowRankReport, LowRankRow,
+pub use harness::{
+    detected_cores, percentile_ms, scale_factor, scaled_n, time_it, ExperimentTable,
 };
 pub use micro::{bench_iters, run_bench, BenchMeasurement};
-pub use obs::{
-    render_obs_report, run_obs_bench, ObsBenchConfig, ObsReport, DISABLED_OVERHEAD_LIMIT_PCT,
-};
-pub use serve_load::{percentile_ms, render_report, run_serve_load, LoadRow, ServeLoadConfig};
 pub use sweeps::{
-    accuracy_vs_backend, accuracy_vs_backend_parallel, accuracy_vs_construction, accuracy_vs_rank,
+    accuracy_vs_backend, accuracy_vs_backend_parallel, accuracy_vs_construction,
     accuracy_vs_sparsity, accuracy_vs_sparsity_parallel, accuracy_vs_sparsity_with,
     backends_to_table, construction_to_table, estimator_set, l2_vs_sparsity, outcomes_to_table,
-    ranks_to_table, run_cells_parallel, warm_context_for, BackendOutcome, ConstructionOutcome,
-    EstimatorKind, RankOutcome, SweepOutcome,
+    run_cells_parallel, warm_context_for, BackendOutcome, ConstructionOutcome, EstimatorKind,
+    SweepOutcome,
 };

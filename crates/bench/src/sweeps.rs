@@ -15,7 +15,7 @@
 use crate::harness::ExperimentTable;
 use fg_core::prelude::*;
 use fg_core::Result;
-use fg_graph::{CompatibilityMatrix, FactorConfig};
+use fg_graph::CompatibilityMatrix;
 use fg_propagation::{PropagatorOptions, PROPAGATORS};
 use fg_sparse::DenseMatrix;
 use rand::rngs::StdRng;
@@ -718,86 +718,6 @@ pub fn outcomes_to_table(
     table
 }
 
-/// One measured point of a counting-rank sweep (`rank == None` is the exact
-/// backend baseline every low-rank row is compared against).
-#[derive(Debug, Clone)]
-pub struct RankOutcome {
-    /// Spectral rank of the counting backend; `None` for exact counting.
-    pub rank: Option<usize>,
-    /// Macro accuracy over the unlabeled nodes after LinBP propagation.
-    pub accuracy: f64,
-    /// Element-wise L2 distance between the estimated `H` and the exact-backend
-    /// estimate (0 for the baseline row by construction).
-    pub h_l2_vs_exact: f64,
-    /// Wall-clock time of the summarization stage (includes the one-time
-    /// eigensolve for low-rank rows on a cold cache).
-    pub summarize_time: Duration,
-}
-
-/// Compare DCE under the exact counting backend against the low-rank spectral
-/// backend at each requested rank, on one seeded graph. Every cell runs the
-/// full estimate-then-propagate pipeline, so the sweep measures the end-to-end
-/// accuracy cost of rank truncation — the empirical side of the
-/// `accuracy_vs_rank` acceptance gate (some `r ≤ 64` within a couple of points
-/// of exact).
-pub fn accuracy_vs_rank(
-    graph: &Graph,
-    labeling: &Labeling,
-    fraction: f64,
-    ranks: &[usize],
-    seed: u64,
-) -> Result<Vec<RankOutcome>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let seeds = labeling.stratified_sample(fraction, &mut rng);
-    let mut outcomes = Vec::with_capacity(ranks.len() + 1);
-    let mut exact_h: Option<DenseMatrix> = None;
-    for rank in std::iter::once(None).chain(ranks.iter().copied().map(Some)) {
-        let mut config = DceConfig::default();
-        if let Some(r) = rank {
-            config.backend = CountingBackend::LowRank(FactorConfig::with_rank(r));
-        }
-        let report = Pipeline::on(graph)
-            .seeds(&seeds)
-            .estimator(DistantCompatibilityEstimation::new(config))
-            .propagator(LinBp::default())
-            .run()?;
-        let h_l2_vs_exact = match &exact_h {
-            None => {
-                exact_h = Some(report.estimated_h.clone());
-                0.0
-            }
-            Some(h) => report.l2_from(h)?,
-        };
-        outcomes.push(RankOutcome {
-            rank,
-            accuracy: report.accuracy(labeling, &seeds),
-            h_l2_vs_exact,
-            summarize_time: report.summarize_time,
-        });
-    }
-    Ok(outcomes)
-}
-
-/// Aggregate rank-sweep outcomes into a table: one row per backend, exact first.
-pub fn ranks_to_table(name: &str, outcomes: &[RankOutcome]) -> ExperimentTable {
-    let mut table = ExperimentTable::new(
-        name,
-        &["backend", "accuracy", "h_l2_vs_exact", "summarize_s"],
-    );
-    for o in outcomes {
-        table.push_row(vec![
-            match o.rank {
-                None => "exact".to_string(),
-                Some(r) => format!("rank={r}"),
-            },
-            format!("{:.3}", o.accuracy),
-            format!("{:.4}", o.h_l2_vs_exact),
-            format!("{:.4}", o.summarize_time.as_secs_f64()),
-        ]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1077,26 +997,5 @@ mod tests {
         let set = estimator_set(&kinds, &labeling, &gold);
         assert_eq!(set.len(), 7);
         assert_eq!(set[6].1.name(), "Heuristic");
-    }
-
-    #[test]
-    fn rank_sweep_compares_backends_against_the_exact_baseline() {
-        let cfg = GeneratorConfig::balanced(300, 8.0, 3, 3.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let synthetic = generate(&cfg, &mut rng).unwrap();
-        let outcomes =
-            accuracy_vs_rank(&synthetic.graph, &synthetic.labeling, 0.2, &[8, 16], 11).unwrap();
-        assert_eq!(outcomes.len(), 3);
-        // The baseline row is the exact backend and anchors the L2 column.
-        assert_eq!(outcomes[0].rank, None);
-        assert_eq!(outcomes[0].h_l2_vs_exact, 0.0);
-        for o in &outcomes {
-            assert!((0.0..=1.0).contains(&o.accuracy), "accuracy out of range");
-            assert!(o.h_l2_vs_exact.is_finite());
-        }
-        let table = ranks_to_table("unit_ranks", &outcomes);
-        assert_eq!(table.rows.len(), 3);
-        assert_eq!(table.rows[0][0], "exact");
-        assert_eq!(table.rows[2][0], "rank=16");
     }
 }

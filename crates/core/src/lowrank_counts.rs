@@ -17,10 +17,10 @@
 //! **Exactness at full rank.** When `r = n`, `V` is orthogonal and `WV = VΛ`
 //! exactly, so `VᵀW = ΛVᵀ` and `Vᵀ(D−I) = G·Vᵀ`: the factor-space recurrence
 //! reproduces `VᵀN(ℓ)` with no approximation, and `M̂(ℓ) = (XᵀV)(VᵀN(ℓ)) =
-//! XᵀN(ℓ) = M(ℓ)` up to solver tolerance — the oracle gate the tests and the CI
-//! job enforce. Below full rank the truncation error is governed by the
-//! discarded eigenvalues `|λ_{r+1}|, …`, which the `accuracy_vs_rank` sweep
-//! measures end to end.
+//! XᵀN(ℓ) = M(ℓ)` up to solver tolerance — the oracle gate the tests and the
+//! end-to-end benchmark enforce. Below full rank the truncation error is governed
+//! by the discarded eigenvalues `|λ_{r+1}|, …`; the benchmark's `batch_lowrank`
+//! accuracy metric measures it end to end.
 //!
 //! All recurrence arithmetic is serial dense algebra on `r x k` / `r x r`
 //! matrices — no thread policy enters, so results are trivially bit-identical at

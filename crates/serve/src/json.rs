@@ -10,6 +10,11 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser recurses once
+/// per level, so without a bound a line of a few hundred thousand `[` overflows
+/// the thread's stack; no protocol message or report nests more than a few levels.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -33,6 +38,7 @@ impl Json {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -176,6 +182,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -222,11 +230,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(&format!("unexpected character '{}'", other as char))),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to pass [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -449,11 +468,17 @@ mod tests {
             ("{} extra", "trailing"),
             ("{\"a\":1,}", "string key"),
             ("+1", "unexpected character"),
+            (
+                "[".repeat(200_000).as_str(),
+                "char 129: nesting deeper than 128 levels",
+            ),
         ] {
             let err = Json::parse(input).unwrap_err();
             assert!(err.contains("char "), "{input}: {err}");
             assert!(err.contains(fragment), "{input}: {err}");
         }
+        // The bound itself still parses.
+        assert!(Json::parse(&("[".repeat(128) + &"]".repeat(128))).is_ok());
     }
 
     #[test]

@@ -11,11 +11,16 @@ use std::sync::Arc;
 /// Write a synthetic dataset (edge list + sparse seed labels + full truth labels)
 /// into a temp dir; returns (dir, edges, seeds, truth, labeling).
 fn dataset(name: &str) -> (PathBuf, PathBuf, PathBuf, Labeling) {
+    dataset_seeded(name, 42)
+}
+
+/// [`dataset`] from generator seed `seed`, so datasets can be made disjoint.
+fn dataset_seeded(name: &str, seed: u64) -> (PathBuf, PathBuf, PathBuf, Labeling) {
     let dir = std::env::temp_dir().join(format!("fg_serve_test_{name}"));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let cfg = GeneratorConfig::balanced(400, 8.0, 3, 8.0).unwrap();
-    let mut rng = StdRng::seed_from_u64(42);
+    let mut rng = StdRng::seed_from_u64(seed);
     let syn = generate(&cfg, &mut rng).unwrap();
     let seeds = syn.labeling.stratified_sample(0.08, &mut rng);
     let edges = dir.join("edges.tsv");
@@ -256,6 +261,8 @@ fn session_store_keeps_one_live_file_per_mode_across_mutations() {
 fn malformed_requests_get_line_numbered_errors_and_never_kill_the_session() {
     let (dir, edges, seeds_path, _) = dataset("errors");
     let session = Session::new(Threads::Serial, None);
+    // Deep nesting is refused at a fixed depth instead of overflowing the stack.
+    let deep = "[".repeat(200_000);
     for (line_no, (request, fragment)) in [
         ("{not json", "invalid JSON"),
         ("[1,2,3]", "'cmd'"),
@@ -267,6 +274,7 @@ fn malformed_requests_get_line_numbered_errors_and_never_kill_the_session() {
             "",
         ),
         ("{\"cmd\":\"load\",\"edges\":\"x\"}", "labels"),
+        (deep.as_str(), "char 129: nesting deeper than 128 levels"),
     ]
     .iter()
     .enumerate()
@@ -286,23 +294,23 @@ fn malformed_requests_get_line_numbered_errors_and_never_kill_the_session() {
     }
 
     // The session still works after all those failures.
-    let (resp, _) = session.handle_line(&load_line(&edges, &seeds_path), 8);
+    let (resp, _) = session.handle_line(&load_line(&edges, &seeds_path), 9);
     assert_ok(&resp);
     // Invalid mutations are rejected without corrupting state.
-    let (resp, _) = session.handle_line("{\"cmd\":\"seed\",\"add\":[[999999,0]]}", 9);
+    let (resp, _) = session.handle_line("{\"cmd\":\"seed\",\"add\":[[999999,0]]}", 10);
     assert!(resp.contains("\"ok\":false"));
-    let (resp, _) = session.handle_line("{\"cmd\":\"seed\",\"remove\":[0],\"id\":7}", 10);
+    let (resp, _) = session.handle_line("{\"cmd\":\"seed\",\"remove\":[0],\"id\":7}", 11);
     // node 0 may or may not be labeled; either a success or a clean error is fine,
     // but the id must be echoed.
     assert!(parse(&resp).get("id").is_some());
-    let (resp, _) = session.handle_line("{\"cmd\":\"estimate\",\"method\":\"mce\"}", 11);
+    let (resp, _) = session.handle_line("{\"cmd\":\"estimate\",\"method\":\"mce\"}", 12);
     assert_ok(&resp);
     // An unknown propagator gets the registry's one message, as `fg classify` prints it.
-    let (resp, _) = session.handle_line("{\"cmd\":\"classify\",\"propagator\":\"nope\"}", 12);
+    let (resp, _) = session.handle_line("{\"cmd\":\"classify\",\"propagator\":\"nope\"}", 13);
     assert_eq!(
         parse(&resp).get("error").and_then(Json::as_str),
         Some(
-            "line 12: unknown propagation method 'nope' (expected one of linbp, bp, harmonic, rw)"
+            "line 13: unknown propagation method 'nope' (expected one of linbp, bp, harmonic, rw)"
         )
     );
     std::fs::remove_dir_all(&dir).ok();
@@ -377,6 +385,88 @@ fn concurrent_tcp_clients_share_state_and_get_deterministic_responses() {
     assert!(responses[0].contains("\"ok\":false"));
     assert!(responses[1].contains("pong"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The serving tier's determinism contract under mixed load: clients that each
+/// drive their own dataset through read and mutate cycles concurrently get, byte
+/// for byte, the responses a serial replay of the same streams gets on a fresh
+/// session. The graphs differ per client, so no cache entry is shared and each
+/// client's responses depend on its own request history alone.
+#[test]
+fn concurrent_mutating_clients_match_a_serial_replay() {
+    const CLIENTS: usize = 3;
+    const CYCLES: usize = 2;
+    let mut dirs = Vec::new();
+    let streams: Vec<Vec<String>> = (0..CLIENTS)
+        .map(|index| {
+            let (dir, edges, seeds_path, truth) =
+                dataset_seeded(&format!("mixed_{index}"), 42 + index as u64);
+            let seeded: Vec<usize> = std::fs::read_to_string(&seeds_path)
+                .unwrap()
+                .lines()
+                .map(|line| line.split('\t').next().unwrap().parse().unwrap())
+                .collect();
+            let node = (0..truth.n()).find(|n| !seeded.contains(n)).unwrap();
+            let label = truth.class_of(node);
+            dirs.push(dir);
+            let request = |fields: &str| format!(r#"{{"dataset":"client-{index}",{fields}}}"#);
+            let mut stream = vec![request(&format!(
+                r#""cmd":"load","edges":"{}","labels":"{}","nodes":400,"classes":3"#,
+                edges.display(),
+                seeds_path.display()
+            ))];
+            for _ in 0..CYCLES {
+                stream.extend([
+                    request(r#""cmd":"classify","method":"dcer""#),
+                    request(r#""cmd":"estimate","method":"dcer""#),
+                    request(&format!(r#""cmd":"seed","add":[[{node},{label}]]"#)),
+                    request(r#""cmd":"estimate","method":"dcer""#),
+                    request(&format!(r#""cmd":"seed","remove":[{node}]"#)),
+                ]);
+            }
+            stream
+        })
+        .collect();
+
+    // Reference: one client at a time on a fresh session.
+    let serial =
+        TcpServer::spawn(Arc::new(Session::new(Threads::Serial, None)), "127.0.0.1:0").unwrap();
+    let expected: Vec<Vec<String>> = streams
+        .iter()
+        .map(|stream| send_requests(serial, stream).unwrap())
+        .collect();
+    for responses in &expected {
+        assert_eq!(responses.len(), 1 + 5 * CYCLES);
+        for response in responses {
+            assert_ok(response);
+        }
+    }
+
+    // Concurrent: every client at once, released together, on another fresh session.
+    let addr =
+        TcpServer::spawn(Arc::new(Session::new(Threads::Serial, None)), "127.0.0.1:0").unwrap();
+    let start = std::sync::Barrier::new(CLIENTS);
+    let concurrent: Vec<Vec<String>> = std::thread::scope(|scope| {
+        streams
+            .iter()
+            .map(|stream| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    send_requests(addr, stream).unwrap()
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect()
+    });
+    for (index, (got, want)) in concurrent.iter().zip(&expected).enumerate() {
+        assert_eq!(got, want, "client {index} diverged from the serial replay");
+    }
+    for dir in dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }
 
 /// The locking-model guarantee of the serving tier: warm `classify` requests from

@@ -45,7 +45,7 @@ pub use eigen::{
 };
 pub use error::{Result, SparseError};
 pub use parallel::{
-    map_row_chunks, partition_rows, partition_rows_by_nnz, run_ordered_cells, RowBlocking, Threads,
+    map_row_chunks, partition_rows, partition_rows_by_nnz, run_ordered_cells, Threads,
 };
 pub use spectral::{spectral_radius, spectral_radius_dense, spectral_radius_sparse};
 

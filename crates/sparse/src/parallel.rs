@@ -148,52 +148,6 @@ pub fn partition_rows_by_nnz(indptr: &[usize], parts: usize) -> Vec<Range<usize>
     ranges
 }
 
-/// Row-blocking layout for the dense-RHS SpMM kernels.
-///
-/// [`RowBlocking::ByNnz`] bounds the stored entries processed per block, so on
-/// hub-heavy (power-law) graphs a run of low-degree rows — whose gathered RHS rows
-/// tend to share cache lines — is consumed while those lines are hot, instead of a
-/// single giant row evicting them between neighbors. Rows are never split and blocks
-/// run in row order, so the output is bit-identical to [`RowBlocking::Contiguous`]
-/// at any thread count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RowBlocking {
-    /// One contiguous pass over each worker's row range (the default).
-    #[default]
-    Contiguous,
-    /// Process each worker's range in sub-blocks of roughly this many stored
-    /// entries (at least one row per block; 0 behaves like `Contiguous`).
-    ByNnz(usize),
-}
-
-/// Split `range` into consecutive sub-ranges of roughly `target_nnz` stored entries
-/// each (read off `indptr`), never splitting a row. A degenerate target yields the
-/// whole range as one block.
-fn split_range_by_nnz(
-    indptr: &[usize],
-    range: Range<usize>,
-    target_nnz: usize,
-) -> Vec<Range<usize>> {
-    if range.is_empty() {
-        return Vec::new();
-    }
-    if target_nnz == 0 {
-        return vec![range];
-    }
-    let mut blocks = Vec::new();
-    let mut start = range.start;
-    while start < range.end {
-        let goal = indptr[start] + target_nnz;
-        let mut end = start + 1;
-        while end < range.end && indptr[end + 1] <= goal {
-            end += 1;
-        }
-        blocks.push(start..end);
-        start = end;
-    }
-    blocks
-}
-
 /// Run `f` over disjoint row-chunks of `out` on one scoped thread per range.
 ///
 /// `ranges` must be a contiguous partition of `0..out.len() / row_width` starting at 0
@@ -307,19 +261,6 @@ impl CsrMatrix {
     /// serial kernel: each worker owns a disjoint row range of the output, so no
     /// floating-point accumulation is reordered.
     pub fn spmm_dense_with(&self, dense: &DenseMatrix, threads: Threads) -> Result<DenseMatrix> {
-        self.spmm_dense_blocked(dense, threads, RowBlocking::Contiguous)
-    }
-
-    /// [`CsrMatrix::spmm_dense_with`] with an explicit [`RowBlocking`] layout. The
-    /// blocking only changes the traversal grouping (each row's output is still
-    /// produced by exactly one pass, in row order), so every layout is bit-identical
-    /// to the serial kernel.
-    pub fn spmm_dense_blocked(
-        &self,
-        dense: &DenseMatrix,
-        threads: Threads,
-        blocking: RowBlocking,
-    ) -> Result<DenseMatrix> {
         if self.cols() != dense.rows() {
             return Err(SparseError::DimensionMismatch {
                 op: "csr * dense",
@@ -328,7 +269,7 @@ impl CsrMatrix {
             });
         }
         let mut out = DenseMatrix::zeros(self.rows(), dense.cols());
-        self.spmm_dense_run(dense, threads, blocking, &mut out);
+        self.spmm_dense_run(dense, threads, &mut out);
         Ok(out)
     }
 
@@ -356,20 +297,14 @@ impl CsrMatrix {
                 right: out.shape(),
             });
         }
-        self.spmm_dense_run(dense, threads, RowBlocking::Contiguous, out);
+        self.spmm_dense_run(dense, threads, out);
         Ok(())
     }
 
     /// Shared driver behind the dense-RHS SpMM entry points: split the output rows
-    /// across workers by nnz, then run the (overwriting) row kernel per range —
-    /// optionally in nnz-bounded sub-blocks. Dimensions are already checked.
-    fn spmm_dense_run(
-        &self,
-        dense: &DenseMatrix,
-        threads: Threads,
-        blocking: RowBlocking,
-        out: &mut DenseMatrix,
-    ) {
+    /// across workers by nnz, then run the (overwriting) row kernel per range.
+    /// Dimensions are already checked.
+    fn spmm_dense_run(&self, dense: &DenseMatrix, threads: Threads, out: &mut DenseMatrix) {
         let k = dense.cols();
         let workers = threads.count_for(self.rows());
         let _span = Span::enter_with(
@@ -402,17 +337,7 @@ impl CsrMatrix {
                     ("nnz", (indptr[rows.end] - indptr[rows.start]) as u64),
                 ],
             );
-            match blocking {
-                RowBlocking::Contiguous => self.spmm_dense_rows_into(dense, rows, chunk),
-                RowBlocking::ByNnz(target) => {
-                    let base = rows.start;
-                    for block in split_range_by_nnz(indptr, rows, target) {
-                        let lo = (block.start - base) * k;
-                        let hi = (block.end - base) * k;
-                        self.spmm_dense_rows_into(dense, block, &mut chunk[lo..hi]);
-                    }
-                }
-            }
+            self.spmm_dense_rows_into(dense, rows, chunk);
         });
     }
 
@@ -713,58 +638,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn nnz_row_blocking_is_bit_identical() {
-        let m = hub_heavy_csr(600, 150, 21);
-        let x = random_dense(150, 3, 22);
-        let expected = m.spmm_dense_reference(&x).unwrap();
-        for blocking in [
-            RowBlocking::Contiguous,
-            RowBlocking::ByNnz(0),
-            RowBlocking::ByNnz(1),
-            RowBlocking::ByNnz(64),
-            RowBlocking::ByNnz(usize::MAX / 2),
-        ] {
-            for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(4)] {
-                let got = m.spmm_dense_blocked(&x, threads, blocking).unwrap();
-                assert_eq!(expected.data(), got.data(), "{blocking:?} {threads:?}");
-            }
-        }
-        assert!(m
-            .spmm_dense_blocked(
-                &DenseMatrix::zeros(3, 2),
-                Threads::Serial,
-                RowBlocking::ByNnz(8)
-            )
-            .is_err());
-    }
-
-    #[test]
-    fn split_range_by_nnz_covers_range_without_splitting_rows() {
-        let m = hub_heavy_csr(200, 80, 31);
-        for target in [1usize, 16, 1000] {
-            let blocks = split_range_by_nnz(m.indptr(), 10..180, target);
-            assert_eq!(blocks.first().unwrap().start, 10);
-            assert_eq!(blocks.last().unwrap().end, 180);
-            for w in blocks.windows(2) {
-                assert_eq!(w[0].end, w[1].start);
-            }
-            for b in &blocks {
-                assert!(!b.is_empty());
-                // A block only exceeds the target when a single row does.
-                let nnz = m.indptr()[b.end] - m.indptr()[b.start];
-                assert!(
-                    nnz <= target || b.len() == 1 || {
-                        let last_row = m.indptr()[b.end] - m.indptr()[b.end - 1];
-                        nnz - last_row <= target
-                    }
-                );
-            }
-        }
-        assert!(split_range_by_nnz(m.indptr(), 5..5, 16).is_empty());
-        assert_eq!(split_range_by_nnz(m.indptr(), 0..7, 0), vec![0..7]);
     }
 
     #[test]

@@ -154,6 +154,50 @@ fn spectral_radius_is_computed_once_per_graph() {
     assert_eq!(count, 1, "one Holdout estimate");
 }
 
+/// The disabled tracing path costs what the instrumentation promises: the spans
+/// one traced classify records, each at the measured cost of a `Span::enter`
+/// with no capture active, stay under 2% of an untraced classify's wall-clock.
+/// Both sides of the ratio scale with the host, so the bound holds on any
+/// machine and in any build profile.
+#[test]
+fn disabled_spans_cost_under_two_percent_of_a_classify() {
+    use factorized_graphs::obs::{tracing_enabled, Span};
+    use std::time::Instant;
+
+    const LOOPS: u32 = 20_000;
+    let _guard = OBS_LOCK.lock().unwrap();
+    assert!(!tracing_enabled(), "a capture is active outside the lock");
+    let (graph, seeds) = synthetic(7, 2_000);
+
+    for _ in 0..1_000 {
+        let _span = std::hint::black_box(Span::enter("disabled_probe"));
+    }
+    let start = Instant::now();
+    for _ in 0..LOOPS {
+        let _span = std::hint::black_box(Span::enter("disabled_probe"));
+    }
+    let span_ns = start.elapsed().as_nanos() as f64 / f64::from(LOOPS);
+
+    let spans = classify(&graph, &seeds, true)
+        .trace
+        .expect("traced run carries a trace")
+        .len();
+    assert!(spans > 0, "traced classify captured no spans");
+    let mut untraced_ns: Vec<f64> = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(classify(&graph, &seeds, false));
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    untraced_ns.sort_by(f64::total_cmp);
+    let overhead_pct = spans as f64 * span_ns / untraced_ns[1] * 100.0;
+    assert!(
+        overhead_pct < 2.0,
+        "{spans} disabled spans at {span_ns:.1} ns cost {overhead_pct:.4}% of a classify"
+    );
+}
+
 /// Write a small synthetic dataset to `dir` and return the serve `load` line
 /// plus a labeled/unlabeled node pair for seed mutations.
 fn dataset_on_disk(dir: &Path, seed: u64) -> (String, usize, usize) {
