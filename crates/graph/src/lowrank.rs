@@ -17,6 +17,14 @@
 //! The factor has its own [`LowRankFactor::fingerprint`] derived from
 //! `(graph fingerprint, rank, solver parameters)`, which keys both the
 //! in-memory factor cache and the on-disk `.fgv` store records.
+//!
+//! The fingerprint names the solver's inputs, not its algorithm. When the
+//! eigensolver moved from one-SpMM subspace iteration to Chebyshev-filtered
+//! rounds, the inputs and their defaults stayed as they were, so `.fgv`
+//! records written by the older solver keep their keys and still load. They
+//! meet the same residual bound: both solvers stop only once every pair has
+//! `‖W·v − θ·v‖₂ ≤ tol·|θ₁|` (the older test, `tol·max(|θ|, 1)`, is at least
+//! as strict whenever `|θ₁| ≥ 1`, as on any unweighted graph with an edge).
 
 use crate::error::Result;
 use crate::fingerprint::{Fingerprint, FingerprintBuilder};
@@ -33,9 +41,11 @@ use fg_sparse::{DenseMatrix, SparseError, Threads};
 pub struct FactorConfig {
     /// Number of eigenpairs retained (`1 ..= n`).
     pub rank: usize,
-    /// Subspace-iteration budget.
+    /// Budget of Rayleigh–Ritz rounds; each round but the last also runs a
+    /// Chebyshev filter, so it costs several block products.
     pub max_iter: usize,
-    /// Relative residual tolerance.
+    /// Relative residual tolerance: a pair converges at
+    /// `‖W·v − θ·v‖₂ ≤ tol·|θ₁|`.
     pub tol: f64,
     /// Seed for the deterministic starting block.
     pub seed: u64,
@@ -81,7 +91,7 @@ pub fn factor_fingerprint(graph_fp: Fingerprint, config: &FactorConfig) -> Finge
 
 impl LowRankFactor {
     /// Factorize a graph's adjacency matrix: the `rank` largest-magnitude
-    /// eigenpairs via blocked subspace iteration, then the one-time projection
+    /// eigenpairs via Chebyshev-filtered subspace iteration, then the one-time projection
     /// `G = Vᵀ·(D−I)·V`. All edge-proportional work runs through the
     /// thread-parallel bit-identical kernels, so the factor is byte-identical
     /// at any `threads` setting.
@@ -193,7 +203,7 @@ impl LowRankFactor {
         &self.config
     }
 
-    /// Subspace-iteration rounds the eigensolve used.
+    /// Rayleigh–Ritz rounds the eigensolve used.
     pub fn iterations(&self) -> usize {
         self.iterations
     }
