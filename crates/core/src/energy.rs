@@ -13,8 +13,11 @@
 //!   the graph.
 
 use crate::error::{CoreError, Result};
-use crate::param::{free_to_matrix, num_free_parameters, project_gradient};
-use fg_sparse::DenseMatrix;
+use crate::param::{
+    fill_matrix_from_free, free_to_matrix, num_free_parameters, project_gradient,
+    project_gradient_flat,
+};
+use fg_sparse::{DenseMatrix, SparseError};
 
 /// A differentiable scalar objective over the free parameters of a compatibility matrix.
 pub trait EnergyFunction {
@@ -40,6 +43,9 @@ fn check_dimensions(k: usize, free: &[f64]) -> Result<()> {
             "expected {expected} free parameters for k = {k}, got {}",
             free.len()
         )));
+    }
+    if k == 0 {
+        return Err(CoreError::InvalidConfig("k must be positive".into()));
     }
     Ok(())
 }
@@ -163,13 +169,25 @@ impl DceEnergy {
 
     /// Energy of an explicit matrix (used for diagnostics / tests).
     pub fn value_of_matrix(&self, h: &DenseMatrix) -> Result<f64> {
-        let mut energy = 0.0;
-        let mut power = DenseMatrix::identity(self.k);
-        for (stat, &w) in self.statistics.iter().zip(self.weights.iter()) {
-            power = power.matmul(h)?;
-            energy += w * power.frobenius_distance_sq(stat)?;
+        let k = self.k;
+        // The shape errors the `H^ℓ` chain would raise: `I·H`, then `‖H^ℓ − P̂(ℓ)‖`.
+        if h.rows() != k {
+            return Err(SparseError::DimensionMismatch {
+                op: "dense matmul",
+                left: (k, k),
+                right: h.shape(),
+            }
+            .into());
         }
-        Ok(energy)
+        if h.cols() != k {
+            return Err(SparseError::DimensionMismatch {
+                op: "frobenius distance",
+                left: h.shape(),
+                right: (k, k),
+            }
+            .into());
+        }
+        Ok(dispatch(k, ValueKernel(self, At::Matrix(h.data()))))
     }
 }
 
@@ -180,33 +198,222 @@ impl EnergyFunction for DceEnergy {
 
     fn value(&self, free: &[f64]) -> Result<f64> {
         check_dimensions(self.k, free)?;
-        let h = free_to_matrix(free, self.k)?;
-        self.value_of_matrix(&h)
+        Ok(dispatch(self.k, ValueKernel(self, At::Free(free))))
     }
 
     fn gradient(&self, free: &[f64]) -> Result<Vec<f64>> {
         check_dimensions(self.k, free)?;
-        let h = free_to_matrix(free, self.k)?;
-        let lmax = self.max_length();
-        // Precompute H^0 .. H^(2·ℓmax - 1).
+        Ok(dispatch(self.k, GradientKernel(self, free)))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// DCE kernels on k x k storage
+// ---------------------------------------------------------------------------
+//
+// The DCE value and gradient are chains of k x k products, evaluated thousands of
+// times per DCEr estimate. The kernels below run the same floating-point operations
+// in the same order as the `DenseMatrix` chain (`matmul` with its zero skip,
+// `scaled`, `sub`, `add`, `frobenius_distance_sq`), so every bit of the result is
+// the same, but on fixed-size storage: for the small `k` that `dispatch`
+// specializes, every matrix lives on the stack and every loop bound is a constant.
+
+/// The order of the `k x k` matrices a kernel works on.
+trait Dim: Copy {
+    /// Row-major `k x k` storage.
+    type Mat;
+    /// `k`.
+    fn k(self) -> usize;
+    /// The zero matrix.
+    fn zeros(self) -> Self::Mat;
+    /// The entries, row-major.
+    fn flat(m: &Self::Mat) -> &[f64];
+    /// The entries, row-major, mutably.
+    fn flat_mut(m: &mut Self::Mat) -> &mut [f64];
+}
+
+/// A compile-time order: stack storage, constant loop bounds.
+#[derive(Clone, Copy)]
+struct Const<const K: usize>;
+
+impl<const K: usize> Dim for Const<K> {
+    type Mat = [[f64; K]; K];
+    fn k(self) -> usize {
+        K
+    }
+    fn zeros(self) -> Self::Mat {
+        [[0.0; K]; K]
+    }
+    fn flat(m: &Self::Mat) -> &[f64] {
+        m.as_flattened()
+    }
+    fn flat_mut(m: &mut Self::Mat) -> &mut [f64] {
+        m.as_flattened_mut()
+    }
+}
+
+/// Any other order: heap storage, allocated once per evaluation.
+#[derive(Clone, Copy)]
+struct Dyn(usize);
+
+impl Dim for Dyn {
+    type Mat = Vec<f64>;
+    fn k(self) -> usize {
+        self.0
+    }
+    fn zeros(self) -> Self::Mat {
+        vec![0.0; self.0 * self.0]
+    }
+    fn flat(m: &Self::Mat) -> &[f64] {
+        m
+    }
+    fn flat_mut(m: &mut Self::Mat) -> &mut [f64] {
+        m
+    }
+}
+
+/// A computation generic over the matrix order, run by [`dispatch`].
+trait Kernel {
+    type Output;
+    fn run<D: Dim>(self, d: D) -> Self::Output;
+}
+
+/// The one place that picks a [`Dim`] for `k`.
+fn dispatch<T: Kernel>(k: usize, kernel: T) -> T::Output {
+    match k {
+        2 => kernel.run(Const::<2>),
+        3 => kernel.run(Const::<3>),
+        4 => kernel.run(Const::<4>),
+        5 => kernel.run(Const::<5>),
+        _ => kernel.run(Dyn(k)),
+    }
+}
+
+/// Where an energy is evaluated: at a free-parameter vector, or at an explicit
+/// row-major `k x k` matrix.
+#[derive(Clone, Copy)]
+enum At<'a> {
+    Free(&'a [f64]),
+    Matrix(&'a [f64]),
+}
+
+impl At<'_> {
+    fn load<D: Dim>(self, d: D) -> D::Mat {
+        let mut h = d.zeros();
+        match self {
+            At::Free(free) => fill_matrix_from_free(free, d.k(), D::flat_mut(&mut h)),
+            At::Matrix(m) => D::flat_mut(&mut h).copy_from_slice(m),
+        }
+        h
+    }
+}
+
+/// `out = a·b`, exactly as [`DenseMatrix::matmul`] computes it: each output row
+/// accumulates `a[i][l]·b[l][·]` over `l` in order, starting from zero and skipping
+/// `a[i][l] == 0`.
+fn matmul_into<D: Dim>(d: D, a: &[f64], b: &[f64], out: &mut D::Mat) {
+    let k = d.k();
+    let (a, b, out) = (&a[..k * k], &b[..k * k], &mut D::flat_mut(out)[..k * k]);
+    out.fill(0.0);
+    for i in 0..k {
+        for l in 0..k {
+            let x = a[i * k + l];
+            if x == 0.0 {
+                continue;
+            }
+            for j in 0..k {
+                out[i * k + j] += x * b[l * k + j];
+            }
+        }
+    }
+}
+
+/// `H^0 = I`, built as [`DenseMatrix::identity`] does.
+fn identity<D: Dim>(d: D) -> D::Mat {
+    let mut m = d.zeros();
+    let k = d.k();
+    for i in 0..k {
+        D::flat_mut(&mut m)[i * k + i] = 1.0;
+    }
+    m
+}
+
+/// `Σ_ℓ w_ℓ ‖H^ℓ − P̂(ℓ)‖²`.
+struct ValueKernel<'a>(&'a DceEnergy, At<'a>);
+
+impl Kernel for ValueKernel<'_> {
+    type Output = f64;
+
+    fn run<D: Dim>(self, d: D) -> f64 {
+        let ValueKernel(energy, at) = self;
+        let h = at.load(d);
+        let (mut power, mut next) = (identity(d), d.zeros());
+        let mut value = 0.0;
+        for (stat, &w) in energy.statistics.iter().zip(energy.weights.iter()) {
+            matmul_into(d, D::flat(&power), D::flat(&h), &mut next);
+            std::mem::swap(&mut power, &mut next);
+            let distance: f64 = D::flat(&power)
+                .iter()
+                .zip(stat.data())
+                .map(|(&a, &b)| (a - b) * (a - b))
+                .sum();
+            value += w * distance;
+        }
+        value
+    }
+}
+
+/// The projected gradient of Proposition 4.7:
+/// `G = Σ_ℓ 2 w_ℓ (ℓ H^(2ℓ-1) − Σ_{r=0}^{ℓ-1} H^r P̂(ℓ) H^(ℓ-1-r))`.
+struct GradientKernel<'a>(&'a DceEnergy, &'a [f64]);
+
+impl Kernel for GradientKernel<'_> {
+    type Output = Vec<f64>;
+
+    fn run<D: Dim>(self, d: D) -> Vec<f64> {
+        let GradientKernel(energy, free) = self;
+        let h = At::Free(free).load(d);
+        // H^0 .. H^(2·ℓmax - 1).
+        let lmax = energy.max_length();
         let mut powers = Vec::with_capacity(2 * lmax);
-        powers.push(DenseMatrix::identity(self.k));
+        powers.push(identity(d));
         for p in 1..2 * lmax {
-            let next = powers[p - 1].matmul(&h)?;
+            let mut next = d.zeros();
+            matmul_into(d, D::flat(&powers[p - 1]), D::flat(&h), &mut next);
             powers.push(next);
         }
-        // G = Σ_ℓ 2 w_ℓ (ℓ H^(2ℓ-1) − Σ_{r=0}^{ℓ-1} H^r P̂(ℓ) H^(ℓ-1-r)).
-        let mut g = DenseMatrix::zeros(self.k, self.k);
-        for (idx, (stat, &w)) in self.statistics.iter().zip(self.weights.iter()).enumerate() {
+        let (mut g, mut term, mut left, mut middle) = (d.zeros(), d.zeros(), d.zeros(), d.zeros());
+        for (idx, (stat, &w)) in energy
+            .statistics
+            .iter()
+            .zip(energy.weights.iter())
+            .enumerate()
+        {
             let ell = idx + 1;
-            let mut term = powers[2 * ell - 1].scaled(ell as f64);
-            for r in 0..ell {
-                let middle = powers[r].matmul(stat)?.matmul(&powers[ell - 1 - r])?;
-                term = term.sub(&middle)?;
+            for (t, &p) in D::flat_mut(&mut term)
+                .iter_mut()
+                .zip(D::flat(&powers[2 * ell - 1]))
+            {
+                *t = p * ell as f64;
             }
-            g = g.add(&term.scaled(2.0 * w))?;
+            for r in 0..ell {
+                matmul_into(d, D::flat(&powers[r]), stat.data(), &mut left);
+                matmul_into(
+                    d,
+                    D::flat(&left),
+                    D::flat(&powers[ell - 1 - r]),
+                    &mut middle,
+                );
+                for (t, &m) in D::flat_mut(&mut term).iter_mut().zip(D::flat(&middle)) {
+                    *t -= m;
+                }
+            }
+            let scale = 2.0 * w;
+            for (gv, &t) in D::flat_mut(&mut g).iter_mut().zip(D::flat(&term)) {
+                *gv += t * scale;
+            }
         }
-        project_gradient(&g)
+        project_gradient_flat(D::flat(&g), d.k())
     }
 }
 
@@ -395,6 +602,141 @@ mod tests {
         let energy = DceEnergy::with_lambda(vec![paper_h()], 1.0).unwrap();
         assert!(energy.value(&[0.1]).is_err());
         assert!(energy.gradient(&[0.1, 0.2]).is_err());
+    }
+
+    /// The `DenseMatrix` chain the DCE kernels replaced, kept as their oracle:
+    /// `Σ_ℓ w_ℓ ‖H^ℓ − P̂(ℓ)‖²`.
+    fn reference_value(energy: &DceEnergy, h: &DenseMatrix) -> f64 {
+        let mut value = 0.0;
+        let mut power = DenseMatrix::identity(energy.k);
+        for (stat, &w) in energy.statistics.iter().zip(energy.weights.iter()) {
+            power = power.matmul(h).unwrap();
+            value += w * power.frobenius_distance_sq(stat).unwrap();
+        }
+        value
+    }
+
+    /// The `DenseMatrix` chain for the projected gradient of Proposition 4.7.
+    fn reference_gradient(energy: &DceEnergy, free: &[f64]) -> Vec<f64> {
+        let h = free_to_matrix(free, energy.k).unwrap();
+        let lmax = energy.max_length();
+        let mut powers = vec![DenseMatrix::identity(energy.k)];
+        for p in 1..2 * lmax {
+            let next = powers[p - 1].matmul(&h).unwrap();
+            powers.push(next);
+        }
+        let mut g = DenseMatrix::zeros(energy.k, energy.k);
+        for (idx, (stat, &w)) in energy
+            .statistics
+            .iter()
+            .zip(energy.weights.iter())
+            .enumerate()
+        {
+            let ell = idx + 1;
+            let mut term = powers[2 * ell - 1].scaled(ell as f64);
+            for r in 0..ell {
+                let middle = powers[r]
+                    .matmul(stat)
+                    .unwrap()
+                    .matmul(&powers[ell - 1 - r])
+                    .unwrap();
+                term = term.sub(&middle).unwrap();
+            }
+            g = g.add(&term.scaled(2.0 * w)).unwrap();
+        }
+        project_gradient(&g).unwrap()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A seeded random `k x k` matrix with some exact zeros (including `-0.0`), so
+    /// the products' zero skip is exercised.
+    fn random_matrix(k: usize, rng: &mut rand::rngs::StdRng) -> DenseMatrix {
+        use rand::Rng;
+        let data = (0..k * k)
+            .map(|_| match rng.gen_index(6) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen::<f64>() * 1.5 - 0.25,
+            })
+            .collect();
+        DenseMatrix::from_vec(k, k, data).unwrap()
+    }
+
+    #[test]
+    fn dce_kernels_match_the_dense_chain_bitwise() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xdce);
+        for k in [1usize, 2, 3, 4, 7, 9] {
+            for lmax in [1usize, 3, 5, 8] {
+                let stats: Vec<DenseMatrix> =
+                    (0..lmax).map(|_| random_matrix(k, &mut rng)).collect();
+                let lambda = [0.3, 1.0, 10.0][rng.gen_index(3)];
+                let energy = DceEnergy::with_lambda(stats, lambda).unwrap();
+                for point in 0..12 {
+                    let free: Vec<f64> = (0..num_free_parameters(k))
+                        .map(|p| {
+                            if (point + p) % 5 == 0 {
+                                0.0
+                            } else {
+                                rng.gen::<f64>() * 1.2 - 0.2
+                            }
+                        })
+                        .collect();
+                    let h = free_to_matrix(&free, k).unwrap();
+                    let case = format!("k = {k}, lmax = {lmax}, point {point}");
+                    let value = energy.value(&free).unwrap();
+                    assert_eq!(
+                        value.to_bits(),
+                        reference_value(&energy, &h).to_bits(),
+                        "{case}"
+                    );
+                    assert_eq!(
+                        bits(&energy.gradient(&free).unwrap()),
+                        bits(&reference_gradient(&energy, &free)),
+                        "{case}"
+                    );
+                    // An arbitrary (non-stochastic, zero-laced) matrix as well.
+                    let m = random_matrix(k, &mut rng);
+                    assert_eq!(
+                        energy.value_of_matrix(&m).unwrap().to_bits(),
+                        reference_value(&energy, &m).to_bits(),
+                        "{case}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dce_with_zero_classes_errs_instead_of_evaluating() {
+        let energy = DceEnergy::with_lambda(vec![DenseMatrix::zeros(0, 0)], 1.0).unwrap();
+        let expected = free_to_matrix(&[], 0).unwrap_err().to_string();
+        assert_eq!(energy.value(&[]).unwrap_err().to_string(), expected);
+        assert_eq!(energy.gradient(&[]).unwrap_err().to_string(), expected);
+        assert_eq!(
+            energy.value_of_matrix(&DenseMatrix::zeros(0, 0)).unwrap(),
+            0.0
+        );
+    }
+
+    #[test]
+    fn dce_value_of_matrix_rejects_wrong_shapes() {
+        let energy = DceEnergy::with_lambda(vec![paper_h()], 1.0).unwrap();
+        for shape in [(2, 3), (3, 2), (4, 4)] {
+            let h = DenseMatrix::zeros(shape.0, shape.1);
+            let expected = DenseMatrix::identity(3)
+                .matmul(&h)
+                .and_then(|power| power.frobenius_distance_sq(&paper_h()))
+                .unwrap_err();
+            assert_eq!(
+                energy.value_of_matrix(&h).unwrap_err().to_string(),
+                CoreError::from(expected).to_string(),
+                "{shape:?}"
+            );
+        }
     }
 
     #[test]

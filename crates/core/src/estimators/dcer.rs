@@ -224,6 +224,70 @@ mod tests {
         }
     }
 
+    /// DCEr's winning `H` and energy on fixed generated 2,000-node graphs, pinned
+    /// bit for bit. The values were recorded from the `DenseMatrix`-chain energy, so
+    /// they hold the stack kernels to that chain's exact arithmetic end to end.
+    #[test]
+    fn dcer_winner_is_pinned_bitwise() {
+        let cases: [(usize, u64, f64, u64, &[u64]); 2] = [
+            (
+                3,
+                2020,
+                0.01,
+                0x3f550d27a9a3a0a9,
+                &[
+                    0x3fc17eb3cc5818d3,
+                    0x3fe9bc9555bbc713,
+                    0x3fae3bdb72e32b80,
+                    0x3fe9bc9555bbc713,
+                    0x3fb2ffae125c3b40,
+                    0x3fbf1ba73fc58c28,
+                    0x3fae3bdb72e32b80,
+                    0x3fbf1ba73fc58c28,
+                    0x3fea38cd60d91bc4,
+                ],
+            ),
+            (
+                4,
+                2021,
+                0.02,
+                0x3fa63364c9bbacee,
+                &[
+                    0x3fc19099d253cb02,
+                    0x3fe5a2f1caae39c6,
+                    0x3fce924e01c2a996,
+                    0xbfaababbfb3d6ec0,
+                    0x3fe5a2f1caae39c6,
+                    0x3fc5497fa48b526e,
+                    0xbf9f466b2ff1d4b8,
+                    0x3fc8138696ba0110,
+                    0x3fce924e01c2a996,
+                    0xbf9f466b2ff1d4b8,
+                    0x3fd3747738ba11fd,
+                    0x3fdf36c87963b684,
+                    0xbfaababbfb3d6ec0,
+                    0x3fc8138696ba0110,
+                    0x3fdf36c87963b684,
+                    0x3fd816cbbaa6f6d0,
+                ],
+            ),
+        ];
+        for (k, seed, fraction, energy_bits, h_bits) in cases {
+            let cfg = GeneratorConfig::balanced(2000, 12.0, k, 8.0).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let syn = generate(&cfg, &mut rng).unwrap();
+            let seeds = syn.labeling.stratified_sample(fraction, &mut rng);
+            let summary =
+                summarize(&syn.graph, &seeds, &DceConfig::default().summary_config()).unwrap();
+            let (h, energy) = DceWithRestarts::default()
+                .estimate_from_summary(&summary)
+                .unwrap();
+            assert_eq!(energy.to_bits(), energy_bits, "k = {k}: energy {energy:e}");
+            let got: Vec<u64> = h.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, h_bits, "k = {k}: H {:?}", h.data());
+        }
+    }
+
     #[test]
     fn dcer_is_deterministic_for_fixed_seed() {
         let cfg = GeneratorConfig::balanced(500, 10.0, 3, 5.0).unwrap();

@@ -90,6 +90,8 @@ pub fn minimize<E: EnergyFunction + ?Sized>(
     // smoothed DCE gradient is very small) without thousands of micro-steps.
     let mut step = config.initial_step;
     let max_step = config.initial_step * 64.0;
+    // Line-search probes reuse one buffer; an accepted probe swaps places with `x`.
+    let mut candidate = vec![0.0; x.len()];
     for _ in 0..config.max_iterations {
         let grad = energy.gradient(&x)?;
         let grad_norm = vector::norm2(&grad);
@@ -106,14 +108,16 @@ pub fn minimize<E: EnergyFunction + ?Sized>(
         // Backtracking line search along the negative gradient.
         let mut improved = false;
         while step >= config.min_step {
-            let candidate = vector::axpy(&x, -step, &grad);
+            for ((c, &xi), &gi) in candidate.iter_mut().zip(&x).zip(&grad) {
+                *c = xi + -step * gi;
+            }
             let cand_value = energy.value(&candidate)?;
             evaluations += 1;
             if cand_value.is_finite()
                 && cand_value <= value - config.armijo_c * step * grad_norm * grad_norm
             {
                 let decrease = value - cand_value;
-                x = candidate;
+                std::mem::swap(&mut x, &mut candidate);
                 value = cand_value;
                 improved = true;
                 if decrease <= config.value_tolerance {

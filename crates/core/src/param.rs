@@ -48,28 +48,39 @@ pub fn free_to_matrix(h: &[f64], k: usize) -> Result<DenseMatrix> {
         return Err(CoreError::InvalidConfig("k must be positive".into()));
     }
     let mut m = DenseMatrix::zeros(k, k);
-    // Fill the leading (k-1) x (k-1) block from the parameters (symmetrically).
-    for (&value, &(i, j)) in h.iter().zip(free_parameter_positions(k).iter()) {
-        m.set(i, j, value);
-        m.set(j, i, value);
+    fill_matrix_from_free(h, k, m.data_mut());
+    Ok(m)
+}
+
+/// [`free_to_matrix`] into a row-major `k x k` slice (every entry is written), for
+/// callers that keep their own storage. `h` must hold `k(k-1)/2` values, `k ≥ 1`.
+pub(crate) fn fill_matrix_from_free(h: &[f64], k: usize, m: &mut [f64]) {
+    // Fill the leading (k-1) x (k-1) block from the parameters (symmetrically), in
+    // the order of `free_parameter_positions`.
+    let mut values = h.iter();
+    for i in 0..k - 1 {
+        for j in i..k - 1 {
+            let value = *values.next().expect("k(k-1)/2 free parameters");
+            m[i * k + j] = value;
+            m[j * k + i] = value;
+        }
     }
     if k == 1 {
-        m.set(0, 0, 1.0);
-        return Ok(m);
+        m[0] = 1.0;
+        return;
     }
     let last = k - 1;
     // Last column / row: H_{i,k} = 1 - sum_{l<k} H_{i,l}.
     for i in 0..last {
-        let row_sum: f64 = (0..last).map(|l| m.get(i, l)).sum();
-        m.set(i, last, 1.0 - row_sum);
-        m.set(last, i, 1.0 - row_sum);
+        let row_sum: f64 = (0..last).map(|l| m[i * k + l]).sum();
+        m[i * k + last] = 1.0 - row_sum;
+        m[last * k + i] = 1.0 - row_sum;
     }
     // Bottom-right corner: H_{k,k} = 2 - k + sum_{l,r<k} H_{l,r}.
     let block_sum: f64 = (0..last)
-        .map(|l| (0..last).map(|r| m.get(l, r)).sum::<f64>())
+        .map(|l| (0..last).map(|r| m[l * k + r]).sum::<f64>())
         .sum();
-    m.set(last, last, 2.0 - k as f64 + block_sum);
-    Ok(m)
+    m[last * k + last] = 2.0 - k as f64 + block_sum;
 }
 
 /// Extract the free-parameter vector from a (symmetric doubly-stochastic) matrix — the
@@ -106,26 +117,29 @@ pub fn project_gradient(g: &DenseMatrix) -> Result<Vec<f64>> {
             g.cols()
         )));
     }
-    let k = g.rows();
+    Ok(project_gradient_flat(g.data(), g.rows()))
+}
+
+/// [`project_gradient`] on a row-major `k x k` slice.
+pub(crate) fn project_gradient_flat(g: &[f64], k: usize) -> Vec<f64> {
     if k == 0 {
-        return Ok(Vec::new());
+        return Vec::new();
     }
     let last = k - 1;
+    let at = |i: usize, j: usize| g[i * k + j];
     let mut out = Vec::with_capacity(num_free_parameters(k));
-    for (i, j) in free_parameter_positions(k) {
-        let value = if i == j {
-            g.get(i, i) - g.get(i, last) - g.get(last, i) + g.get(last, last)
-        } else {
-            g.get(i, j) + g.get(j, i)
-                - g.get(i, last)
-                - g.get(last, j)
-                - g.get(j, last)
-                - g.get(last, i)
-                + 2.0 * g.get(last, last)
-        };
-        out.push(value);
+    for i in 0..last {
+        for j in i..last {
+            let value = if i == j {
+                at(i, i) - at(i, last) - at(last, i) + at(last, last)
+            } else {
+                at(i, j) + at(j, i) - at(i, last) - at(last, j) - at(j, last) - at(last, i)
+                    + 2.0 * at(last, last)
+            };
+            out.push(value);
+        }
     }
-    Ok(out)
+    out
 }
 
 /// The uniform starting point: every free parameter equals `1/k` (so the reconstructed

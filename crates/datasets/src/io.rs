@@ -7,6 +7,31 @@
 //!   with `#`-prefixed comment lines (the SNAP convention used by Pokec et al.).
 //! * **Label file** — one `node<TAB>class` pair per line; nodes missing from the file
 //!   are unlabeled.
+//!
+//! # Edge-list grammar
+//!
+//! Lines end at `\n`. Each line is trimmed of Unicode whitespace (so `\r\n` line
+//! ends, leading spaces and NBSP are fine); a line that is then empty or starts with
+//! `#` is skipped. Any other line holds at least two whitespace-separated fields:
+//! the endpoints `u` and `v` (`usize` literals, a leading `+` allowed), then an
+//! optional weight (any `f64` literal: `2`, `-0.5`, `1e-3`; default `1`). Further
+//! fields are ignored. A line is an error, reported with its 1-based line number, if
+//! a field does not parse, if the weight is not finite (`nan`, `inf`), if an
+//! endpoint is not smaller than the node count, or if `u == v`. The first error in
+//! file order wins.
+//!
+//! The parser scans the bytes once. A line of the canonical shape
+//! `digits TAB digits [TAB digits] LF` — fields of at most 15 digits, nothing else
+//! on the line — is converted without tokenizing; 15-digit integers are exact as
+//! `f64`, so the result is the one the general route gives. Every other line
+//! (comments, blank lines, `\r`, spaces, signs, fractional or exponent weights,
+//! long ids, malformed input) takes the general route.
+//!
+//! Copies of one edge, in either orientation, merge into one edge whose weight is
+//! their sum, added in file order; copies that sum to exactly zero leave no edge.
+//! For two copies the order cannot matter. With three or more copies whose
+//! rounded sum depends on the order, file order decides it; earlier versions summed
+//! such copies in an unspecified order, so their last bit can differ.
 
 use fg_graph::{Graph, GraphError, Labeling, Result, SeedLabels};
 use fg_sparse::DenseMatrix;
@@ -22,28 +47,122 @@ fn parse_err(line_no: usize, message: impl Into<String>) -> GraphError {
     }
 }
 
-/// Parse an edge list from a string. Node ids must be zero-based integers smaller than
-/// `n`. Lines that are empty or start with `#` are ignored. Malformed lines are
-/// reported as [`GraphError::Parse`] with their 1-based line number.
+/// Longest digit run the fast path converts: 15 decimal digits stay below 2^53, so
+/// such an integer weight is exact as an `f64`, as `str::parse` would produce it.
+const FAST_MAX_DIGITS: usize = 15;
+
+/// Parse an edge list from a string (the grammar is in the module documentation).
+/// Node ids must be zero-based integers smaller than `n`. Lines that are empty or
+/// start with `#` are ignored. Malformed lines, non-finite weights, out-of-bounds
+/// endpoints and self-loops are reported as [`GraphError::Parse`] with their 1-based
+/// line number; the first such line wins.
 pub fn parse_edge_list(n: usize, content: &str) -> Result<Graph> {
-    let mut edges: Vec<(usize, usize, f64)> = Vec::new();
-    for (line_no, line) in content.lines().enumerate() {
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        let u = parse_node(parts.next(), line_no)?;
-        let v = parse_node(parts.next(), line_no)?;
-        let w = match parts.next() {
-            Some(tok) => tok
-                .parse::<f64>()
-                .map_err(|_| parse_err(line_no, format!("invalid edge weight '{tok}'")))?,
-            None => 1.0,
+    Graph::from_weighted_edges(n, &parse_edges(n, content)?)
+}
+
+/// The edges of an edge list, checked line by line (see [`parse_edge_list`]).
+fn parse_edges(n: usize, content: &str) -> Result<Vec<(usize, usize, f64)>> {
+    let bytes = content.as_bytes();
+    let mut edges: Vec<(usize, usize, f64)> =
+        Vec::with_capacity(bytes.iter().filter(|&&b| b == b'\n').count() + 1);
+    let mut start = 0;
+    let mut line_no = 0;
+    while start < bytes.len() {
+        let (edge, end) = match fast_edge(&bytes[start..]) {
+            Some((edge, len)) => (Some(edge), start + len),
+            None => {
+                let end = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |p| start + p);
+                // `end` is a newline position or the end of the content, so both
+                // ends of the slice are character boundaries.
+                (general_edge(&content[start..end], line_no)?, end)
+            }
         };
-        edges.push((u, v, w));
+        if let Some((u, v, w)) = edge {
+            for node in [u, v] {
+                if node >= n {
+                    return Err(parse_err(
+                        line_no,
+                        format!("node {node} out of bounds for graph with {n} nodes"),
+                    ));
+                }
+            }
+            if u == v {
+                return Err(parse_err(
+                    line_no,
+                    format!("self-loop on node {u} is not allowed"),
+                ));
+            }
+            edges.push((u, v, w));
+        }
+        start = end + 1;
+        line_no += 1;
     }
-    Graph::from_weighted_edges(n, &edges)
+    Ok(edges)
+}
+
+/// The fast path: a line `digits TAB digits [TAB digits]` at the start of `rest`,
+/// ended by a newline or the end of the content, as the edge and the line's length
+/// without its newline; `None` for any other line.
+fn fast_edge(rest: &[u8]) -> Option<((usize, usize, f64), usize)> {
+    let (u, tail) = fast_digits(rest)?;
+    let (v, tail) = fast_digits(tail.strip_prefix(b"\t")?)?;
+    let (w, tail) = match tail {
+        [b'\t', weight @ ..] => {
+            let (w, tail) = fast_digits(weight)?;
+            (w as f64, tail)
+        }
+        _ => (1.0, tail),
+    };
+    if !matches!(tail, [] | [b'\n', ..]) {
+        return None;
+    }
+    let edge = (usize::try_from(u).ok()?, usize::try_from(v).ok()?, w);
+    Some((edge, rest.len() - tail.len()))
+}
+
+/// A leading run of 1 to [`FAST_MAX_DIGITS`] ASCII digits and the bytes after it.
+fn fast_digits(s: &[u8]) -> Option<(u64, &[u8])> {
+    let (mut value, mut len) = (0u64, 0);
+    for &b in s.iter().take(FAST_MAX_DIGITS + 1) {
+        if !b.is_ascii_digit() {
+            break;
+        }
+        value = value * 10 + u64::from(b - b'0');
+        len += 1;
+    }
+    (1..=FAST_MAX_DIGITS)
+        .contains(&len)
+        .then(|| (value, &s[len..]))
+}
+
+/// The general path for one line: `Ok(None)` for blank and comment lines.
+fn general_edge(line: &str, line_no: usize) -> Result<Option<(usize, usize, f64)>> {
+    let trimmed = line.trim();
+    if trimmed.is_empty() || trimmed.starts_with('#') {
+        return Ok(None);
+    }
+    let mut parts = trimmed.split_whitespace();
+    let u = parse_node(parts.next(), line_no)?;
+    let v = parse_node(parts.next(), line_no)?;
+    let w = match parts.next() {
+        Some(tok) => {
+            let w = tok
+                .parse::<f64>()
+                .map_err(|_| parse_err(line_no, format!("invalid edge weight '{tok}'")))?;
+            if !w.is_finite() {
+                return Err(parse_err(
+                    line_no,
+                    format!("non-finite edge weight '{tok}'"),
+                ));
+            }
+            w
+        }
+        None => 1.0,
+    };
+    Ok(Some((u, v, w)))
 }
 
 fn parse_node(token: Option<&str>, line_no: usize) -> Result<usize> {
@@ -102,11 +221,14 @@ pub fn format_labels(labeling: &Labeling) -> String {
     out
 }
 
-/// Read a graph from an edge-list file.
+/// Read a graph from an edge-list file (see [`parse_edge_list`] for the format).
 pub fn read_edge_list(path: &Path, n: usize) -> Result<Graph> {
     let content = fs::read_to_string(path)
         .map_err(|e| GraphError::Io(format!("cannot read {path:?}: {e}")))?;
-    parse_edge_list(n, &content)
+    let edges = parse_edges(n, &content)?;
+    // The text is no longer needed; free it before the CSR arrays are allocated.
+    drop(content);
+    Graph::from_weighted_edges(n, &edges)
 }
 
 /// Write a graph to an edge-list file.
@@ -297,6 +419,62 @@ mod tests {
         assert!(matches!(err, GraphError::Parse { line: 2, .. }), "{err}");
         let err = parse_labels(2, 2, "5\t0\n").unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 1, .. }), "{err}");
+    }
+
+    #[test]
+    fn edge_checks_are_positioned_and_in_file_order() {
+        let err = |n, text| parse_edge_list(n, text).unwrap_err().to_string();
+        // Endpoint bounds and self-loops carry their line, like label-file errors.
+        assert_eq!(
+            err(200, "# header\n0\t1\n5\t200\n"),
+            "parse error at line 3: node 200 out of bounds for graph with 200 nodes"
+        );
+        assert_eq!(
+            err(200, "0\t1\n\n7 7\n"),
+            "parse error at line 3: self-loop on node 7 is not allowed"
+        );
+        // The first offending line wins, whatever kind its error is.
+        assert_eq!(
+            err(3, "0\t3\n0\tx\n"),
+            "parse error at line 1: node 3 out of bounds for graph with 3 nodes"
+        );
+        assert_eq!(
+            err(3, "0\tx\n0\t3\n"),
+            "parse error at line 1: invalid node id 'x'"
+        );
+        // Within a line, the fields parse before the node checks run.
+        assert_eq!(
+            err(3, "9\t9\tbad\n"),
+            "parse error at line 1: invalid edge weight 'bad'"
+        );
+    }
+
+    #[test]
+    fn non_finite_edge_weights_rejected() {
+        for (tok, line) in [("nan", 1), ("inf", 2), ("-infinity", 2), ("1e999", 2)] {
+            let text = if line == 1 {
+                format!("0 1 {tok}\n")
+            } else {
+                format!("0\t1\t2\n1\t2\t{tok}\n")
+            };
+            assert_eq!(
+                parse_edge_list(3, &text).unwrap_err().to_string(),
+                format!("parse error at line {line}: non-finite edge weight '{tok}'")
+            );
+        }
+    }
+
+    #[test]
+    fn fast_and_general_lines_agree() {
+        // The canonical lines take the fast path; the others spell the same edges.
+        let fast = parse_edge_list(4, "0\t1\n1\t2\t3\n000000000000002\t3\t5\n").unwrap();
+        let general =
+            parse_edge_list(4, " 0 1\r\n1\t2\t3.0\n# c\n0000000000000002\t+3\t5e0").unwrap();
+        assert_eq!(fast.fingerprint(), general.fingerprint());
+        assert_eq!(fast.adjacency().get(2, 3), 5.0);
+        // A 16-digit weight is beyond the fast path but still parses.
+        let long = parse_edge_list(2, "0\t1\t1234567890123456\n").unwrap();
+        assert_eq!(long.adjacency().get(1, 0), 1234567890123456.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use crate::error::{GraphError, Result};
 use crate::fingerprint::{Fingerprint, FingerprintBuilder};
-use fg_sparse::{CooMatrix, CsrMatrix};
+use fg_sparse::CsrMatrix;
 use std::sync::OnceLock;
 
 /// An undirected, optionally weighted graph backed by a symmetric CSR adjacency matrix.
@@ -34,9 +34,11 @@ impl Graph {
         )
     }
 
-    /// Build a graph from a weighted undirected edge list.
+    /// Build a graph from a weighted undirected edge list. Edges are checked in
+    /// order: endpoints must be nodes of the graph, self-loops are rejected, and
+    /// weights must be finite. Parallel edges are merged by summing their weights in
+    /// input order; an edge whose copies sum to zero is dropped.
     pub fn from_weighted_edges(n: usize, edges: &[(usize, usize, f64)]) -> Result<Self> {
-        let mut coo = CooMatrix::with_capacity(n, n, edges.len() * 2);
         for &(u, v, w) in edges {
             if u >= n {
                 return Err(GraphError::NodeOutOfBounds { node: u, n });
@@ -49,9 +51,13 @@ impl Graph {
                     "self-loop on node {u} is not allowed"
                 )));
             }
-            coo.push_symmetric(u, v, w)?;
+            if !w.is_finite() {
+                return Err(GraphError::InvalidGeneratorConfig(format!(
+                    "non-finite weight {w} on edge ({u}, {v})"
+                )));
+            }
         }
-        let adjacency = coo.to_csr();
+        let adjacency = CsrMatrix::from_undirected_edges(n, edges);
         let num_edges = adjacency.nnz() / 2;
         Ok(Graph {
             adjacency,
@@ -223,6 +229,28 @@ mod tests {
     fn from_edges_rejects_out_of_bounds() {
         assert!(Graph::from_edges(2, &[(0, 5)]).is_err());
         assert!(Graph::from_edges(2, &[(5, 0)]).is_err());
+        // Either endpoint is checked, edge by edge, before anything is built.
+        let err = Graph::from_weighted_edges(3, &[(0, 1, 1.0), (2, 3, 1.0), (7, 0, 1.0)]);
+        assert_eq!(
+            err.unwrap_err(),
+            GraphError::NodeOutOfBounds { node: 3, n: 3 }
+        );
+        let err = Graph::from_weighted_edges(3, &[(4, 1, 1.0)]);
+        assert_eq!(
+            err.unwrap_err(),
+            GraphError::NodeOutOfBounds { node: 4, n: 3 }
+        );
+    }
+
+    #[test]
+    fn from_weighted_edges_rejects_non_finite_weights() {
+        for w in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = Graph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, w)]).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("invalid generator config: non-finite weight {w} on edge (1, 2)")
+            );
+        }
     }
 
     #[test]

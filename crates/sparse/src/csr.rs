@@ -9,6 +9,36 @@ use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
 use std::ops::Range;
 
+/// A sequence of `(row, col, value)` entries that can be walked more than once.
+trait Entries {
+    fn for_each(&self, f: impl FnMut(usize, usize, f64));
+}
+
+/// Entries given as triplets.
+struct Triplets<'a>(&'a [(usize, usize, f64)]);
+
+impl Entries for Triplets<'_> {
+    fn for_each(&self, mut f: impl FnMut(usize, usize, f64)) {
+        for &(r, c, v) in self.0 {
+            f(r, c, v);
+        }
+    }
+}
+
+/// Undirected edges: `(u, v, w)` and `(v, u, w)`, a self-loop once.
+struct UndirectedEdges<'a>(&'a [(usize, usize, f64)]);
+
+impl Entries for UndirectedEdges<'_> {
+    fn for_each(&self, mut f: impl FnMut(usize, usize, f64)) {
+        for &(u, v, w) in self.0 {
+            f(u, v, w);
+            if u != v {
+                f(v, u, w);
+            }
+        }
+    }
+}
+
 /// Column-block width of the generic dense-RHS SpMM kernel: wide enough to fill a
 /// 512-bit vector lane with f64s, small enough that the accumulator block stays in
 /// registers. `k ≤ SPMM_COL_BLOCK` instead takes a fully monomorphized fast path.
@@ -80,65 +110,99 @@ impl CsrMatrix {
         }
     }
 
-    /// Build from (possibly duplicated, unsorted) triplets, summing duplicates and
-    /// dropping entries that sum to exactly zero.
+    /// Build from (possibly duplicated, unsorted) triplets, summing duplicates in
+    /// input order and dropping entries that sum to exactly zero.
+    ///
+    /// Panics if a row index is not below `rows` or a column index not below `cols`.
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, f64)]) -> Self {
-        // Count entries per row, then turn the counts into per-row scatter cursors
-        // with an in-place exclusive prefix sum: one array serves as both, so no
-        // separate indptr (and no clone of it) is ever built. After the scatter,
-        // `next[r]` is the *end* of row bucket `r`, and each bucket starts where the
-        // previous one ended.
-        let mut next = vec![0usize; rows + 1];
-        for &(r, _, _) in triplets {
-            next[r + 1] += 1;
-        }
+        Self::from_entries(rows, cols, Triplets(triplets))
+    }
+
+    /// Build the symmetric `n x n` matrix holding `(u, v, w)` and `(v, u, w)` for
+    /// every undirected edge (a self-loop `u == v` is stored once). Duplicate edges
+    /// sum in input order and entries that sum to exactly zero are dropped, as in
+    /// [`CsrMatrix::from_triplets`] on the doubled triplet list, without building
+    /// that list. Panics if an endpoint is not smaller than `n`.
+    pub fn from_undirected_edges(n: usize, edges: &[(usize, usize, f64)]) -> Self {
+        Self::from_entries(n, n, UndirectedEdges(edges))
+    }
+
+    /// The one CSR assembly: a counting pass, a prefix sum, a scatter into row
+    /// buckets (each bucket keeps input order), then an in-place compaction. A row
+    /// whose columns are already strictly increasing with no zero value is kept as
+    /// is; any other row is stably sorted by column, its duplicates summed in input
+    /// order and its zero sums dropped.
+    fn from_entries(rows: usize, cols: usize, entries: impl Entries) -> Self {
+        // `indptr[r + 1]` counts row `r`; the exclusive prefix sum then makes
+        // `indptr[r]` row `r`'s scatter cursor, which the scatter advances to the
+        // row's end. Shifting by one afterwards restores the bucket bounds.
+        let mut indptr = vec![0usize; rows + 1];
+        entries.for_each(|r, c, _| {
+            assert!(
+                r < rows && c < cols,
+                "entry ({r}, {c}) out of bounds for a {rows}x{cols} matrix"
+            );
+            indptr[r + 1] += 1;
+        });
         for r in 0..rows {
-            next[r + 1] += next[r];
+            indptr[r + 1] += indptr[r];
         }
-        // Scatter into row buckets.
-        let mut col_buf = vec![0usize; triplets.len()];
-        let mut val_buf = vec![0.0f64; triplets.len()];
-        for &(r, c, v) in triplets {
-            let pos = next[r];
-            col_buf[pos] = c;
-            val_buf[pos] = v;
-            next[r] += 1;
-        }
-        // Sort each row by column and merge duplicates.
-        let mut out_indptr = Vec::with_capacity(rows + 1);
-        let mut out_indices = Vec::with_capacity(triplets.len());
-        let mut out_values = Vec::with_capacity(triplets.len());
-        out_indptr.push(0);
-        let mut row_entries: Vec<(usize, f64)> = Vec::new();
-        let mut bucket_start = 0usize;
-        for &bucket_end in &next[..rows] {
-            row_entries.clear();
-            for idx in bucket_start..bucket_end {
-                row_entries.push((col_buf[idx], val_buf[idx]));
-            }
-            bucket_start = bucket_end;
-            row_entries.sort_unstable_by_key(|&(c, _)| c);
-            let mut i = 0;
-            while i < row_entries.len() {
-                let col = row_entries[i].0;
-                let mut sum = 0.0;
-                while i < row_entries.len() && row_entries[i].0 == col {
-                    sum += row_entries[i].1;
-                    i += 1;
+        let mut indices = vec![0usize; indptr[rows]];
+        let mut values = vec![0.0f64; indptr[rows]];
+        entries.for_each(|r, c, v| {
+            let pos = indptr[r];
+            indices[pos] = c;
+            values[pos] = v;
+            indptr[r] += 1;
+        });
+        indptr.copy_within(0..rows, 1);
+        indptr[0] = 0;
+        // Compact each bucket towards the front; the write cursor never passes the
+        // read position, so the scatter buffers become the output arrays.
+        let mut row: Vec<(usize, f64)> = Vec::new();
+        let (mut out, mut start) = (0usize, 0usize);
+        for r in 0..rows {
+            let end = indptr[r + 1];
+            let clean = indices[start..end].windows(2).all(|p| p[0] < p[1])
+                && values[start..end].iter().all(|&v| v != 0.0);
+            if clean {
+                if out != start {
+                    indices.copy_within(start..end, out);
+                    values.copy_within(start..end, out);
                 }
-                if sum != 0.0 {
-                    out_indices.push(col);
-                    out_values.push(sum);
+                out += end - start;
+            } else {
+                row.clear();
+                row.extend(
+                    indices[start..end]
+                        .iter()
+                        .copied()
+                        .zip(values[start..end].iter().copied()),
+                );
+                row.sort_by_key(|&(c, _)| c);
+                for group in row.chunk_by(|a, b| a.0 == b.0) {
+                    let mut sum = 0.0;
+                    for &(_, v) in group {
+                        sum += v;
+                    }
+                    if sum != 0.0 {
+                        indices[out] = group[0].0;
+                        values[out] = sum;
+                        out += 1;
+                    }
                 }
             }
-            out_indptr.push(out_indices.len());
+            indptr[r + 1] = out;
+            start = end;
         }
+        indices.truncate(out);
+        values.truncate(out);
         CsrMatrix {
             rows,
             cols,
-            indptr: out_indptr,
-            indices: out_indices,
-            values: out_values,
+            indptr,
+            indices,
+            values,
         }
     }
 
@@ -782,6 +846,98 @@ mod tests {
     fn from_triplets_drops_cancelled_entries() {
         let m = CsrMatrix::from_triplets(1, 1, &[(0, 0, 1.0), (0, 0, -1.0)]);
         assert_eq!(m.nnz(), 0);
+    }
+
+    #[test]
+    fn from_triplets_keeps_shape_and_counts() {
+        let m = CsrMatrix::from_triplets(3, 4, &[(0, 1, 1.0), (1, 2, 2.0), (2, 2, 4.0)]);
+        assert_eq!(m.shape(), (3, 4));
+        assert_eq!(m.nnz(), 3);
+        assert_eq!(m.get(2, 2), 4.0);
+        // Empty rows, including trailing ones, still get their indptr slot.
+        let sparse = CsrMatrix::from_triplets(4, 2, &[(1, 0, 1.0)]);
+        assert_eq!(sparse.indptr(), &[0, 0, 1, 1, 1]);
+    }
+
+    #[test]
+    fn from_triplets_sums_duplicates_in_input_order() {
+        let m = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (0, 1, 2.0)]);
+        assert_eq!(m.get(0, 1), 3.0);
+        assert_eq!(m.nnz(), 1);
+        // Three copies whose sum depends on the order: input order is the one used.
+        let (a, b, c) = (3.0, 1e16, -1e16);
+        let in_order = 0.0 + a + b + c;
+        assert_ne!(in_order, 0.0 + b + c + a);
+        let m = CsrMatrix::from_triplets(1, 3, &[(0, 2, a), (0, 0, 5.0), (0, 2, b), (0, 2, c)]);
+        assert_eq!(m.get(0, 2).to_bits(), in_order.to_bits());
+        assert_eq!(m.row(0).0, &[0, 2]);
+    }
+
+    #[test]
+    fn iter_yields_triplets() {
+        let m = CsrMatrix::from_triplets(2, 2, &[(1, 0, -2.0), (0, 0, 1.5)]);
+        assert_eq!(
+            m.iter().collect::<Vec<_>>(),
+            vec![(0, 0, 1.5), (1, 0, -2.0)]
+        );
+    }
+
+    #[test]
+    fn from_undirected_edges_stores_both_directions() {
+        let m = CsrMatrix::from_undirected_edges(3, &[(0, 1, 1.0), (2, 1, 2.0)]);
+        assert_eq!(m.nnz(), 4);
+        assert_eq!(m.get(1, 0), 1.0);
+        assert_eq!(m.get(1, 2), 2.0);
+        assert!(m.is_symmetric(0.0));
+        // A self-loop is stored once.
+        let looped = CsrMatrix::from_undirected_edges(3, &[(0, 1, 1.0), (2, 2, 1.0)]);
+        assert_eq!(looped.nnz(), 3);
+        assert_eq!(looped.get(2, 2), 1.0);
+        // Copies that cancel vanish from both rows.
+        let cancelled = CsrMatrix::from_undirected_edges(2, &[(0, 1, 1.5), (1, 0, -1.5)]);
+        assert_eq!(cancelled.nnz(), 0);
+    }
+
+    #[test]
+    fn from_undirected_edges_matches_doubled_triplets_bitwise() {
+        // Sorted and unsorted rows, duplicates (up to four copies), explicit and
+        // cancelling zeros: the direct build equals the doubled triplet list.
+        let mut state = 7u64;
+        let mut next = move |m: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % m
+        };
+        for n in [1usize, 2, 5, 40] {
+            let mut edges = Vec::new();
+            for _ in 0..3 * n {
+                let u = next(n as u64) as usize;
+                let v = next(n as u64) as usize;
+                let w = match next(5) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 1.0,
+                    _ => (next(2001) as f64 - 1000.0) / 7.0,
+                };
+                for _ in 0..=next(4) {
+                    edges.push((u, v, w));
+                }
+            }
+            let mut doubled = Vec::new();
+            for &(u, v, w) in &edges {
+                doubled.push((u, v, w));
+                if u != v {
+                    doubled.push((v, u, w));
+                }
+            }
+            let direct = CsrMatrix::from_undirected_edges(n, &edges);
+            let reference = CsrMatrix::from_triplets(n, n, &doubled);
+            assert_eq!(direct.indptr(), reference.indptr(), "n = {n}");
+            assert_eq!(direct.indices(), reference.indices(), "n = {n}");
+            let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&direct), bits(&reference), "n = {n}");
+        }
     }
 
     #[test]

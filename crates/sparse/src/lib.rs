@@ -8,10 +8,11 @@
 //! materialize `Wℓ`; instead push the thin `n x k` label matrix through repeated
 //! sparse-times-dense products. This crate provides exactly the kernels needed for that:
 //!
-//! * [`CsrMatrix`] — compressed sparse row adjacency matrices with `O(nnz·k)`
-//!   sparse-times-dense products ([`CsrMatrix::spmm_dense`]), plus the sparse-sparse
-//!   product used only by the unfactorized baseline.
-//! * [`CooMatrix`] — a triplet builder for assembling graphs edge by edge.
+//! * [`CsrMatrix`] — compressed sparse row adjacency matrices, assembled from
+//!   triplets or straight from an undirected edge list
+//!   ([`CsrMatrix::from_undirected_edges`]), with `O(nnz·k)` sparse-times-dense
+//!   products ([`CsrMatrix::spmm_dense`]), plus the sparse-sparse product used only
+//!   by the unfactorized baseline.
 //! * [`DenseMatrix`] — small row-major dense matrices for the `k x k` sketches and the
 //!   `n x k` belief matrices, with the three normalization variants from Section 4.3.
 //! * [`parallel`] — a thread-parallel execution layer for the hot kernels
@@ -27,7 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod coo;
 pub mod csr;
 pub mod dense;
 pub mod eigen;
@@ -36,7 +36,6 @@ pub mod parallel;
 pub mod spectral;
 pub mod vector;
 
-pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use eigen::{
@@ -49,16 +48,52 @@ pub use parallel::{
 };
 pub use spectral::{spectral_radius, spectral_radius_dense, spectral_radius_sparse};
 
+/// Coordinate-list (COO) input: the triplet contract of [`CsrMatrix::from_triplets`].
+#[cfg(test)]
+mod coo {
+    mod tests {
+        use crate::CsrMatrix;
+
+        #[test]
+        fn push_and_count() {
+            let m = CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0), (1, 2, 2.0)]);
+            assert_eq!(m.nnz(), 2);
+            assert_eq!(m.rows(), 3);
+            assert_eq!(m.cols(), 3);
+        }
+
+        /// The panic message of building a 2x2 matrix from `triplets`, if it panics.
+        fn rejection(triplets: &[(usize, usize, f64)]) -> Option<String> {
+            let err =
+                std::panic::catch_unwind(|| CsrMatrix::from_triplets(2, 2, triplets)).err()?;
+            Some(err.downcast_ref::<String>().cloned().unwrap_or_default())
+        }
+
+        #[test]
+        fn push_out_of_bounds_row() {
+            assert_eq!(
+                rejection(&[(0, 1, 1.0), (2, 0, 1.0)]).as_deref(),
+                Some("entry (2, 0) out of bounds for a 2x2 matrix")
+            );
+        }
+
+        #[test]
+        fn push_out_of_bounds_col() {
+            assert_eq!(
+                rejection(&[(0, 2, 1.0)]).as_deref(),
+                Some("entry (0, 2) out of bounds for a 2x2 matrix")
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod integration_tests {
     use super::*;
 
     #[test]
     fn coo_to_csr_to_dense_pipeline() {
-        let mut coo = CooMatrix::new(3, 3);
-        coo.push_symmetric(0, 1, 1.0).unwrap();
-        coo.push_symmetric(1, 2, 2.0).unwrap();
-        let csr = coo.to_csr();
+        let csr = CsrMatrix::from_undirected_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]);
         let dense = csr.to_dense();
         assert_eq!(dense.get(0, 1), 1.0);
         assert_eq!(dense.get(2, 1), 2.0);

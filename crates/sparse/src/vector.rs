@@ -65,15 +65,6 @@ pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
     a.iter().zip(b.iter()).map(|(x, y)| x + y).collect()
 }
 
-/// `a + factor * b` as a new vector (axpy).
-pub fn axpy(a: &[f64], factor: f64, b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b.iter())
-        .map(|(x, y)| x + factor * y)
-        .collect()
-}
-
 /// Scale every entry by `factor`, returning a new vector.
 pub fn scaled(v: &[f64], factor: f64) -> Vec<f64> {
     v.iter().map(|x| x * factor).collect()
@@ -139,7 +130,6 @@ mod tests {
     fn elementwise_ops() {
         assert_eq!(add(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
         assert_eq!(sub(&[1.0, 2.0], &[3.0, 4.0]), vec![-2.0, -2.0]);
-        assert_eq!(axpy(&[1.0, 1.0], 2.0, &[1.0, 2.0]), vec![3.0, 5.0]);
         assert_eq!(scaled(&[1.0, -2.0], -3.0), vec![-3.0, 6.0]);
     }
 

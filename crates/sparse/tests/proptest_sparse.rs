@@ -6,7 +6,7 @@
 //! `rand` shim provides the generator). Coverage is equivalent in spirit: dozens of
 //! random shapes/values per property, reproducible by seed.
 
-use fg_sparse::{CooMatrix, CsrMatrix, DenseMatrix};
+use fg_sparse::{CsrMatrix, DenseMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -182,14 +182,14 @@ fn coo_duplicate_accumulation() {
                 )
             })
             .collect();
-        let mut coo = CooMatrix::new(4, 4);
         let mut reference = DenseMatrix::zeros(4, 4);
         for (r, c, v) in &entries {
-            coo.push(*r, *c, *v).unwrap();
             reference.add_at(*r, *c, *v);
         }
         assert!(
-            coo.to_csr().to_dense().approx_eq(&reference, 1e-9),
+            CsrMatrix::from_triplets(4, 4, &entries)
+                .to_dense()
+                .approx_eq(&reference, 1e-9),
             "seed {seed}"
         );
     }
