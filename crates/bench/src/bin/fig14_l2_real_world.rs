@@ -2,7 +2,7 @@
 //! gold standard on the 8 real-world dataset substitutes, as a function of the label
 //! fraction.
 
-use fg_bench::{l2_vs_sparsity, outcomes_to_table, EstimatorKind};
+use fg_bench::{accuracy_vs_sparsity, outcomes_to_table, EstimatorKind};
 use fg_datasets::{synthesize, DatasetId};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
             instance.graph.num_nodes(),
             instance.graph.num_edges()
         );
-        let outcomes = l2_vs_sparsity(
+        let outcomes = accuracy_vs_sparsity(
             &instance.graph,
             &instance.labeling,
             &fractions,
@@ -40,7 +40,7 @@ fn main() {
             &format!("fig14_l2_{}", id.name().to_lowercase().replace('-', "_")),
             &outcomes,
             &kinds,
-            |o| o.l2_error.unwrap_or(f64::NAN),
+            |o| o.l2_error,
         );
         table.print_and_save();
     }

@@ -24,9 +24,7 @@ fn main() {
     let kinds = [EstimatorKind::Mce, EstimatorKind::Dce, EstimatorKind::Dcer];
     let outcomes = accuracy_vs_sparsity(&syn.graph, &syn.labeling, &fractions, &kinds, 3, 13)
         .expect("sweep succeeds");
-    let table = outcomes_to_table("fig6e_l2_sparsity", &outcomes, &kinds, |o| {
-        o.l2_error.unwrap_or(f64::NAN)
-    });
+    let table = outcomes_to_table("fig6e_l2_sparsity", &outcomes, &kinds, |o| o.l2_error);
     table.print_and_save();
     println!("\nExpected shape (paper Fig. 6e): L2(MCE) >= L2(DCE) >= L2(DCEr) once f");
     println!("drops below a few percent; all three converge for f close to 1.");

@@ -68,14 +68,26 @@ impl ExperimentTable {
         print!("{}", self.to_text());
     }
 
-    /// Render the table as CSV.
+    /// Render the table as CSV. A cell (or header) holding `,`, `"` or a line break
+    /// is quoted, with inner `"` doubled (RFC 4180), so builder names such as
+    /// `Knn(k=10,weighting=heat)` stay one field.
     pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
+        let render_row = |cells: &[String]| {
+            let fields: Vec<String> = cells
+                .iter()
+                .map(|cell| {
+                    if cell.contains([',', '"', '\n', '\r']) {
+                        format!("\"{}\"", cell.replace('"', "\"\""))
+                    } else {
+                        cell.clone()
+                    }
+                })
+                .collect();
+            fields.join(",") + "\n"
+        };
+        let mut out = render_row(&self.headers);
         for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
+            out.push_str(&render_row(row));
         }
         out
     }
@@ -158,6 +170,19 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.starts_with("f,GS,DCEr\n"));
         assert_eq!(csv.lines().count(), 3);
+
+        // Cells and headers holding a comma, quote or line break are quoted
+        // (RFC 4180), so every row keeps the header's field count.
+        let mut quoted = ExperimentTable::new("unit_test_quoted", &["builder", "say \"hi\"", "n"]);
+        quoted.push_row(vec![
+            "Knn(k=10,weighting=heat)".into(),
+            "a \"b\"".into(),
+            "two\nlines".into(),
+        ]);
+        assert_eq!(
+            quoted.to_csv(),
+            "builder,\"say \"\"hi\"\"\",n\n\"Knn(k=10,weighting=heat)\",\"a \"\"b\"\"\",\"two\nlines\"\n"
+        );
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! a configurable set of estimators, plus propagation-backend comparisons. These back
 //! most of the figure binaries (Fig. 3a, 6e, 6i, 6j, 7a–h, 12, 14).
 //!
-//! All sweeps drive the estimation + propagation stages through `fg_core::Pipeline`,
-//! so any estimator × propagator combination can be measured; the propagation backend
-//! defaults to LinBP (the paper's setting) and can be swapped per sweep.
+//! All sweeps drive the estimation + propagation stages through `fg_core::Pipeline`.
+//! Estimator sweeps propagate with LinBP (the paper's setting); the backend sweep
+//! holds `H` at the gold standard and compares propagators by registry name.
 //!
 //! Estimator cells that share a seeded graph also share one `EstimationContext`: the
 //! context is warmed to the largest summary any estimator in the set needs, so the
@@ -20,7 +20,6 @@ use fg_propagation::{PropagatorOptions, PROPAGATORS};
 use fg_sparse::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// The estimator families compared throughout the paper's evaluation.
@@ -162,9 +161,8 @@ pub struct SweepOutcome {
     pub propagator: String,
     /// End-to-end macro accuracy over the unlabeled nodes.
     pub accuracy: f64,
-    /// L2 distance of the estimate from the gold standard; `None` when the
-    /// propagation backend ignores `H` and the estimation stage was skipped.
-    pub l2_error: Option<f64>,
+    /// L2 distance of the estimate from the gold standard.
+    pub l2_error: f64,
     /// Wall-clock time of the estimation step.
     pub estimation_time: Duration,
 }
@@ -180,57 +178,6 @@ pub fn accuracy_vs_sparsity(
     repetitions: usize,
     seed: u64,
 ) -> Result<Vec<SweepOutcome>> {
-    accuracy_vs_sparsity_with(
-        graph,
-        labeling,
-        fractions,
-        kinds,
-        &LinBp::default(),
-        repetitions,
-        seed,
-    )
-}
-
-/// [`accuracy_vs_sparsity`] with an explicit propagation backend, so figure binaries
-/// can sweep estimators under any `Propagator` implementation.
-pub fn accuracy_vs_sparsity_with(
-    graph: &Graph,
-    labeling: &Labeling,
-    fractions: &[f64],
-    kinds: &[EstimatorKind],
-    propagator: &dyn Propagator,
-    repetitions: usize,
-    seed: u64,
-) -> Result<Vec<SweepOutcome>> {
-    accuracy_vs_sparsity_stored(
-        graph,
-        labeling,
-        fractions,
-        kinds,
-        propagator,
-        repetitions,
-        seed,
-        None,
-    )
-}
-
-/// [`accuracy_vs_sparsity_with`] backed by a persistent [`SummaryStore`]: every
-/// `(fraction, repetition)` cell group's context uses the store as a
-/// read-through / write-back tier, so a re-run of the same sweep (same graph, same
-/// `seed` — the per-cell seed sets are derived deterministically from it) answers
-/// every summarization from disk. Outcomes are bit-identical with or without a
-/// store.
-#[allow(clippy::too_many_arguments)]
-pub fn accuracy_vs_sparsity_stored(
-    graph: &Graph,
-    labeling: &Labeling,
-    fractions: &[f64],
-    kinds: &[EstimatorKind],
-    propagator: &dyn Propagator,
-    repetitions: usize,
-    seed: u64,
-    store: Option<&Arc<SummaryStore>>,
-) -> Result<Vec<SweepOutcome>> {
     let gold = measure_compatibilities(graph, labeling)?;
     let estimators = estimator_set(kinds, labeling, &gold);
     let mut outcomes = Vec::new();
@@ -238,36 +185,21 @@ pub fn accuracy_vs_sparsity_stored(
         for rep in 0..repetitions.max(1) {
             let mut rng = StdRng::seed_from_u64(seed ^ ((fi as u64) << 32) ^ rep as u64);
             let seeds = labeling.stratified_sample(fraction, &mut rng);
-            // All estimators in this cell group share one cached graph summary
-            // (unless the backend ignores H, in which case estimation is skipped
-            // entirely and warming would be wasted work).
-            let mut ctx = EstimationContext::new(graph, &seeds);
-            if let Some(store) = store {
-                ctx = ctx.store(Arc::clone(store));
-            }
-            if propagator.uses_compatibilities() {
-                warm_context_for(&ctx, estimators.iter().map(|(_, e)| e.as_ref()))?;
-            }
+            // All estimators in this cell group share one cached graph summary.
+            let ctx = EstimationContext::new(graph, &seeds);
+            warm_context_for(&ctx, estimators.iter().map(|(_, e)| e.as_ref()))?;
             for (kind, estimator) in &estimators {
                 let report = Pipeline::on(graph)
                     .seeds(&seeds)
                     .context(&ctx)
                     .estimator(estimator)
                     .estimator_label(kind.name())
-                    .propagator(propagator)
+                    .propagator(LinBp::default())
                     .run()?;
-                // When the backend ignores H the pipeline skips estimation and the
-                // consumed matrix is a uniform placeholder — there is no estimator
-                // L2 error to report.
-                let l2_error = if propagator.uses_compatibilities() {
-                    Some(report.estimated_h.frobenius_distance(&gold)?)
-                } else {
-                    None
-                };
                 outcomes.push(SweepOutcome {
                     fraction,
                     accuracy: report.accuracy(labeling, &seeds),
-                    l2_error,
+                    l2_error: report.estimated_h.frobenius_distance(&gold)?,
                     estimation_time: report.estimation_time,
                     estimator: report.estimator,
                     propagator: report.propagator,
@@ -276,142 +208,6 @@ pub fn accuracy_vs_sparsity_stored(
         }
     }
     Ok(outcomes)
-}
-
-/// Distribute independent sweep cells across `threads` scoped worker threads via
-/// the shared atomic work queue of
-/// [`fg_sparse::run_ordered_cells`], reassembling the
-/// per-cell results in their original order. Each cell is re-derived from its index
-/// alone (seeded RNGs are rebuilt per cell), so the output is identical to the
-/// serial loop regardless of which worker picks up which cell.
-pub fn run_cells_parallel<T, F>(cell_count: usize, threads: Threads, run_cell: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    fg_sparse::run_ordered_cells(cell_count, threads, run_cell)
-}
-
-/// [`accuracy_vs_sparsity_with`] distributing the independent (fraction × repetition)
-/// cell groups across worker threads. Each group runs its whole estimator comparison
-/// against one shared [`EstimationContext`] — the same summary-sharing the serial
-/// sweep does — and every group reseeds its RNG from its own indices, exactly as the
-/// serial loop does, so the returned outcomes are identical to the serial ones (in
-/// the same order); only the wall-clock timing fields can differ.
-#[allow(clippy::too_many_arguments)]
-pub fn accuracy_vs_sparsity_parallel(
-    graph: &Graph,
-    labeling: &Labeling,
-    fractions: &[f64],
-    kinds: &[EstimatorKind],
-    propagator: &(dyn Propagator + Sync),
-    repetitions: usize,
-    seed: u64,
-    threads: Threads,
-) -> Result<Vec<SweepOutcome>> {
-    accuracy_vs_sparsity_parallel_stored(
-        graph,
-        labeling,
-        fractions,
-        kinds,
-        propagator,
-        repetitions,
-        seed,
-        threads,
-        None,
-    )
-}
-
-/// [`accuracy_vs_sparsity_parallel`] backed by a persistent [`SummaryStore`]
-/// (the parallel counterpart of [`accuracy_vs_sparsity_stored`]): each worker's cell
-/// group reads and writes the shared store, so a repeated sweep over the same
-/// `(graph, seeds)` cells is served from disk no matter which worker owned the cell
-/// on the previous run. Outcomes stay identical to the serial, store-less sweep.
-#[allow(clippy::too_many_arguments)]
-pub fn accuracy_vs_sparsity_parallel_stored(
-    graph: &Graph,
-    labeling: &Labeling,
-    fractions: &[f64],
-    kinds: &[EstimatorKind],
-    propagator: &(dyn Propagator + Sync),
-    repetitions: usize,
-    seed: u64,
-    threads: Threads,
-    store: Option<&Arc<SummaryStore>>,
-) -> Result<Vec<SweepOutcome>> {
-    if threads.count() <= 1 {
-        return accuracy_vs_sparsity_stored(
-            graph,
-            labeling,
-            fractions,
-            kinds,
-            propagator,
-            repetitions,
-            seed,
-            store,
-        );
-    }
-    let gold = measure_compatibilities(graph, labeling)?;
-    let reps = repetitions.max(1);
-    // Group layout mirrors the serial loop nesting: fraction, then repetition; the
-    // estimators of one group run together so they can share a summary.
-    let mut groups = Vec::with_capacity(fractions.len() * reps);
-    for fi in 0..fractions.len() {
-        for rep in 0..reps {
-            groups.push((fi, rep));
-        }
-    }
-    let per_group: Vec<Vec<SweepOutcome>> = run_cells_parallel(groups.len(), threads, |cell| {
-        let (fi, rep) = groups[cell];
-        let fraction = fractions[fi];
-        let mut rng = StdRng::seed_from_u64(seed ^ ((fi as u64) << 32) ^ rep as u64);
-        let seeds = labeling.stratified_sample(fraction, &mut rng);
-        let estimators = estimator_set(kinds, labeling, &gold);
-        let mut ctx = EstimationContext::new(graph, &seeds);
-        if let Some(store) = store {
-            ctx = ctx.store(Arc::clone(store));
-        }
-        if propagator.uses_compatibilities() {
-            warm_context_for(&ctx, estimators.iter().map(|(_, e)| e.as_ref()))?;
-        }
-        let mut outcomes = Vec::with_capacity(estimators.len());
-        for (kind, estimator) in &estimators {
-            let report = Pipeline::on(graph)
-                .seeds(&seeds)
-                .context(&ctx)
-                .estimator(estimator)
-                .estimator_label(kind.name())
-                .propagator(propagator)
-                .run()?;
-            let l2_error = if propagator.uses_compatibilities() {
-                Some(report.estimated_h.frobenius_distance(&gold)?)
-            } else {
-                None
-            };
-            outcomes.push(SweepOutcome {
-                fraction,
-                accuracy: report.accuracy(labeling, &seeds),
-                l2_error,
-                estimation_time: report.estimation_time,
-                estimator: report.estimator,
-                propagator: report.propagator,
-            });
-        }
-        Ok(outcomes)
-    })?;
-    Ok(per_group.into_iter().flatten().collect())
-}
-
-/// Convenience wrapper returning only L2 errors (the Fig. 6e / Fig. 14 metric).
-pub fn l2_vs_sparsity(
-    graph: &Graph,
-    labeling: &Labeling,
-    fractions: &[f64],
-    kinds: &[EstimatorKind],
-    repetitions: usize,
-    seed: u64,
-) -> Result<Vec<SweepOutcome>> {
-    accuracy_vs_sparsity(graph, labeling, fractions, kinds, repetitions, seed)
 }
 
 /// One measured point of a graph-construction sweep.
@@ -571,61 +367,6 @@ pub fn accuracy_vs_backend(
     Ok(outcomes)
 }
 
-/// [`accuracy_vs_backend`] distributing the independent (fraction × repetition ×
-/// backend) sweep cells across worker threads. Identical outcomes to the serial
-/// sweep, in the same order; only the wall-clock timing fields can differ.
-pub fn accuracy_vs_backend_parallel(
-    graph: &Graph,
-    labeling: &Labeling,
-    fractions: &[f64],
-    backends: &[&str],
-    repetitions: usize,
-    seed: u64,
-    threads: Threads,
-) -> Result<Vec<BackendOutcome>> {
-    if threads.count() <= 1 {
-        return accuracy_vs_backend(graph, labeling, fractions, backends, repetitions, seed);
-    }
-    // Resolve every backend name up front so a typo fails before any work runs.
-    for name in backends {
-        PROPAGATORS
-            .entry(name)
-            .map_err(fg_core::CoreError::InvalidConfig)?;
-    }
-    let gold = measure_compatibilities(graph, labeling)?;
-    let reps = repetitions.max(1);
-    let mut cells = Vec::with_capacity(fractions.len() * reps * backends.len());
-    for fi in 0..fractions.len() {
-        for rep in 0..reps {
-            for &backend in backends {
-                cells.push((fi, rep, backend));
-            }
-        }
-    }
-    run_cells_parallel(cells.len(), threads, |cell| {
-        let (fi, rep, backend) = cells[cell];
-        let fraction = fractions[fi];
-        let mut rng = StdRng::seed_from_u64(seed ^ ((fi as u64) << 32) ^ rep as u64);
-        let seeds = labeling.stratified_sample(fraction, &mut rng);
-        let propagator = PROPAGATORS
-            .build(backend, &PropagatorOptions::default())
-            .expect("backend names pre-validated");
-        let report = Pipeline::on(graph)
-            .seeds(&seeds)
-            .compatibilities("GS", &gold)
-            .propagator(propagator)
-            .run()?;
-        Ok(BackendOutcome {
-            fraction,
-            accuracy: report.accuracy(labeling, &seeds),
-            iterations: report.outcome.iterations,
-            converged: report.outcome.converged,
-            propagation_time: report.propagation_time,
-            propagator: report.propagator,
-        })
-    })
-}
-
 /// Aggregate backend-sweep outcomes into a table: one row per fraction, one accuracy
 /// column per backend, averaging over repetitions.
 pub fn backends_to_table(
@@ -694,16 +435,7 @@ pub fn outcomes_to_table(
         for kind in kinds {
             let values: Vec<f64> = outcomes
                 .iter()
-                // Sweeps with a compatibility-free backend record the estimator as
-                // e.g. "MCE (skipped)"; strip the notice so those rows still land
-                // in the right column.
-                .filter(|o| {
-                    let label = o
-                        .estimator
-                        .strip_suffix(" (skipped)")
-                        .unwrap_or(&o.estimator);
-                    o.fraction == f && label == kind.name()
-                })
+                .filter(|o| o.fraction == f && o.estimator == kind.name())
                 .map(metric)
                 .collect();
             let mean = if values.is_empty() {
@@ -737,39 +469,12 @@ mod tests {
         assert_eq!(outcomes.len(), 2 * kinds.len());
         for o in &outcomes {
             assert!(o.accuracy >= 0.0 && o.accuracy <= 1.0);
-            assert!(o.l2_error.unwrap() >= 0.0);
+            assert!(o.l2_error >= 0.0);
             assert_eq!(o.propagator, "LinBP");
         }
         let table = outcomes_to_table("unit_sweep", &outcomes, &kinds, |o| o.accuracy);
         assert_eq!(table.rows.len(), 2);
         assert_eq!(table.headers.len(), 1 + kinds.len());
-    }
-
-    #[test]
-    fn sweep_accepts_any_propagation_backend() {
-        let cfg = GeneratorConfig::balanced(300, 8.0, 3, 3.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let syn = generate(&cfg, &mut rng).unwrap();
-        let kinds = [EstimatorKind::Mce];
-        let outcomes = accuracy_vs_sparsity_with(
-            &syn.graph,
-            &syn.labeling,
-            &[0.2],
-            &kinds,
-            &RandomWalk::default(),
-            1,
-            5,
-        )
-        .unwrap();
-        assert_eq!(outcomes.len(), 1);
-        assert_eq!(outcomes[0].propagator, "RandomWalk");
-        // The estimation stage is skipped for a compatibility-free backend: the
-        // label records it and there is no estimator L2 error.
-        assert_eq!(outcomes[0].estimator, "MCE (skipped)");
-        assert!(outcomes[0].l2_error.is_none());
-        // The "(skipped)" notice must not knock the row out of its table column.
-        let table = outcomes_to_table("unit_skip", &outcomes, &kinds, |o| o.accuracy);
-        assert_ne!(table.rows[0][1], "NaN");
     }
 
     #[test]
@@ -789,130 +494,6 @@ mod tests {
         assert_eq!(table.rows.len(), 2);
         assert_eq!(table.headers, vec!["f", "LinBP", "Harmonic", "RandomWalk"]);
         assert!(accuracy_vs_backend(&syn.graph, &syn.labeling, &[0.1], &["nope"], 1, 1).is_err());
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_exactly() {
-        let cfg = GeneratorConfig::balanced(300, 8.0, 3, 3.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
-        let syn = generate(&cfg, &mut rng).unwrap();
-        let kinds = [EstimatorKind::GoldStandard, EstimatorKind::Mce];
-        let fractions = [0.05, 0.2];
-        let serial =
-            accuracy_vs_sparsity(&syn.graph, &syn.labeling, &fractions, &kinds, 2, 13).unwrap();
-        for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(4)] {
-            let parallel = accuracy_vs_sparsity_parallel(
-                &syn.graph,
-                &syn.labeling,
-                &fractions,
-                &kinds,
-                &LinBp::default(),
-                2,
-                13,
-                threads,
-            )
-            .unwrap();
-            assert_eq!(serial.len(), parallel.len());
-            for (s, p) in serial.iter().zip(&parallel) {
-                assert_eq!(s.fraction, p.fraction, "{threads:?}");
-                assert_eq!(s.estimator, p.estimator, "{threads:?}");
-                assert_eq!(s.propagator, p.propagator, "{threads:?}");
-                assert_eq!(s.accuracy, p.accuracy, "{threads:?}");
-                assert_eq!(s.l2_error, p.l2_error, "{threads:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_backend_sweep_matches_serial_exactly() {
-        let cfg = GeneratorConfig::balanced(250, 8.0, 3, 3.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(29);
-        let syn = generate(&cfg, &mut rng).unwrap();
-        let backends = ["linbp", "harmonic", "rw"];
-        let serial =
-            accuracy_vs_backend(&syn.graph, &syn.labeling, &[0.1, 0.3], &backends, 2, 31).unwrap();
-        let parallel = accuracy_vs_backend_parallel(
-            &syn.graph,
-            &syn.labeling,
-            &[0.1, 0.3],
-            &backends,
-            2,
-            31,
-            Threads::Fixed(4),
-        )
-        .unwrap();
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.fraction, p.fraction);
-            assert_eq!(s.propagator, p.propagator);
-            assert_eq!(s.accuracy, p.accuracy);
-            assert_eq!(s.iterations, p.iterations);
-            assert_eq!(s.converged, p.converged);
-        }
-        // Unknown backends fail up front, before any worker runs.
-        assert!(accuracy_vs_backend_parallel(
-            &syn.graph,
-            &syn.labeling,
-            &[0.1],
-            &["nope"],
-            1,
-            1,
-            Threads::Fixed(2)
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn stored_sweep_is_identical_and_second_run_hits_disk() {
-        let cfg = GeneratorConfig::balanced(300, 8.0, 3, 3.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(51);
-        let syn = generate(&cfg, &mut rng).unwrap();
-        let kinds = [EstimatorKind::Mce, EstimatorKind::Dcer];
-        let fractions = [0.05, 0.2];
-        let dir = std::env::temp_dir().join("fg_sweep_store");
-        std::fs::remove_dir_all(&dir).ok();
-        let store = Arc::new(SummaryStore::open(&dir).unwrap());
-
-        let plain =
-            accuracy_vs_sparsity(&syn.graph, &syn.labeling, &fractions, &kinds, 1, 17).unwrap();
-        for threads in [Threads::Serial, Threads::Fixed(2)] {
-            let stored = accuracy_vs_sparsity_parallel_stored(
-                &syn.graph,
-                &syn.labeling,
-                &fractions,
-                &kinds,
-                &LinBp::default(),
-                1,
-                17,
-                threads,
-                Some(&store),
-            )
-            .unwrap();
-            // Persisting summaries never changes a sweep outcome.
-            assert_eq!(plain.len(), stored.len());
-            for (p, s) in plain.iter().zip(&stored) {
-                assert_eq!(p.estimator, s.estimator, "{threads:?}");
-                assert_eq!(p.accuracy, s.accuracy, "{threads:?}");
-                assert_eq!(p.l2_error, s.l2_error, "{threads:?}");
-            }
-        }
-        // One summary per (fraction, repetition) cell group, plus one persisted
-        // H estimate per content-addressable estimator in each group.
-        let entries = store.entries().unwrap();
-        let count_suffix =
-            |suffix: &str| entries.iter().filter(|e| e.file.ends_with(suffix)).count();
-        assert_eq!(count_suffix(".fgsum"), fractions.len());
-        assert_eq!(count_suffix(".fgh"), fractions.len() * kinds.len());
-        // A repeated sweep cell is served from disk: rebuilding one cell's context
-        // against the store answers its warm-up without any computation.
-        // The first cell's RNG seed: sweep seed 17, fraction index 0, repetition 0.
-        let mut rng = StdRng::seed_from_u64(17);
-        let seeds = syn.labeling.stratified_sample(fractions[0], &mut rng);
-        let ctx = EstimationContext::new(&syn.graph, &seeds).store(Arc::clone(&store));
-        ctx.warm(&SummaryConfig::with_max_length(5)).unwrap();
-        assert_eq!(ctx.summary_computations(), 0);
-        assert_eq!(ctx.store_hits(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -714,8 +714,8 @@ fn parse_age(raw: &str) -> Result<std::time::Duration, String> {
 /// `fg run`: execute every experiment declared in a manifest file (see
 /// `crate::manifest` for the format), printing one report JSON per entry.
 /// `--threads N|auto` distributes independent entries across workers through the
-/// `fg_bench` work queue with one shared summary cache — output is byte-identical
-/// to the serial order.
+/// `fg_sparse::run_ordered_cells` work queue with one shared summary cache — output
+/// is byte-identical to the serial order.
 pub fn cmd_run(args: &ArgMap) -> CommandResult {
     let path = match args.positional().first() {
         Some(positional) => positional.clone(),

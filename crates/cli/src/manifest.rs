@@ -596,8 +596,8 @@ pub fn run_manifest(path: &Path) -> Result<String, String> {
 
 /// Execute every `[[run]]` entry of a manifest file, distributing independent
 /// entries across worker threads through the shared-atomic work queue
-/// (`fg_sparse::run_ordered_cells`, the same queue `fg_bench`'s parallel sweeps
-/// use) when `--threads N|auto` resolves to more than one worker;
+/// (`fg_sparse::run_ordered_cells`, the same queue DCEr's restarts and the
+/// graph builders use) when `--threads N|auto` resolves to more than one worker;
 /// `Threads::Serial` streams entries one at a time (load → run → drop, so peak
 /// memory stays one dataset). Returns one JSON object per line:
 /// `{"name":...,"dataset":...,"report":{<PipelineReport>}}`.

@@ -85,6 +85,12 @@ pub const DEFAULT_DATASET: &str = "default";
 /// How many seed-set engine states each dataset keeps warm by default.
 const DEFAULT_ENGINE_STATES: usize = 4;
 
+/// Every protocol command. Per-command stats keys and metric labels are drawn from
+/// this set; any other `cmd` is recorded as `"unknown"`.
+const COMMANDS: [&str; 8] = [
+    "ping", "load", "unload", "seed", "estimate", "classify", "stats", "shutdown",
+];
+
 /// The engines maintained for one seed-set fingerprint: one slot per counting mode
 /// (index 0 = plain paths, 1 = non-backtracking), created lazily by the first
 /// estimator that needs the mode. An entry in the per-dataset LRU.
@@ -201,7 +207,7 @@ pub struct Session {
     h_store_hits: AtomicUsize,
     /// Monotone recency clock for the per-dataset engine LRUs.
     clock: AtomicU64,
-    commands: Mutex<BTreeMap<String, CommandStat>>,
+    commands: Mutex<BTreeMap<&'static str, CommandStat>>,
     /// The session's metrics registry: per-command latency histograms, lock-wait
     /// histograms, and per-dataset cache/engine counters. Scraped over the
     /// metrics listener (`fg serve --metrics-port`); never consulted by the
@@ -398,15 +404,21 @@ impl Session {
             ),
         };
         let elapsed = start.elapsed();
+        // Stats keys and metric labels come from a fixed set: every unrecognized
+        // name shares one "unknown" entry, so junk commands cannot grow them.
+        let key = COMMANDS
+            .into_iter()
+            .find(|&known| known == cmd)
+            .unwrap_or("unknown");
         {
             let mut commands = self.commands.lock().expect("command stats poisoned");
-            let stat = commands.entry(cmd.clone()).or_default();
+            let stat = commands.entry(key).or_default();
             stat.count += 1;
             if outcome.is_err() {
                 stat.errors += 1;
             }
         }
-        let labels = &[("cmd", cmd.as_str())];
+        let labels = &[("cmd", key)];
         self.metrics
             .counter("fg_requests_total", "Requests handled, by command.", labels)
             .inc();
@@ -1007,7 +1019,7 @@ impl Session {
                     .iter()
                     .map(|(name, stat)| {
                         (
-                            name.clone(),
+                            name.to_string(),
                             Json::obj(vec![
                                 ("count", Json::num(stat.count)),
                                 ("errors", Json::num(stat.errors)),

@@ -313,6 +313,33 @@ fn malformed_requests_get_line_numbered_errors_and_never_kill_the_session() {
             "line 13: unknown propagation method 'nope' (expected one of linbp, bp, harmonic, rw)"
         )
     );
+
+    // Distinct unknown command names share one "unknown" stats entry and one
+    // metric series, so junk requests cannot grow session state.
+    let junk_session = Session::new(Threads::Serial, None);
+    let junk = 200;
+    for i in 0..junk {
+        let (resp, _) = junk_session.handle_line(&format!("{{\"cmd\":\"junk{i}\"}}"), i + 1);
+        assert!(resp.contains("unknown command"), "{resp}");
+    }
+    let scrape = junk_session.metrics().render();
+    for family in [
+        "fg_requests_total",
+        "fg_request_errors_total",
+        "fg_request_seconds_count",
+    ] {
+        let series: Vec<&str> = scrape
+            .lines()
+            .filter(|l| l.starts_with(&format!("{family}{{")))
+            .collect();
+        assert_eq!(series, [format!("{family}{{cmd=\"unknown\"}} {junk}")]);
+    }
+    let (resp, _) = junk_session.handle_line("{\"cmd\":\"stats\"}", junk + 1);
+    let commands = assert_ok(&resp).get("commands").cloned().unwrap();
+    assert_eq!(
+        commands.to_string(),
+        format!("{{\"unknown\":{{\"count\":{junk},\"errors\":{junk}}}}}")
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

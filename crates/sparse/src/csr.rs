@@ -220,28 +220,6 @@ impl CsrMatrix {
         Self::from_triplets(dense.rows(), dense.cols(), &triplets)
     }
 
-    /// Crate-internal constructor for kernels that assemble already-valid CSR arrays
-    /// (e.g. the thread-parallel product in [`crate::parallel`]). Callers guarantee the
-    /// invariants [`CsrMatrix::from_raw`] would check.
-    pub(crate) fn from_parts(
-        rows: usize,
-        cols: usize,
-        indptr: Vec<usize>,
-        indices: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(indptr.len(), rows + 1);
-        debug_assert_eq!(indices.len(), values.len());
-        debug_assert_eq!(*indptr.last().unwrap_or(&0), indices.len());
-        CsrMatrix {
-            rows,
-            cols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
     /// Construct directly from raw CSR arrays. Validates monotone `indptr`, in-bounds
     /// column indices, and matching lengths.
     pub fn from_raw(
@@ -539,19 +517,12 @@ impl CsrMatrix {
                 right: (v.len(), 1),
             });
         }
-        let mut out = vec![0.0; self.rows];
-        self.spmv_rows_into(v, 0..self.rows, &mut out);
-        Ok(out)
-    }
-
-    /// The row kernel behind [`CsrMatrix::spmv`]: write rows `rows` of `self * v` into
-    /// `out`, a buffer holding exactly those output entries. Shared by the serial and
-    /// thread-parallel entry points.
-    pub(crate) fn spmv_rows_into(&self, v: &[f64], rows: Range<usize>, out: &mut [f64]) {
-        for (o, i) in out.iter_mut().zip(rows) {
-            let (cols, vals) = self.row(i);
-            *o = cols.iter().zip(vals.iter()).map(|(&c, &w)| w * v[c]).sum();
-        }
+        Ok((0..self.rows)
+            .map(|i| {
+                let (cols, vals) = self.row(i);
+                cols.iter().zip(vals.iter()).map(|(&c, &w)| w * v[c]).sum()
+            })
+            .collect())
     }
 
     /// Sparse-sparse product `self * other`, returning a sparse result.
@@ -566,37 +537,14 @@ impl CsrMatrix {
                 right: other.shape(),
             });
         }
-        let (row_lens, indices, values) = self.spmm_rows(other, 0..self.rows);
+        // Classic Gustavson's algorithm with a dense per-row accumulator.
         let mut indptr = Vec::with_capacity(self.rows + 1);
         indptr.push(0);
-        for len in row_lens {
-            indptr.push(indptr.last().unwrap() + len);
-        }
-        Ok(CsrMatrix {
-            rows: self.rows,
-            cols: other.cols,
-            indptr,
-            indices,
-            values,
-        })
-    }
-
-    /// The row kernel behind [`CsrMatrix::spmm`] (classic Gustavson's algorithm with a
-    /// dense per-row accumulator): compute rows `rows` of `self * other`, returning the
-    /// per-row entry counts plus the concatenated column indices and values. Shared by
-    /// the serial and thread-parallel entry points; each row is computed independently,
-    /// so per-range results concatenate into exactly the serial output.
-    pub(crate) fn spmm_rows(
-        &self,
-        other: &CsrMatrix,
-        rows: Range<usize>,
-    ) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
-        let mut row_lens = Vec::with_capacity(rows.len());
         let mut indices: Vec<usize> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
         let mut accumulator = vec![0.0f64; other.cols];
         let mut touched: Vec<usize> = Vec::new();
-        for i in rows {
+        for i in 0..self.rows {
             let (cols, vals) = self.row(i);
             for (&c, &w) in cols.iter().zip(vals.iter()) {
                 let (ocols, ovals) = other.row(c);
@@ -608,7 +556,6 @@ impl CsrMatrix {
                 }
             }
             touched.sort_unstable();
-            let before = indices.len();
             for &c in &touched {
                 let v = accumulator[c];
                 if v != 0.0 {
@@ -618,9 +565,15 @@ impl CsrMatrix {
                 accumulator[c] = 0.0;
             }
             touched.clear();
-            row_lens.push(indices.len() - before);
+            indptr.push(indices.len());
         }
-        (row_lens, indices, values)
+        Ok(CsrMatrix {
+            rows: self.rows,
+            cols: other.cols,
+            indptr,
+            indices,
+            values,
+        })
     }
 
     /// Element-wise sum `self + other` (sparse result).

@@ -15,9 +15,10 @@
 //!   by the unfactorized baseline.
 //! * [`DenseMatrix`] — small row-major dense matrices for the `k x k` sketches and the
 //!   `n x k` belief matrices, with the three normalization variants from Section 4.3.
-//! * [`parallel`] — a thread-parallel execution layer for the hot kernels
-//!   (`spmm_dense`, `spmv`, Gustavson `spmm`), hand-rolled on [`std::thread::scope`]
-//!   with a [`Threads`] policy and bit-identical output to the serial paths.
+//! * [`parallel`] — a thread-parallel execution layer for the hot `spmm_dense`
+//!   kernel, hand-rolled on [`std::thread::scope`] with a [`Threads`] policy and
+//!   bit-identical output to the serial path, plus the ordered work queue
+//!   ([`run_ordered_cells`]) for independent per-node, per-restart and per-run cells.
 //! * [`spectral`] — power-iteration spectral-radius estimates used for LinBP's
 //!   convergence scaling (Eq. 2).
 //! * [`eigen`] — a dependency-free symmetric eigensolver (blocked subspace

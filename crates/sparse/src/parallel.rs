@@ -1,9 +1,8 @@
 //! Thread-parallel execution layer for the sparse kernels.
 //!
 //! The paper's estimation algorithm stays `O(m·k·ℓmax)` precisely so it scales to
-//! graphs with millions of edges; on such graphs the three hot kernels —
-//! [`CsrMatrix::spmm_dense`], [`CsrMatrix::spmv`], and the Gustavson product
-//! [`CsrMatrix::spmm`] — dominate the wall clock. This module parallelizes them with
+//! graphs with millions of edges; on such graphs the hot kernel
+//! [`CsrMatrix::spmm_dense`] dominates the wall clock. This module parallelizes it with
 //! hand-rolled [`std::thread::scope`] workers (the build environment has no crates.io
 //! access, so no rayon): the output rows are split into disjoint contiguous ranges,
 //! each thread runs the *same* per-row kernel the serial code uses on its own range,
@@ -340,85 +339,6 @@ impl CsrMatrix {
             self.spmm_dense_rows_into(dense, rows, chunk);
         });
     }
-
-    /// [`CsrMatrix::spmv`] under a [`Threads`] policy. Bit-identical to the serial
-    /// kernel (each output entry is produced by exactly one worker, with the serial
-    /// summation order).
-    pub fn spmv_with(&self, v: &[f64], threads: Threads) -> Result<Vec<f64>> {
-        let workers = threads.count_for(self.rows());
-        if workers <= 1 {
-            return self.spmv(v);
-        }
-        if v.len() != self.cols() {
-            return Err(SparseError::DimensionMismatch {
-                op: "csr * vector",
-                left: self.shape(),
-                right: (v.len(), 1),
-            });
-        }
-        let mut out = vec![0.0; self.rows()];
-        let ranges = partition_rows_by_nnz(self.indptr(), workers);
-        map_row_chunks(&mut out, 1, &ranges, |rows, chunk| {
-            self.spmv_rows_into(v, rows, chunk)
-        });
-        Ok(out)
-    }
-
-    /// [`CsrMatrix::spmm`] (Gustavson) under a [`Threads`] policy. Each worker runs
-    /// the serial per-row kernel on its own row range with its own dense accumulator;
-    /// the per-range outputs concatenate in row order into exactly the serial result.
-    pub fn spmm_with(&self, other: &CsrMatrix, threads: Threads) -> Result<CsrMatrix> {
-        let workers = threads.count_for(self.rows());
-        if workers <= 1 {
-            return self.spmm(other);
-        }
-        if self.cols() != other.rows() {
-            return Err(SparseError::DimensionMismatch {
-                op: "csr * csr",
-                left: self.shape(),
-                right: other.shape(),
-            });
-        }
-        let ranges = partition_rows_by_nnz(self.indptr(), workers);
-        if ranges.len() <= 1 {
-            return self.spmm(other);
-        }
-        // As in `map_row_chunks`: the last range runs inline on the calling thread.
-        let (last, head) = ranges.split_last().expect("at least two ranges");
-        let parts: Vec<(Vec<usize>, Vec<usize>, Vec<f64>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = head
-                .iter()
-                .cloned()
-                .map(|rows| scope.spawn(move || self.spmm_rows(other, rows)))
-                .collect();
-            let last_part = self.spmm_rows(other, last.clone());
-            let mut parts: Vec<_> = handles
-                .into_iter()
-                .map(|h| h.join().expect("parallel spmm worker panicked"))
-                .collect();
-            parts.push(last_part);
-            parts
-        });
-        let total: usize = parts.iter().map(|(_, idx, _)| idx.len()).sum();
-        let mut indptr = Vec::with_capacity(self.rows() + 1);
-        indptr.push(0);
-        let mut indices = Vec::with_capacity(total);
-        let mut values = Vec::with_capacity(total);
-        for (row_lens, part_indices, part_values) in parts {
-            for len in row_lens {
-                indptr.push(indptr.last().unwrap() + len);
-            }
-            indices.extend(part_indices);
-            values.extend(part_values);
-        }
-        Ok(CsrMatrix::from_parts(
-            self.rows(),
-            other.cols(),
-            indptr,
-            indices,
-            values,
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -539,31 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_spmv_is_bit_identical() {
-        let m = random_csr(257, 64, 7);
-        let v = random_dense(1, 64, 8).data().to_vec();
-        let serial = m.spmv(&v).unwrap();
-        for threads in [Threads::Fixed(2), Threads::Fixed(4), Threads::Auto] {
-            assert_eq!(serial, m.spmv_with(&v, threads).unwrap(), "{threads:?}");
-        }
-        assert!(m.spmv_with(&[1.0], Threads::Fixed(4)).is_err());
-    }
-
-    #[test]
-    fn parallel_spmm_is_bit_identical() {
-        let a = random_csr(120, 80, 9);
-        let b = random_csr(80, 60, 10);
-        let serial = a.spmm(&b).unwrap();
-        for threads in [Threads::Fixed(2), Threads::Fixed(4), Threads::Auto] {
-            let parallel = a.spmm_with(&b, threads).unwrap();
-            assert_eq!(serial.indptr(), parallel.indptr(), "{threads:?}");
-            assert_eq!(serial.indices(), parallel.indices(), "{threads:?}");
-            assert_eq!(serial.values(), parallel.values(), "{threads:?}");
-        }
-        assert!(a.spmm_with(&a, Threads::Fixed(2)).is_err());
-    }
-
-    #[test]
     fn parallel_kernels_handle_empty_and_tiny_matrices() {
         let empty = CsrMatrix::zeros(0, 0);
         assert_eq!(
@@ -573,8 +468,6 @@ mod tests {
                 .shape(),
             (0, 3)
         );
-        let one = CsrMatrix::identity(1);
-        assert_eq!(one.spmv_with(&[2.0], Threads::Fixed(8)).unwrap(), vec![2.0]);
         let all_zero = CsrMatrix::zeros(6, 6);
         let x = random_dense(6, 2, 3);
         assert_eq!(

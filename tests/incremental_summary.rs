@@ -203,4 +203,64 @@ fn amortization_counters_prove_delta_updates_beat_full_recomputes() {
         outcome.rows_touched,
         engine.stats().full_rows_per_summarization
     );
+
+    // The fig3b generator at n = 50k (d = 5, k = 3, h = 8, f = 0.01). A mutation's
+    // ℓmax-hop ball (≈ d + d² + … + d⁵ rows) does not grow with n, so here it must
+    // stay within 5% of the n·ℓmax rows one full recomputation touches.
+    let (graph, seeds, truth) = build_case((3, 50_000, 5.0, 3, 8.0, 0.01));
+    // Seed additions at distinct random unlabeled nodes, drawn from seed 17.
+    let additions = |engine: &DeltaSummary, count: usize| -> Vec<SeedMutation> {
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut unlabeled = engine.seeds().unlabeled_nodes();
+        (0..count)
+            .map(|_| {
+                let node = unlabeled.swap_remove(rng.gen_index(unlabeled.len()));
+                SeedMutation::Add {
+                    node,
+                    label: truth.class_of(node),
+                }
+            })
+            .collect()
+    };
+    // (non-backtracking, mutations, mutations per `apply`): a 20-mutation stream in
+    // each counting mode, then one 16-mutation batch.
+    for (non_backtracking, count, per_apply) in [(true, 20, 1), (false, 20, 1), (true, 16, 16)] {
+        let mut engine = DeltaSummary::new(
+            Arc::clone(&graph),
+            seeds.clone(),
+            5,
+            non_backtracking,
+            Threads::Serial,
+        )
+        .unwrap();
+        let full_before = engine.stats().full_summarizations;
+        let mut rows = 0;
+        for chunk in additions(&engine, count).chunks(per_apply) {
+            let outcome = engine.apply(chunk).unwrap();
+            assert_eq!(outcome.full_recomputes, 0, "nb={non_backtracking}");
+            rows += outcome.rows_touched;
+        }
+        assert_eq!(engine.stats().full_summarizations, full_before);
+        let full_rows = engine.stats().full_rows_per_summarization;
+        let ratio = rows as f64 / count as f64 / full_rows as f64;
+        assert!(
+            ratio <= 0.05,
+            "nb={non_backtracking}, {per_apply} per apply: delta rows per mutation are \
+             {ratio:.4} of a full recompute ({full_rows} rows)"
+        );
+        let config = SummaryConfig {
+            max_length: 5,
+            non_backtracking,
+            variant: NormalizationVariant::RowStochastic,
+            ..SummaryConfig::default()
+        };
+        let cold = summarize_with(&graph, engine.seeds(), &config, Threads::Serial).unwrap();
+        for l in 1..=5 {
+            assert_eq!(
+                bits(&engine.counts()[l - 1]),
+                bits(cold.count(l).unwrap()),
+                "nb={non_backtracking}, {per_apply} per apply: length {l}"
+            );
+        }
+    }
 }
