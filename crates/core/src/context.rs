@@ -7,9 +7,9 @@
 //! cache entries are keyed by the [`Fingerprint`]s of the graph and seed set (plus the
 //! counting mode), never by pointer identity, so two independently loaded copies of
 //! the same dataset share one cached summary. An [`EstimationContext`] bundles a
-//! `(graph, seeds)` pair, their fingerprints, and a (possibly shared) [`SummaryCache`]
-//! that computes the raw path counts **once** per `(graph_fp, seed_fp, mode)` key and
-//! answers every subsequent request from the cached prefix:
+//! `(graph, seeds)` pair and a (possibly shared) [`SummaryCache`] that computes the
+//! raw path counts **once** per `(graph_fp, seed_fp, mode)` key and answers every
+//! subsequent request from the cached prefix:
 //!
 //! * counts are normalization-independent, so a cached summary serves *any*
 //!   [`NormalizationVariant`](crate::normalization::NormalizationVariant);
@@ -26,6 +26,13 @@
 //! freshly computed counts are written back so the *next process* on the same dataset
 //! skips summarization entirely. Corrupt or mismatched store files are rejected with a
 //! warning on stderr and recomputed — they can cost time, never correctness.
+//!
+//! Keys cost an `O(n + m)` hash of the graph, so a context pays for them only when
+//! something reads one: a shared cache, an attached store, the low-rank factor
+//! tier, or a caller of [`graph_fingerprint`](EstimationContext::graph_fingerprint).
+//! A context built by [`EstimationContext::new`] owns its cache outright and files
+//! its one pair under a private key instead — the single-run path (`Pipeline::run`
+//! without a store) never hashes the graph.
 //!
 //! Sweeps that evaluate several estimators (MCE, DCE, DCEr, …) on one seeded graph
 //! build a single context, optionally [`warm`](EstimationContext::warm) it to the
@@ -48,8 +55,19 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// The key of one `(graph, seeds)` entry of a [`SummaryCache`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum PairKey {
+    /// Content-addressed by the graph and seed fingerprints.
+    Content(Fingerprint, Fingerprint),
+    /// The one pair of a private context's own cache. No public call can name
+    /// it, so the entry never answers for another pair, even after
+    /// [`EstimationContext::cache`] hands the cache out.
+    Private,
+}
+
 /// The cache's key map: per-key state behind per-key locks.
-type PairMap = HashMap<(Fingerprint, Fingerprint), Arc<Mutex<PairState>>>;
+type PairMap = HashMap<PairKey, Arc<Mutex<PairState>>>;
 
 /// The factor map: one slot per factor fingerprint (which already folds in the
 /// graph fingerprint, rank, and solver parameters), behind per-slot locks so an
@@ -154,15 +172,21 @@ impl SummaryCache {
 
     /// Get-or-insert the per-key state behind its own lock. The outer map lock is
     /// released before the caller locks the pair, so work on distinct keys overlaps.
-    fn pair(&self, key: (Fingerprint, Fingerprint)) -> Arc<Mutex<PairState>> {
+    fn pair(&self, key: PairKey) -> Arc<Mutex<PairState>> {
         let mut state = self.state.lock().expect("summary cache poisoned");
         Arc::clone(state.entry(key).or_default())
     }
 
-    /// Read the per-key state without inserting an entry for absent keys.
-    fn existing_pair(&self, key: (Fingerprint, Fingerprint)) -> Option<Arc<Mutex<PairState>>> {
-        let state = self.state.lock().expect("summary cache poisoned");
-        state.get(&key).map(Arc::clone)
+    /// Read one counter of a key's state without inserting an entry for absent
+    /// keys (which read as zero).
+    fn pair_counter(&self, key: PairKey, counter: fn(&PairState) -> usize) -> usize {
+        let pair = {
+            let state = self.state.lock().expect("summary cache poisoned");
+            state.get(&key).map(Arc::clone)
+        };
+        pair.map_or(0, |pair| {
+            counter(&pair.lock().expect("summary pair poisoned"))
+        })
     }
 
     /// Get-or-insert the per-factor slot behind its own lock (same granularity
@@ -177,17 +201,13 @@ impl SummaryCache {
     /// How many computations this cache has recorded for one key (both counting
     /// modes together). The per-key view of [`computations`](Self::computations).
     pub fn key_computations(&self, graph_fp: Fingerprint, seed_fp: Fingerprint) -> usize {
-        self.existing_pair((graph_fp, seed_fp)).map_or(0, |pair| {
-            pair.lock().expect("summary pair poisoned").computations
-        })
+        self.pair_counter(PairKey::Content(graph_fp, seed_fp), |s| s.computations)
     }
 
     /// How many of one key's requests were answered from a persistent store (the
     /// per-key view of [`store_hits`](Self::store_hits)).
     pub fn key_store_hits(&self, graph_fp: Fingerprint, seed_fp: Fingerprint) -> usize {
-        self.existing_pair((graph_fp, seed_fp)).map_or(0, |pair| {
-            pair.lock().expect("summary pair poisoned").store_hits
-        })
+        self.pair_counter(PairKey::Content(graph_fp, seed_fp), |s| s.store_hits)
     }
 
     /// Insert externally maintained raw counts for a key **without** counting a
@@ -207,7 +227,7 @@ impl SummaryCache {
         if counts.is_empty() {
             return;
         }
-        let pair = self.pair((graph_fp, seed_fp));
+        let pair = self.pair(PairKey::Content(graph_fp, seed_fp));
         let mut state = pair.lock().expect("summary pair poisoned");
         let mode = Self::mode_index(non_backtracking);
         let cached_len = state.counts[mode].as_ref().map_or(0, |c| c.len());
@@ -223,7 +243,7 @@ impl SummaryCache {
     /// `N(1)` is bit-identical to a cold product. An existing entry is kept: the key
     /// is content-addressed, so any correctly published value holds the same bits.
     pub fn publish_wx(&self, graph_fp: Fingerprint, seed_fp: Fingerprint, wx: Arc<DenseMatrix>) {
-        let pair = self.pair((graph_fp, seed_fp));
+        let pair = self.pair(PairKey::Content(graph_fp, seed_fp));
         let mut state = pair.lock().expect("summary pair poisoned");
         if state.wx.is_none() {
             state.wx = Some(wx);
@@ -238,14 +258,13 @@ impl SummaryCache {
     /// ever reappears.
     pub fn remove(&self, graph_fp: Fingerprint, seed_fp: Fingerprint) {
         let mut state = self.state.lock().expect("summary cache poisoned");
-        state.remove(&(graph_fp, seed_fp));
+        state.remove(&PairKey::Content(graph_fp, seed_fp));
     }
 }
 
-/// A `(graph, seeds)` pair bundled with its content [`Fingerprint`]s, a (possibly
-/// shared) [`SummaryCache`], an optional persistent [`SummaryStore`] tier, and a
-/// [`Threads`] policy — the single source of path statistics for every estimator in a
-/// comparison run.
+/// A `(graph, seeds)` pair bundled with a (possibly shared) [`SummaryCache`], an
+/// optional persistent [`SummaryStore`] tier, and a [`Threads`] policy — the single
+/// source of path statistics for every estimator in a comparison run.
 ///
 /// See the [module docs](self) for the caching contract. All cached, shared, and
 /// persisted artifacts are bit-identical to their uncached serial counterparts
@@ -254,8 +273,9 @@ impl SummaryCache {
 pub struct EstimationContext<'a> {
     graph: &'a Graph,
     seeds: &'a SeedLabels,
-    graph_fp: Fingerprint,
-    seed_fp: Fingerprint,
+    /// Whether `cache` was built by [`new`](Self::new) for this pair alone: its
+    /// entry then sits under [`PairKey::Private`] and finding it hashes nothing.
+    private: bool,
     threads: Threads,
     cache: Arc<SummaryCache>,
     store: Option<Arc<SummaryStore>>,
@@ -263,20 +283,26 @@ pub struct EstimationContext<'a> {
 
 impl<'a> EstimationContext<'a> {
     /// Create a context over the given graph and seed labels with a private cache
-    /// (serial summarization).
+    /// (serial summarization). The cache holds this one pair under a key of its
+    /// own, so the context fingerprints nothing unless a store, a low-rank factor
+    /// or a caller of [`graph_fingerprint`](Self::graph_fingerprint) asks for a
+    /// content key.
     pub fn new(graph: &'a Graph, seeds: &'a SeedLabels) -> Self {
-        Self::with_cache(graph, seeds, SummaryCache::shared())
+        EstimationContext {
+            private: true,
+            ..Self::with_cache(graph, seeds, SummaryCache::shared())
+        }
     }
 
     /// Create a context that answers requests from (and contributes to) a shared
     /// [`SummaryCache`]. Because entries are keyed by fingerprint, contexts built on
-    /// independently loaded copies of the same dataset share one summary.
+    /// independently loaded copies of the same dataset share one summary. The
+    /// fingerprints are computed on the first cache access, not here.
     pub fn with_cache(graph: &'a Graph, seeds: &'a SeedLabels, cache: Arc<SummaryCache>) -> Self {
         EstimationContext {
             graph,
             seeds,
-            graph_fp: graph.fingerprint(),
-            seed_fp: seeds.fingerprint(),
+            private: false,
             threads: Threads::Serial,
             cache,
             store: None,
@@ -311,14 +337,24 @@ impl<'a> EstimationContext<'a> {
         self.seeds
     }
 
-    /// The content fingerprint of the graph (the first half of the cache key).
+    /// The content fingerprint of the graph (the first half of a content key),
+    /// hashed on the graph's first call and memoized on it.
     pub fn graph_fingerprint(&self) -> Fingerprint {
-        self.graph_fp
+        self.graph.fingerprint()
     }
 
-    /// The content fingerprint of the seed set (the second half of the cache key).
+    /// The content fingerprint of the seed set (the second half of a content key).
     pub fn seed_fingerprint(&self) -> Fingerprint {
-        self.seed_fp
+        self.seeds.fingerprint()
+    }
+
+    /// This pair's entry in the cache.
+    fn key(&self) -> PairKey {
+        if self.private {
+            PairKey::Private
+        } else {
+            PairKey::Content(self.graph_fingerprint(), self.seed_fingerprint())
+        }
     }
 
     /// The thread policy used for summarization kernels.
@@ -347,7 +383,7 @@ impl<'a> EstimationContext<'a> {
     /// total), which keeps per-run reports deterministic when independent runs share
     /// one cache concurrently.
     pub fn summary_computations(&self) -> usize {
-        self.cache.key_computations(self.graph_fp, self.seed_fp)
+        self.cache.pair_counter(self.key(), |s| s.computations)
     }
 
     /// How many summary requests for this context's key were served from the
@@ -355,7 +391,7 @@ impl<'a> EstimationContext<'a> {
     /// sharing the cache and key; see [`SummaryCache::store_hits`] for the cache-wide
     /// total).
     pub fn store_hits(&self) -> usize {
-        self.cache.key_store_hits(self.graph_fp, self.seed_fp)
+        self.cache.pair_counter(self.key(), |s| s.store_hits)
     }
 
     /// The graph summary for `config`, served from the in-memory cache when a
@@ -391,7 +427,7 @@ impl<'a> EstimationContext<'a> {
     /// then compute-and-persist.
     fn exact_counts(&self, config: &SummaryConfig) -> Result<Vec<DenseMatrix>> {
         let mode = SummaryCache::mode_index(config.non_backtracking);
-        let pair = self.cache.pair((self.graph_fp, self.seed_fp));
+        let pair = self.cache.pair(self.key());
         let mut entry = pair.lock().expect("summary pair poisoned");
         let cached_len = entry.counts[mode].as_ref().map_or(0, |c| c.len());
         if cached_len < config.max_length {
@@ -436,9 +472,9 @@ impl<'a> EstimationContext<'a> {
         config: &SummaryConfig,
         factor_config: &FactorConfig,
     ) -> Result<Vec<DenseMatrix>> {
-        let factor_fp = factor_fingerprint(self.graph_fp, factor_config);
+        let factor_fp = factor_fingerprint(self.graph_fingerprint(), factor_config);
         let key = (factor_fp, config.non_backtracking);
-        let pair = self.cache.pair((self.graph_fp, self.seed_fp));
+        let pair = self.cache.pair(self.key());
         let mut entry = pair.lock().expect("summary pair poisoned");
         let cached_len = entry.lowrank_counts.get(&key).map_or(0, |c| c.len());
         if cached_len < config.max_length {
@@ -470,16 +506,17 @@ impl<'a> EstimationContext<'a> {
     /// (if attached), and computed — cached and persisted — otherwise. The
     /// expensive eigensolve therefore runs **once** per
     /// `(graph, rank, solver params)` across every context sharing the cache,
-    /// and not at all when a prior process left a `.fgv` entry behind.
+    /// and not at all when a prior process left a `.fgv` entry behind. Factors are
+    /// always keyed by content: a factor records its graph's fingerprint.
     pub fn factor(&self, factor_config: &FactorConfig) -> Result<Arc<LowRankFactor>> {
-        let factor_fp = factor_fingerprint(self.graph_fp, factor_config);
+        let factor_fp = factor_fingerprint(self.graph_fingerprint(), factor_config);
         let slot = self.cache.factor_slot(factor_fp);
         let mut guard = slot.lock().expect("factor slot poisoned");
         if let Some(factor) = guard.as_ref() {
             return Ok(Arc::clone(factor));
         }
         if let Some(store) = &self.store {
-            match store.load(&FactorKey(self.graph_fp, *factor_config)) {
+            match store.load(&FactorKey(self.graph_fingerprint(), *factor_config)) {
                 Ok(Some(factor)) => {
                     self.cache.factor_store_hits.fetch_add(1, Ordering::Relaxed);
                     let factor = Arc::new(factor);
@@ -512,7 +549,11 @@ impl<'a> EstimationContext<'a> {
     /// caller records the hit in the per-key and cache-wide counters.
     fn load_from_store(&self, config: &SummaryConfig) -> Option<Vec<DenseMatrix>> {
         let store = self.store.as_ref()?;
-        let key = SummaryKey(self.graph_fp, self.seed_fp, config.non_backtracking);
+        let key = SummaryKey(
+            self.graph_fingerprint(),
+            self.seed_fingerprint(),
+            config.non_backtracking,
+        );
         match store.load(&key) {
             Ok(Some(counts))
                 if counts[0].rows() == self.seeds.k() && counts.len() >= config.max_length =>
@@ -534,7 +575,11 @@ impl<'a> EstimationContext<'a> {
     /// are otherwise ignored — the result is already in memory).
     fn write_back(&self, config: &SummaryConfig, counts: &[DenseMatrix]) {
         if let Some(store) = &self.store {
-            let key = SummaryKey(self.graph_fp, self.seed_fp, config.non_backtracking);
+            let key = SummaryKey(
+                self.graph_fingerprint(),
+                self.seed_fingerprint(),
+                config.non_backtracking,
+            );
             if let Err(e) = store.save(&key, counts) {
                 eprintln!("warning: could not persist summary: {e}");
             }
@@ -556,7 +601,7 @@ impl<'a> EstimationContext<'a> {
     /// behind an `Arc` so cache hits share the stored matrix instead of copying it;
     /// callers that need ownership clone the matrix outside the cache lock.
     pub fn wx(&self) -> Result<Arc<DenseMatrix>> {
-        let pair = self.cache.pair((self.graph_fp, self.seed_fp));
+        let pair = self.cache.pair(self.key());
         let mut entry = pair.lock().expect("summary pair poisoned");
         if entry.wx.is_none() {
             let x = self.seeds.to_matrix();
@@ -744,6 +789,49 @@ mod tests {
         ctx_other.warm(&config).unwrap();
         assert_eq!(cache.computations(), 2);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn private_cache_never_answers_for_another_pair() {
+        let (graph, seeds) = seeded_graph();
+        let config = SummaryConfig::with_max_length(3);
+        let ctx = EstimationContext::new(&graph, &seeds);
+        let first = ctx.summary(&config).unwrap();
+        let cache = Arc::clone(ctx.cache());
+        assert_eq!(cache.len(), 1);
+        // The private entry has no content key for anyone to look up.
+        assert_eq!(
+            cache.key_computations(graph.fingerprint(), seeds.fingerprint()),
+            0
+        );
+
+        // Another seed set on the same graph, through the handed-out cache, gets
+        // its own counts — bit-identical to a fresh summarize, not the first pair's.
+        let mut rng = StdRng::seed_from_u64(31);
+        let cfg = GeneratorConfig::balanced(400, 10.0, 3, 3.0).unwrap();
+        let other_seeds = generate(&cfg, &mut StdRng::seed_from_u64(7))
+            .unwrap()
+            .labeling
+            .stratified_sample(0.3, &mut rng);
+        let other = EstimationContext::with_cache(&graph, &other_seeds, Arc::clone(&cache));
+        let second = other.summary(&config).unwrap();
+        let fresh = summarize(&graph, &other_seeds, &config).unwrap();
+        assert_ne!(
+            first.count(1).unwrap().data(),
+            second.count(1).unwrap().data()
+        );
+        for l in 1..=3 {
+            assert_eq!(
+                second.count(l).unwrap().data(),
+                fresh.count(l).unwrap().data()
+            );
+        }
+        assert_eq!(cache.computations(), 2);
+        assert_eq!(ctx.summary_computations(), 1);
+        assert_eq!(other.summary_computations(), 1);
+        // The private context keeps answering from its own entry.
+        ctx.warm(&config).unwrap();
+        assert_eq!(cache.computations(), 2);
     }
 
     #[test]

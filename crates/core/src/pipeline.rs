@@ -492,19 +492,22 @@ impl<'a> Pipeline<'a> {
                     // The persistent store keys estimated matrices by the canonical
                     // (un-overridden) estimator name; a hit skips both halves of the
                     // estimation stage with a bit-identical H. Non-content-addressable
-                    // estimators (gold standard, heuristic) never touch the store.
+                    // estimators (gold standard, heuristic) never touch the store,
+                    // and without a store nothing reads the key, so nothing hashes.
+                    let canonical_name = estimator.name();
                     let h_store = ctx
                         .summary_store()
                         .filter(|_| estimator.content_addressable())
-                        .map(Arc::clone);
-                    let canonical_name = estimator.name();
-                    let store_key = EstimateKey(
-                        ctx.graph_fingerprint(),
-                        ctx.seed_fingerprint(),
-                        &canonical_name,
-                    );
-                    let stored_h = h_store.as_ref().and_then(|store| {
-                        match store.load(&store_key) {
+                        .map(|store| {
+                            let key = EstimateKey(
+                                ctx.graph_fingerprint(),
+                                ctx.seed_fingerprint(),
+                                &canonical_name,
+                            );
+                            (Arc::clone(store), key)
+                        });
+                    let stored_h = h_store.as_ref().and_then(|(store, key)| {
+                        match store.load(key) {
                             Ok(found) => found,
                             Err(e) => {
                                 // Loud-rejection policy: warn, re-estimate, overwrite.
@@ -532,9 +535,9 @@ impl<'a> Pipeline<'a> {
                         let optimize_time = optimize_start.elapsed();
                         drop(optimize_span);
                         drop(estimate_span);
-                        if let Some(store) = &h_store {
+                        if let Some((store, key)) = &h_store {
                             // Best effort: a full disk never costs correctness.
-                            if let Err(e) = store.save(&store_key, &h) {
+                            if let Err(e) = store.save(key, &h) {
                                 eprintln!("warning: cannot persist the estimate: {e}");
                             }
                         }

@@ -6,7 +6,7 @@
 
 use crate::error::{GraphError, Result};
 use crate::fingerprint::{Fingerprint, FingerprintBuilder};
-use fg_sparse::CsrMatrix;
+use fg_sparse::{CsrMatrix, Span};
 use std::sync::OnceLock;
 
 /// An undirected, optionally weighted graph backed by a symmetric CSR adjacency matrix.
@@ -18,8 +18,8 @@ pub struct Graph {
     /// value along with the graph is always valid; the graph is immutable after
     /// construction.
     fingerprint: OnceLock<Fingerprint>,
-    /// Lazily computed `ρ(W)`, memoized like the fingerprint. The power
-    /// iteration's outcome is kept whole, so an error would recur exactly as the
+    /// Lazily computed `ρ(W)`, memoized like the fingerprint. The Lanczos
+    /// estimate's outcome is kept whole, so an error would recur exactly as the
     /// computation would repeat it.
     spectral_radius: OnceLock<fg_sparse::Result<f64>>,
 }
@@ -162,13 +162,13 @@ impl Graph {
 
     /// Estimated spectral radius of `W` (needed for LinBP's scaling factor, Eq. 2).
     ///
-    /// Computed by [`fg_sparse::spectral_radius`] on first use, never at
-    /// construction, and memoized: every later call on this graph or on a clone
-    /// made after the first call returns the bit-identical value without another
-    /// power iteration. The graph is immutable, so the value can never go stale.
+    /// Computed by [`fg_sparse::spectral_radius_sparse`] (Lanczos) on first use,
+    /// never at construction, and memoized: every later call on this graph or on a
+    /// clone made after the first call returns the bit-identical value without
+    /// another SpMV. The graph is immutable, so the value can never go stale.
     pub fn spectral_radius(&self) -> Result<f64> {
         self.spectral_radius
-            .get_or_init(|| fg_sparse::spectral_radius(&self.adjacency))
+            .get_or_init(|| fg_sparse::spectral_radius_sparse(&self.adjacency))
             .clone()
             .map_err(GraphError::Sparse)
     }
@@ -188,9 +188,14 @@ impl Graph {
     /// any structural difference — an extra edge, a changed weight, a different node
     /// count — produces a different one (up to 128-bit hash collisions). Computed in
     /// `O(n + m)` on first use and memoized; the graph is immutable after
-    /// construction, so the cached value can never go stale.
+    /// construction, so the cached value can never go stale. The first call records
+    /// a `fingerprint` span whose `bytes` arg is the length of the hashed stream, so
+    /// a trace shows who paid for a key.
     pub fn fingerprint(&self) -> Fingerprint {
         *self.fingerprint.get_or_init(|| {
+            // Shape, offsets, indices and weights, one 8-byte word each.
+            let words = 2 + self.adjacency.indptr().len() + 2 * self.adjacency.nnz();
+            let _span = Span::enter_with("fingerprint", &[("bytes", 8 * words as u64)]);
             let mut h = FingerprintBuilder::new(b"fg-graph-csr-v1");
             h.write_usize(self.adjacency.rows());
             h.write_usize(self.adjacency.cols());
@@ -211,6 +216,36 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::{generate, GeneratorConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::Mutex;
+
+    /// Trace captures are process-global, so the tests that arm one serialize.
+    static CAPTURE: Mutex<()> = Mutex::new(());
+
+    /// The args of every `name` span `work` records on this thread.
+    fn span_args(name: &str, work: impl FnOnce()) -> Vec<Vec<(&'static str, u64)>> {
+        let _guard = CAPTURE.lock().unwrap();
+        fg_obs::start_capture();
+        {
+            let _probe = Span::enter("probe");
+            work();
+        }
+        let trace = fg_obs::finish_capture();
+        let tid = trace
+            .records
+            .iter()
+            .find(|r| r.name == "probe")
+            .unwrap()
+            .tid;
+        trace
+            .records
+            .into_iter()
+            .filter(|r| r.tid == tid && r.name == name)
+            .map(|r| r.args)
+            .collect()
+    }
 
     fn triangle_plus_pendant() -> Graph {
         // Triangle 0-1-2 plus pendant node 3 attached to node 2.
@@ -314,16 +349,40 @@ mod tests {
     }
 
     #[test]
-    fn memoized_spectral_radius_is_bit_identical_to_the_power_iteration() {
+    fn memoized_spectral_radius_is_bit_identical_to_the_lanczos_estimate() {
         let g = triangle_plus_pendant();
-        let direct = fg_sparse::spectral_radius(g.adjacency()).unwrap().to_bits();
+        let direct = fg_sparse::spectral_radius_sparse(g.adjacency())
+            .unwrap()
+            .to_bits();
         // Repeated calls, a clone taken after the memo is filled, and an
         // independently built copy (cold memo) all agree to the bit.
-        assert_eq!(g.spectral_radius().unwrap().to_bits(), direct);
-        assert_eq!(g.spectral_radius().unwrap().to_bits(), direct);
-        assert_eq!(g.clone().spectral_radius().unwrap().to_bits(), direct);
+        let estimates = span_args("spectral_radius", || {
+            assert_eq!(g.spectral_radius().unwrap().to_bits(), direct);
+            assert_eq!(g.spectral_radius().unwrap().to_bits(), direct);
+            assert_eq!(g.clone().spectral_radius().unwrap().to_bits(), direct);
+        });
+        assert_eq!(estimates.len(), 1, "one estimate per graph: {estimates:?}");
         let copy = triangle_plus_pendant();
         assert_eq!(copy.spectral_radius().unwrap().to_bits(), direct);
+    }
+
+    #[test]
+    fn lanczos_converges_within_20_spmvs_on_the_batch_exact_graph() {
+        // The end-to-end benchmark's `batch_exact` graph.
+        let config = GeneratorConfig::balanced(30_000, 20.0, 3, 8.0).unwrap();
+        let g = generate(&config, &mut StdRng::seed_from_u64(101))
+            .unwrap()
+            .graph;
+        let estimates = span_args("spectral_radius", || {
+            g.spectral_radius().unwrap();
+        });
+        let [args] = estimates.as_slice() else {
+            panic!("expected one estimate, got {estimates:?}");
+        };
+        let arg = |key| args.iter().find(|(k, _)| *k == key).unwrap().1;
+        assert_eq!(arg("nnz"), g.adjacency().nnz() as u64);
+        assert_eq!(arg("converged"), 1);
+        assert!(arg("spmvs") <= 20, "{} SpMVs", arg("spmvs"));
     }
 
     #[test]
@@ -338,8 +397,13 @@ mod tests {
         let g2 = triangle_plus_pendant();
         // Independently constructed copies of the same structure share a fingerprint,
         // and the memoized value is stable across calls and clones.
-        assert_eq!(g1.fingerprint(), g2.fingerprint());
-        assert_eq!(g1.fingerprint(), g1.fingerprint());
+        // The first call hashes the 23 words of the CSR (shape, 5 offsets, 8
+        // indices, 8 weights) under one span; the memo answers the second.
+        let hashes = span_args("fingerprint", || {
+            assert_eq!(g1.fingerprint(), g2.fingerprint());
+            assert_eq!(g1.fingerprint(), g1.fingerprint());
+        });
+        assert_eq!(hashes, vec![vec![("bytes", 184)]; 2]);
         assert_eq!(g1.clone().fingerprint(), g1.fingerprint());
         // Edge order in the input list does not matter (CSR canonicalizes).
         let reordered = Graph::from_edges(4, &[(2, 3), (0, 2), (1, 2), (0, 1)]).unwrap();

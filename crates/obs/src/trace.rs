@@ -141,6 +141,15 @@ impl Span {
         Span::enter_recording(name, args.to_vec())
     }
 
+    /// Attach one more structured argument to an open span, for a value known only
+    /// once its work is done (an iteration count, a convergence flag). A no-op when
+    /// no capture was armed at entry.
+    pub fn record(&mut self, key: &'static str, value: u64) {
+        if let Some(active) = &mut self.0 {
+            active.args.push((key, value));
+        }
+    }
+
     fn enter_recording(name: &'static str, args: Vec<(&'static str, u64)>) -> Span {
         let depth = THREAD_DEPTH.with(|d| {
             let depth = d.get();
@@ -302,6 +311,8 @@ mod tests {
         {
             let _span = Span::enter("never");
         }
+        // An inert span takes a late argument without recording anything.
+        Span::enter("never").record("spmvs", 1);
         start_capture();
         let trace = finish_capture();
         assert!(trace.is_empty());
@@ -344,7 +355,8 @@ mod tests {
         start_capture();
         {
             let _root = Span::enter("pipeline");
-            let _chunk = Span::enter_with("spmm_chunk", &[("rows", 128), ("nnz", 4096)]);
+            let mut chunk = Span::enter_with("spmm_chunk", &[("rows", 128), ("nnz", 4096)]);
+            chunk.record("spmvs", 18);
         }
         let trace = finish_capture();
         let json = trace.chrome_json();
@@ -352,6 +364,7 @@ mod tests {
         assert!(json.contains("\"name\":\"spmm_chunk\""));
         assert!(json.contains("\"rows\":128"));
         assert!(json.contains("\"nnz\":4096"));
+        assert!(json.contains("\"spmvs\":18"));
         assert!(json.ends_with("]}"));
     }
 

@@ -19,10 +19,10 @@
 //!   kernel, hand-rolled on [`std::thread::scope`] with a [`Threads`] policy and
 //!   bit-identical output to the serial path, plus the ordered work queue
 //!   ([`run_ordered_cells`]) for independent per-node, per-restart and per-run cells.
-//! * [`spectral`] — power-iteration spectral-radius estimates used for LinBP's
-//!   convergence scaling (Eq. 2).
-//! * [`eigen`] — a dependency-free symmetric eigensolver (blocked subspace
-//!   iteration + Rayleigh–Ritz, deterministic seeded start) powering the
+//! * [`spectral`] — spectral-radius estimates (Lanczos for the sparse `W`) used for
+//!   LinBP's convergence scaling (Eq. 2).
+//! * [`eigen`] — a dependency-free symmetric eigensolver (Chebyshev-filtered
+//!   subspace iteration + Rayleigh–Ritz, deterministic seeded start) powering the
 //!   low-rank `V·Λ·Vᵀ` counting backend.
 //! * [`vector`] — plain-slice vector helpers.
 
@@ -47,7 +47,11 @@ pub use error::{Result, SparseError};
 pub use parallel::{
     map_row_chunks, partition_rows, partition_rows_by_nnz, run_ordered_cells, Threads,
 };
-pub use spectral::{spectral_radius, spectral_radius_dense, spectral_radius_sparse};
+pub use spectral::{spectral_radius_dense, spectral_radius_sparse};
+
+/// The tracing span of `fg_obs`, re-exported for the graph layer, which reaches
+/// `fg_obs` only through this crate.
+pub use fg_obs::Span;
 
 /// Coordinate-list (COO) input: the triplet contract of [`CsrMatrix::from_triplets`].
 #[cfg(test)]

@@ -197,14 +197,36 @@ fn coo_duplicate_accumulation() {
 
 #[test]
 fn spectral_radius_scales_linearly() {
-    // rho(c * W) = c * rho(W) for a fixed small graph, across a sweep of scales.
-    let w = CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]);
-    let base = fg_sparse::spectral_radius(&w).unwrap();
+    // rho(c * W) = c * rho(W): the Lanczos stopping rules are relative, so the
+    // estimate follows any scale, from 1e-9 to 1e3, on a path and on random
+    // weighted symmetric graphs.
+    let path =
+        CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]);
+    let mut graphs = vec![path];
+    for seed in 0..4 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let triplets: Vec<_> = sparse_triplets(40, 40, &mut rng)
+            .into_iter()
+            .filter(|&(i, j, _)| i != j)
+            .flat_map(|(i, j, w)| [(i, j, w.abs()), (j, i, w.abs())])
+            .collect();
+        graphs.push(CsrMatrix::from_triplets(40, 40, &triplets));
+    }
     let mut rng = StdRng::seed_from_u64(1);
-    for _ in 0..CASES {
-        let scale = 0.1 + rng.gen::<f64>() * 3.9;
-        let scaled = fg_sparse::spectral_radius(&w.scaled(scale)).unwrap();
-        assert!((scaled - scale * base).abs() < 1e-5, "scale {scale}");
+    let scales: Vec<f64> = (0..CASES)
+        .map(|_| 0.1 + rng.gen::<f64>() * 3.9)
+        .chain([1e-9, 1e3])
+        .collect();
+    for w in &graphs {
+        let base = fg_sparse::spectral_radius_sparse(w).unwrap();
+        for &scale in &scales {
+            let scaled = fg_sparse::spectral_radius_sparse(&w.scaled(scale)).unwrap();
+            assert!(
+                (scaled - scale * base).abs() <= 1e-10 * scale * base,
+                "scale {scale:e}: {scaled:e} vs {:e}",
+                scale * base
+            );
+        }
     }
 }
 

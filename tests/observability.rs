@@ -120,7 +120,7 @@ fn spectral_radius_spans(work: impl FnOnce()) -> usize {
 }
 
 /// `ρ(W)` is a property of the graph: however many propagations reuse one
-/// graph, its power iteration runs once, on first use.
+/// graph, its Lanczos estimate runs once, on first use.
 #[test]
 fn spectral_radius_is_computed_once_per_graph() {
     let _guard = OBS_LOCK.lock().unwrap();
@@ -144,7 +144,7 @@ fn spectral_radius_is_computed_once_per_graph() {
     assert_eq!(runs[0].predictions, runs[1].predictions);
 
     // Every Nelder-Mead evaluation of a Holdout estimate propagates on the
-    // same graph; a fresh copy pays the power iteration once for all of them.
+    // same graph; a fresh copy pays the Lanczos estimate once for all of them.
     let (fresh, seeds) = synthetic(7, 300);
     let count = spectral_radius_spans(|| {
         HoldoutEstimation::default()
@@ -152,6 +152,48 @@ fn spectral_radius_is_computed_once_per_graph() {
             .unwrap();
     });
     assert_eq!(count, 1, "one Holdout estimate");
+}
+
+/// A run without a store or a shared cache reads no content key, so it never
+/// hashes the graph: a private-context DCEr + LinBP classify records no
+/// `fingerprint` span, while a run with a store pays for exactly one.
+#[test]
+fn private_context_runs_hash_nothing() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let (graph, seeds) = synthetic(11, 600);
+    // Other tests' threads may hash their own graphs during the capture; only
+    // the pipeline's thread counts.
+    let fingerprints = |trace: &factorized_graphs::obs::Trace| {
+        let records = &trace.records;
+        let tid = records.iter().find(|r| r.name == "pipeline").unwrap().tid;
+        records
+            .iter()
+            .filter(|r| r.tid == tid && r.name == "fingerprint")
+            .count()
+    };
+    let report = Pipeline::on(&graph)
+        .seeds(&seeds)
+        .estimator(DceWithRestarts::default())
+        .propagator(LinBp::default())
+        .trace(true)
+        .run()
+        .unwrap();
+    let trace = report.trace.expect("traced run carries a trace");
+    assert_eq!(fingerprints(&trace), 0);
+    assert_eq!(report.summary_computations, 1);
+
+    let dir = std::env::temp_dir().join("fg_obs_private_context_store");
+    std::fs::remove_dir_all(&dir).ok();
+    let stored = Pipeline::on(&graph)
+        .seeds(&seeds)
+        .estimator(DceWithRestarts::default())
+        .propagator(LinBp::default())
+        .summary_store(Arc::new(SummaryStore::open(&dir).unwrap()))
+        .trace(true)
+        .run()
+        .unwrap();
+    assert_eq!(fingerprints(&stored.trace.unwrap()), 1);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The disabled tracing path costs what the instrumentation promises: the spans
