@@ -229,8 +229,14 @@ fn nearest(
         };
         dists.push((d, j));
     }
-    dists.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    dists.truncate(k);
+    // `(distance, index)` is a total order, so selecting the k smallest and
+    // sorting only those gives exactly the prefix a full sort would.
+    let order = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    if k < dists.len() {
+        dists.select_nth_unstable_by(k, order);
+        dists.truncate(k);
+    }
+    dists.sort_unstable_by(order);
     dists.into_iter().map(|(d, j)| (j, d)).collect()
 }
 
@@ -778,6 +784,76 @@ mod tests {
                     parallel.fingerprint(),
                     "{weighting:?} {threads:?}"
                 );
+            }
+        }
+    }
+
+    /// Blob rows with heavy duplication (every even row j copies row j % 5,
+    /// so rows 10, 20 and 30 equal row 0) and two all-zero rows, so distance
+    /// ties (and cosine's zero-norm distance 1) must be broken by index.
+    fn tied_features() -> DenseMatrix {
+        let mut x = blob_features(40, 1.0, 9);
+        for j in (0..40).step_by(2) {
+            let source = x.row(j % 5).to_vec();
+            x.row_mut(j).copy_from_slice(&source);
+        }
+        for j in [11, 29] {
+            x.row_mut(j).fill(0.0);
+        }
+        x
+    }
+
+    #[test]
+    fn nearest_selection_matches_a_full_sort() {
+        use std::collections::BTreeSet;
+        let x = tied_features();
+        let n = x.rows();
+        let norms: Vec<f64> = (0..n)
+            .map(|i| x.row(i).iter().map(|v| v * v).sum::<f64>().sqrt())
+            .collect();
+        for metric in [Metric::Euclidean, Metric::Cosine] {
+            for i in 0..n {
+                // At k = n − 1 nothing is selected away: the list is the full
+                // sort of every other node, the order the selection must keep.
+                let full = nearest(&x, &norms, metric, i, n - 1);
+                assert_eq!(full.len(), n - 1);
+                assert!(full.iter().all(|&(j, _)| j != i));
+                let bits = |list: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                    list.iter().map(|&(j, d)| (j, d.to_bits())).collect()
+                };
+                let ascending = |a: &(usize, f64), b: &(usize, f64)| {
+                    a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)).is_lt()
+                };
+                assert!(full.windows(2).all(|w| ascending(&w[0], &w[1])));
+                for k in 1..n {
+                    let got = nearest(&x, &norms, metric, i, k);
+                    assert_eq!(bits(&got), bits(&full[..k]), "{metric:?} node {i} k {k}");
+                }
+            }
+        }
+        // The tied rows really tie: node 0 has three duplicates at distance 0.
+        let ties = nearest(&x, &norms, Metric::Euclidean, 0, n - 1);
+        assert_eq!(ties.iter().filter(|&&(_, d)| d == 0.0).count(), 3);
+
+        // Built graphs carry exactly the full-sort neighbour lists (binary
+        // union), at k inside the range and at k ≥ n − 1, serial and 4-thread.
+        for k in [1, 5, n - 1, n + 10] {
+            let mut want = BTreeSet::new();
+            for i in 0..n {
+                for &(j, _) in &nearest(&x, &[], Metric::Euclidean, i, n - 1)[..k.min(n - 1)] {
+                    want.insert((i.min(j), i.max(j)));
+                }
+            }
+            for threads in [Threads::Serial, Threads::Fixed(4)] {
+                let g = KnnBuilder {
+                    k,
+                    threads,
+                    ..KnnBuilder::default()
+                }
+                .build(&x)
+                .unwrap();
+                let got: BTreeSet<_> = g.edges().map(|(u, v, _)| (u, v)).collect();
+                assert_eq!(got, want, "k {k} {threads:?}");
             }
         }
     }

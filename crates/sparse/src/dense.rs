@@ -155,6 +155,21 @@ impl DenseMatrix {
         (0..self.rows).map(|i| self.get(i, j)).collect()
     }
 
+    /// Keep only the columns listed in `keep` (strictly increasing), in order.
+    /// Rows are compacted front to back in place, so nothing is allocated.
+    pub(crate) fn retain_cols(&mut self, keep: &[usize]) {
+        debug_assert!(keep.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(keep.last().is_none_or(|&j| j < self.cols));
+        let width = keep.len();
+        for i in 0..self.rows {
+            for (t, &j) in keep.iter().enumerate() {
+                self.data[i * width + t] = self.data[i * self.cols + j];
+            }
+        }
+        self.data.truncate(self.rows * width);
+        self.cols = width;
+    }
+
     /// Transpose into a new matrix.
     pub fn transpose(&self) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.cols, self.rows);

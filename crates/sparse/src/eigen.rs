@@ -1,46 +1,57 @@
 //! Dependency-free symmetric eigensolver: Chebyshev-filtered subspace
-//! iteration with Rayleigh–Ritz extraction (Zhou & Saad).
+//! iteration with Rayleigh–Ritz extraction and hard locking (Zhou & Saad).
 //!
 //! The low-rank counting backend approximates a symmetric adjacency matrix as
 //! `W ≈ V·Λ·Vᵀ` from its `r` dominant (largest-magnitude) eigenpairs, so path
 //! statistics collapse to dense factor-space work independent of edge count.
 //! This module computes those eigenpairs with no external dependencies. The
-//! solver iterates an orthonormal n×b block `Q` (b = `r` plus guard vectors),
-//! and one **round** does four things:
+//! solver works on b = `r` plus guard columns. Pairs that have converged are
+//! **locked**: frozen, and never filtered, projected or re-orthonormalized
+//! again. The rest form the orthonormal **active** n×a block `Q`, kept
+//! orthogonal to the locked vectors. One **round** does four things, all on
+//! the active block only:
 //!
-//! 1. **Rayleigh–Ritz**: `Y = W·Q`, then the projected matrix `QᵀY` (b×b,
-//!    symmetric) is diagonalized exactly with cyclic Jacobi sweeps. Ritz pairs
-//!    are sorted by `|θ|` descending (index tie-break), and the Ritz vectors
-//!    `V = Q·U` and their images `W·V = Y·U` come out of one fused rotation.
-//! 2. **Convergence test** on that true `W·V`: every leading pair must meet
-//!    `‖W·v − θ·v‖₂ ≤ tol·|θ₁|`, a backward-error test relative to the
-//!    block's largest Ritz value, so it means the same at any scale of `W`.
-//! 3. **Chebyshev filter**: `p(W)·V` with `p(x) = T_d(x/c) / T_d(|θ₁|/c)`,
-//!    `d = FILTER_DEGREE` and `c` the block's smallest `|θ|` (floored at a
-//!    share of `|θ₁|`). The filter damps the interval `[−c, c]` and amplifies
-//!    both ends of the spectrum, which is what the largest-magnitude ordering
-//!    needs. The three-term recurrence starts from `V` and the `W·V` already
-//!    computed, so it costs `d − 1` SpMMs, and the normalization keeps every
-//!    value O(1).
-//! 4. **Reorthonormalization** of the filtered block by twice-through
-//!    modified Gram–Schmidt, with a deterministic replacement for numerically
-//!    dead columns, so the basis never loses orthogonality and never consults
-//!    a random source after start-up.
+//! 1. **Rayleigh–Ritz**: `Y = W·Q`, then the projected matrix `QᵀY` (a×a,
+//!    symmetric) is diagonalized by Householder tridiagonalization and
+//!    implicit-shift QL. Ritz pairs are sorted by `|θ|` descending (index
+//!    tie-break), and the Ritz vectors `V = Q·U` and their images `W·V = Y·U`
+//!    come out of one fused rotation.
+//! 2. **Convergence test and locking** on that true `W·V`: a pair passes when
+//!    `‖W·v − θ·v‖₂ ≤ tol·|θ₁|`, a backward-error test relative to the largest
+//!    Ritz value, so it means the same at any scale of `W`. The locked and
+//!    active pairs are merged in the same `|θ|` order. When the leading `r`
+//!    of that order are all locked or passing, they are the result;
+//!    otherwise the passing active pairs in its leading run are locked, and
+//!    the active block shrinks.
+//! 3. **Chebyshev filter**: `p(W)·V` on the remaining active Ritz vectors,
+//!    with `p(x) = T_d(x/c) / T_d(|θ₁|/c)`, `d = FILTER_DEGREE` and `c` the
+//!    smallest `|θ|` of locked and active pairs (floored at a share of
+//!    `|θ₁|`). The filter damps the interval `[−c, c]` and amplifies both ends
+//!    of the spectrum, which is what the largest-magnitude ordering needs.
+//!    The three-term recurrence starts from `V` and the `W·V` already
+//!    computed, so it costs `d − 1` SpMMs of width a, and the normalization
+//!    keeps every value O(1).
+//! 4. **Reorthonormalization** of the filtered block against the locked
+//!    vectors and itself by twice-through modified Gram–Schmidt, with a
+//!    deterministic replacement for numerically dead columns, so the basis
+//!    never loses orthogonality and never consults a random source after
+//!    start-up.
 //!
-//! A round is therefore `d` block products plus one pass of dense b×b work;
-//! the round that converges skips steps 3 and 4. Every SpMM goes through
-//! [`CsrMatrix::spmm_dense_into`] and all dense work is serial, so the
-//! factorization is **bit-identical** at any thread count. The initial block
-//! comes from a splitmix64 stream seeded by [`EigenConfig::seed`]: same seed,
-//! same factor, byte for byte, on every host.
+//! A round is therefore `d` block products plus one pass of dense work, each
+//! on the a active columns; the round that converges skips steps 3 and 4.
+//! Every SpMM goes through [`CsrMatrix::spmm_dense_into`] and all dense work
+//! is serial, so the factorization is **bit-identical** at any thread count.
+//! The initial block comes from a splitmix64 stream seeded by
+//! [`EigenConfig::seed`]: same seed, same factor, byte for byte, on every host.
 //!
 //! At `r = n` the first Rayleigh–Ritz pass is already exact (the block spans
 //! all of `Rⁿ`) and no filtering runs, which is what makes the full-rank
 //! solve usable as a correctness oracle against exact path counts.
 //!
 //! Each phase records a span (`eigen.rayleigh_ritz`, `eigen.filter`,
-//! `eigen.orthonormalize`, args `n`/`block`/`degree`), so a trace splits the
-//! solve without a benchmark.
+//! `eigen.orthonormalize`, args `n`/`block`/`degree`/`active`/`locked`), so a
+//! trace splits the solve and shows the active block shrinking without a
+//! benchmark.
 
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
@@ -56,7 +67,7 @@ pub const DEFAULT_EIGEN_MAX_ITER: usize = 1000;
 
 /// Default relative residual tolerance for [`symmetric_eigen`]: a Ritz pair
 /// `(θ, v)` counts as converged when `‖W·v − θ·v‖₂ ≤ tol · |θ₁|`, where `θ₁`
-/// is the block's largest-magnitude Ritz value.
+/// is the largest-magnitude Ritz value.
 pub const DEFAULT_EIGEN_TOL: f64 = 1e-10;
 
 /// Default seed for the deterministic starting block.
@@ -64,12 +75,13 @@ pub const DEFAULT_EIGEN_SEED: u64 = 0x5eed_fac7;
 
 /// Degree `d` of the Chebyshev filter: each non-final round runs `d` block
 /// products (one for Rayleigh–Ritz, `d − 1` for the filter) per pass of dense
-/// work. On the benchmark's `batch_lowrank` graphs (500-node blob kNN, rank
-/// 28, 2-vCPU Xeon), d = 4/8/12/16 took about 39/19/14/11 rounds and
-/// 140/71/67/50 ms per solve at a near-equal SpMM count, and d = 16 beat 12
-/// by about 6% of an op. 12 keeps the rounds well under 20 with a milder
-/// amplification, and on denser graphs, where an SpMM costs more, it keeps
-/// edge work and dense work in balance.
+/// work. On the benchmark's `batch_lowrank` graphs (40 500-node blob kNN
+/// graphs, rank 28, 2-vCPU Xeon, one thread, with locking), d =
+/// 4/8/12/16/20 took about 38/19/14/11/9 rounds and 74/52/44/40/40 ms per
+/// solve, so d = 16 would save about 8% of a solve (about 6% of an op).
+/// 12 keeps the rounds well under 20 with a milder amplification, and on
+/// denser graphs, where an SpMM costs more, it keeps edge work and dense
+/// work in balance.
 const FILTER_DEGREE: usize = 12;
 
 /// Floor on the filter's damping half-width `c`, as a share of `|θ₁|`. A
@@ -85,6 +97,10 @@ const MAGNITUDE_TIE: f64 = 1e-12;
 /// A column whose norm after projection falls below this share of its norm
 /// before projection carries no independent direction and is replaced.
 const DEAD_COLUMN: f64 = 1e-12;
+
+/// Implicit QL sweeps allowed per eigenvalue of the projected matrix: the
+/// EISPACK/LAPACK budget, far above what the shifted iteration takes.
+const QL_MAX_SWEEPS: usize = 30;
 
 /// Configuration for [`symmetric_eigen`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,34 +187,38 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Dense buffers reused across every round of one solve, so the loop
-/// allocates nothing per round.
+/// allocates nothing per round. The a×a buffers are sized for the full block
+/// and used as prefixes while the active block shrinks.
 struct Workspace {
-    /// Block width b.
-    block: usize,
-    /// The projected matrix `QᵀY` (b×b, row-major); Jacobi diagonalizes it in
-    /// place.
+    /// The projected matrix `QᵀY` (a×a, row-major); the tridiagonal solver
+    /// overwrites it.
     projected: Vec<f64>,
-    /// Jacobi's accumulated rotation, transposed: row `j` is eigenvector `j`.
+    /// Its eigenvectors, transposed: row `j` is eigenvector `j`.
     rotation_t: Vec<f64>,
-    /// The rotation with its columns sorted by `|θ|` (b×b, row-major).
+    /// The eigenvectors as columns sorted by `|θ|` (a×a, row-major).
     rotation: Vec<f64>,
-    /// Column-major copy of the block under Gram–Schmidt (b columns of n).
+    /// Diagonal (then eigenvalues) and off-diagonal of the tridiagonal form.
+    diagonal: Vec<f64>,
+    off_diagonal: Vec<f64>,
+    /// Column-major basis for Gram–Schmidt: the locked vectors first, frozen,
+    /// then a copy of the block being orthonormalized.
     columns: Vec<f64>,
 }
 
 impl Workspace {
     fn new(n: usize, block: usize) -> Self {
         Workspace {
-            block,
             projected: vec![0.0; block * block],
             rotation_t: vec![0.0; block * block],
             rotation: vec![0.0; block * block],
+            diagonal: vec![0.0; block],
+            off_diagonal: vec![0.0; block],
             columns: vec![0.0; n * block],
         }
     }
 
-    /// Rayleigh–Ritz on the orthonormal basis `q` with image `y = W·q`:
-    /// writes the Ritz vectors `V = Q·U` into `v` and their images
+    /// Rayleigh–Ritz on the orthonormal active basis `q` with image
+    /// `y = W·q`: writes the Ritz vectors `V = Q·U` into `v` and their images
     /// `W·V = Y·U` into `wv`, columns sorted by `|θ|` descending, and returns
     /// the sorted Ritz values.
     fn rayleigh_ritz(
@@ -208,31 +228,38 @@ impl Workspace {
         v: &mut DenseMatrix,
         wv: &mut DenseMatrix,
     ) -> Result<Vec<f64>> {
-        let b = self.block;
+        let a = q.cols();
         // QᵀY is symmetric up to round-off: accumulate its upper triangle row
         // by row of Q and Y, then mirror it.
-        let proj = &mut self.projected;
+        let proj = &mut self.projected[..a * a];
         proj.fill(0.0);
         for i in 0..q.rows() {
             let (qi, yi) = (q.row(i), y.row(i));
             for (p, &qip) in qi.iter().enumerate() {
-                let row = &mut proj[p * b + p..(p + 1) * b];
+                let row = &mut proj[p * a + p..(p + 1) * a];
                 for (acc, &yv) in row.iter_mut().zip(&yi[p..]) {
                     *acc += qip * yv;
                 }
             }
         }
-        for p in 0..b {
-            for s in (p + 1)..b {
-                proj[s * b + p] = proj[p * b + s];
+        for p in 0..a {
+            for s in (p + 1)..a {
+                proj[s * a + p] = proj[p * a + s];
             }
         }
-        jacobi_in_place(proj, &mut self.rotation_t, b)?;
-        let theta: Vec<f64> = (0..b).map(|i| proj[i * b + i]).collect();
-        let order = sort_by_magnitude(&theta);
+        let (theta, rotation_t) = (&mut self.diagonal[..a], &mut self.rotation_t[..a * a]);
+        tridiagonal_eigen(
+            proj,
+            rotation_t,
+            theta,
+            &mut self.off_diagonal[..a],
+            QL_MAX_SWEEPS,
+        )?;
+        let order = sort_by_magnitude(theta);
+        let rotation = &mut self.rotation[..a * a];
         for (j, &old) in order.iter().enumerate() {
-            for k in 0..b {
-                self.rotation[k * b + j] = self.rotation_t[old * b + k];
+            for k in 0..a {
+                rotation[k * a + j] = rotation_t[old * a + k];
             }
         }
         // V = Q·U and W·V = Y·U in one pass: each row of U is loaded once.
@@ -241,7 +268,7 @@ impl Workspace {
             let (vi, wvi) = (v.row_mut(i), wv.row_mut(i));
             vi.fill(0.0);
             wvi.fill(0.0);
-            for (k, uk) in self.rotation.chunks_exact(b).enumerate() {
+            for (k, uk) in rotation.chunks_exact(a).enumerate() {
                 let (qk, yk) = (qi[k], yi[k]);
                 for ((vv, wvv), &u) in vi.iter_mut().zip(wvi.iter_mut()).zip(uk) {
                     *vv += qk * u;
@@ -252,9 +279,23 @@ impl Workspace {
         Ok(order.iter().map(|&i| theta[i]).collect())
     }
 
-    /// Orthonormalize the columns of `block` in place with modified
-    /// Gram–Schmidt, run twice per column (full reorthogonalization — "twice
-    /// is enough").
+    /// Freeze column `j` of the Ritz block `v` as locked vector `slot`.
+    fn lock(&mut self, v: &DenseMatrix, j: usize, slot: usize) {
+        let n = v.rows();
+        let column = &mut self.columns[slot * n..(slot + 1) * n];
+        for (i, x) in column.iter_mut().enumerate() {
+            *x = v.get(i, j);
+        }
+    }
+
+    /// Column `slot` of the locked vectors.
+    fn locked(&self, n: usize, slot: usize) -> &[f64] {
+        &self.columns[slot * n..(slot + 1) * n]
+    }
+
+    /// Orthonormalize the columns of `block` in place against the first
+    /// `locked` locked vectors and each other with modified Gram–Schmidt, run
+    /// twice per column (full reorthogonalization — "twice is enough").
     ///
     /// A column whose norm collapses under projection to below
     /// [`DEAD_COLUMN`] of its norm before projection (a rank-deficient
@@ -262,17 +303,17 @@ impl Workspace {
     /// canonical basis vector `e_i` that survives projection, so the basis
     /// always has full column rank and the procedure stays deterministic. The
     /// test is relative because filtered columns have norms far from 1.
-    fn orthonormalize(&mut self, block: &mut DenseMatrix) -> Result<()> {
-        let (n, r) = block.shape();
+    fn orthonormalize(&mut self, block: &mut DenseMatrix, locked: usize) -> Result<()> {
+        let (n, a) = block.shape();
         // Gram–Schmidt is column arithmetic and the block is row-major, so it
-        // runs on a column-major copy.
-        let cols = &mut self.columns[..n * r];
+        // runs on a column-major copy placed after the locked vectors.
+        let cols = &mut self.columns[..(locked + a) * n];
         for i in 0..n {
             for (j, &x) in block.row(i).iter().enumerate() {
-                cols[j * n + i] = x;
+                cols[(locked + j) * n + i] = x;
             }
         }
-        for j in 0..r {
+        for j in locked..locked + a {
             let (done, rest) = cols.split_at_mut(j * n);
             let col = &mut rest[..n];
             let mut replacement = 0usize;
@@ -306,15 +347,235 @@ impl Workspace {
         }
         for i in 0..n {
             for (j, x) in block.row_mut(i).iter_mut().enumerate() {
-                *x = cols[j * n + i];
+                *x = cols[(locked + j) * n + i];
             }
         }
         Ok(())
     }
 }
 
+/// Diagonalize the symmetric m×m matrix `a` (flat, row-major; m =
+/// `d.len()`) by Householder tridiagonalization and implicit-shift QL, the
+/// `tred2`/`tql2` pair of EISPACK in the form of JAMA.
+///
+/// On return `d` holds the eigenvalues (unsorted), row `j` of `vectors_t`
+/// the unit eigenvector of `d[j]`, and `a` and `e` are scratch. A non-finite
+/// entry is an error rather than a silent NaN spectrum, and more than
+/// `max_sweeps` QL sweeps on one eigenvalue return `DidNotConverge`, so the
+/// loop always ends. Every operation runs in a fixed order.
+fn tridiagonal_eigen(
+    a: &mut [f64],
+    vectors_t: &mut [f64],
+    d: &mut [f64],
+    e: &mut [f64],
+    max_sweeps: usize,
+) -> Result<()> {
+    let m = d.len();
+    if a.iter().any(|x| !x.is_finite()) {
+        return Err(SparseError::InvalidInput(
+            "symmetric eigensolver: matrix has a non-finite entry".into(),
+        ));
+    }
+    if m == 0 {
+        return Ok(());
+    }
+    householder_tridiagonalize(a, d, e, m);
+    // The accumulated transform's columns become rows, so each QL rotation
+    // updates two contiguous rows.
+    for i in 0..m {
+        for j in 0..m {
+            vectors_t[j * m + i] = a[i * m + j];
+        }
+    }
+    implicit_ql(d, e, vectors_t, m, max_sweeps)?;
+    if d.iter().chain(vectors_t.iter()).any(|x| !x.is_finite()) {
+        return Err(SparseError::InvalidInput(
+            "symmetric eigensolver: the spectrum overflowed".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// `tred2`: reduce the symmetric m×m `v` (row-major; its lower triangle is
+/// read) to tridiagonal form `Zᵀ·A·Z`. On return `v` holds the orthogonal
+/// `Z`, `d` the diagonal and `e[1..]` the sub-diagonal (`e[0] = 0`).
+fn householder_tridiagonalize(v: &mut [f64], d: &mut [f64], e: &mut [f64], m: usize) {
+    d.copy_from_slice(&v[(m - 1) * m..]);
+    for i in (1..m).rev() {
+        // Scale to avoid under/overflow.
+        let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
+        let mut h = 0.0;
+        if scale == 0.0 {
+            e[i] = d[i - 1];
+            for j in 0..i {
+                d[j] = v[(i - 1) * m + j];
+                v[i * m + j] = 0.0;
+                v[j * m + i] = 0.0;
+            }
+        } else {
+            // Generate the Householder vector.
+            for x in &mut d[..i] {
+                *x /= scale;
+                h += *x * *x;
+            }
+            let f = d[i - 1];
+            let g = if f > 0.0 { -h.sqrt() } else { h.sqrt() };
+            e[i] = scale * g;
+            h -= f * g;
+            d[i - 1] = f - g;
+            e[..i].fill(0.0);
+            // Apply the similarity transformation to the remaining columns.
+            for j in 0..i {
+                let f = d[j];
+                v[j * m + i] = f;
+                let mut g = e[j] + v[j * m + j] * f;
+                for k in j + 1..i {
+                    g += v[k * m + j] * d[k];
+                    e[k] += v[k * m + j] * f;
+                }
+                e[j] = g;
+            }
+            let mut f = 0.0;
+            for j in 0..i {
+                e[j] /= h;
+                f += e[j] * d[j];
+            }
+            let hh = f / (h + h);
+            for j in 0..i {
+                e[j] -= hh * d[j];
+            }
+            for j in 0..i {
+                let (f, g) = (d[j], e[j]);
+                for k in j..i {
+                    v[k * m + j] -= f * e[k] + g * d[k];
+                }
+                d[j] = v[(i - 1) * m + j];
+                v[i * m + j] = 0.0;
+            }
+        }
+        d[i] = h;
+    }
+    // Accumulate the transformations.
+    for i in 0..m - 1 {
+        v[(m - 1) * m + i] = v[i * m + i];
+        v[i * m + i] = 1.0;
+        let h = d[i + 1];
+        if h != 0.0 {
+            for k in 0..=i {
+                d[k] = v[k * m + i + 1] / h;
+            }
+            for j in 0..=i {
+                let mut g = 0.0;
+                for k in 0..=i {
+                    g += v[k * m + i + 1] * v[k * m + j];
+                }
+                for k in 0..=i {
+                    v[k * m + j] -= g * d[k];
+                }
+            }
+        }
+        for k in 0..=i {
+            v[k * m + i + 1] = 0.0;
+        }
+    }
+    for j in 0..m {
+        d[j] = v[(m - 1) * m + j];
+        v[(m - 1) * m + j] = 0.0;
+    }
+    v[m * m - 1] = 1.0;
+    e[0] = 0.0;
+}
+
+/// `tql2`: diagonalize the symmetric tridiagonal matrix (`d`, `e[1..]`) by
+/// QL with implicit Wilkinson-style shifts, applying every rotation to the
+/// rows of `vectors_t`. At most `max_sweeps` sweeps per eigenvalue.
+fn implicit_ql(
+    d: &mut [f64],
+    e: &mut [f64],
+    vectors_t: &mut [f64],
+    m: usize,
+    max_sweeps: usize,
+) -> Result<()> {
+    e.copy_within(1.., 0);
+    e[m - 1] = 0.0;
+    let mut shift = 0.0;
+    let mut tst1 = 0.0f64;
+    for l in 0..m {
+        // Find the first negligible sub-diagonal element at or after l.
+        tst1 = tst1.max(d[l].abs() + e[l].abs());
+        let mut end = l;
+        while end + 1 < m && e[end].abs() > f64::EPSILON * tst1 {
+            end += 1;
+        }
+        let mut sweeps = 0;
+        while end > l && e[l].abs() > f64::EPSILON * tst1 {
+            if sweeps == max_sweeps {
+                return Err(SparseError::DidNotConverge {
+                    what: "tridiagonal QL eigensolver",
+                    iterations: max_sweeps,
+                });
+            }
+            sweeps += 1;
+            // Implicit shift from the leading 2×2 block.
+            let g = d[l];
+            let mut p = (d[l + 1] - g) / (2.0 * e[l]);
+            let mut r = hypot(p, 1.0);
+            if p < 0.0 {
+                r = -r;
+            }
+            d[l] = e[l] / (p + r);
+            d[l + 1] = e[l] * (p + r);
+            let dl1 = d[l + 1];
+            let h = g - d[l];
+            for x in &mut d[l + 2..] {
+                *x -= h;
+            }
+            shift += h;
+            // The implicit QL sweep, bottom to top.
+            p = d[end];
+            let (mut c, mut c2, mut c3) = (1.0, 1.0, 1.0);
+            let el1 = e[l + 1];
+            let (mut s, mut s2) = (0.0, 0.0);
+            for i in (l..end).rev() {
+                c3 = c2;
+                c2 = c;
+                s2 = s;
+                let g = c * e[i];
+                let h = c * p;
+                r = hypot(p, e[i]);
+                e[i + 1] = s * r;
+                s = e[i] / r;
+                c = p / r;
+                p = c * d[i] - s * g;
+                d[i + 1] = h + s * (c * g + s * d[i]);
+                rotate_rows(vectors_t, m, i, i + 1, c, s);
+            }
+            p = -s * s2 * c3 * el1 * e[l] / dl1;
+            e[l] = s * p;
+            d[l] = c * p;
+        }
+        d[l] += shift;
+        e[l] = 0.0;
+    }
+    Ok(())
+}
+
+/// `sqrt(x² + y²)` without overflow or underflow, from IEEE operations only
+/// (so it rounds the same on every host, unlike a libm `hypot`).
+#[inline]
+fn hypot(x: f64, y: f64) -> f64 {
+    let (x, y) = (x.abs(), y.abs());
+    let (big, small) = if x >= y { (x, y) } else { (y, x) };
+    if big == 0.0 {
+        return 0.0;
+    }
+    let t = small / big;
+    big * (1.0 + t * t).sqrt()
+}
+
 /// Diagonalize the symmetric r×r matrix `a` (flat, row-major) in place with
-/// cyclic Jacobi rotations.
+/// cyclic Jacobi rotations: the tests' independent oracle for the QL solver
+/// and for `spectral`.
 ///
 /// On return the diagonal of `a` holds the eigenvalues (unsorted) and row `j`
 /// of `rotation_t` the eigenvector of eigenvalue `j`. Each rotation updates
@@ -322,6 +583,7 @@ impl Workspace {
 /// the annihilated pair is set to exactly zero. Jacobi converges
 /// quadratically; the sweep budget is generous and overshoot returns
 /// `DidNotConverge`.
+#[cfg(test)]
 pub(crate) fn jacobi_in_place(a: &mut [f64], rotation_t: &mut [f64], r: usize) -> Result<()> {
     rotation_t.fill(0.0);
     for i in 0..r {
@@ -461,7 +723,7 @@ fn chebyshev_filter(
 
 /// Compute the `r` largest-magnitude eigenpairs of a **symmetric** sparse
 /// matrix by Chebyshev-filtered subspace iteration with Rayleigh–Ritz
-/// extraction (see the module docs for what one round does).
+/// extraction and hard locking (see the module docs for what one round does).
 ///
 /// The caller is responsible for symmetry (adjacency matrices in this
 /// workspace are symmetric by construction); only shapes are validated here.
@@ -503,69 +765,112 @@ pub fn symmetric_eigen(
     // trailing gap nearly closed on real spectra) converging in a comparable
     // number of rounds to large-rank ones.
     let block = (r + (r / 2).max(8)).min(n);
-    let span_args = [
-        ("n", n as u64),
-        ("block", block as u64),
-        ("degree", FILTER_DEGREE as u64),
-    ];
+    let span_args = |active: usize, locked: usize| {
+        [
+            ("n", n as u64),
+            ("block", block as u64),
+            ("degree", FILTER_DEGREE as u64),
+            ("active", active as u64),
+            ("locked", locked as u64),
+        ]
+    };
 
     let mut work = Workspace::new(n, block);
     let mut q = seeded_block(n, block, config.seed);
     {
-        let _span = Span::enter_with("eigen.orthonormalize", &span_args);
-        work.orthonormalize(&mut q)?;
+        let _span = Span::enter_with("eigen.orthonormalize", &span_args(block, 0));
+        work.orthonormalize(&mut q, 0)?;
     }
     let mut y = DenseMatrix::zeros(n, block);
     let mut v = DenseMatrix::zeros(n, block);
     let mut wv = DenseMatrix::zeros(n, block);
+    // Ritz values of the locked pairs; their vectors are the leading columns
+    // of `work.columns`, in the same order.
+    let mut locked: Vec<f64> = Vec::with_capacity(r);
 
     let max_iter = config.max_iter.max(1);
     for iteration in 1..=max_iter {
-        let values = {
-            let _span = Span::enter_with("eigen.rayleigh_ritz", &span_args);
+        let l = locked.len();
+        // `values` holds the locked pairs, then the active block's.
+        let (values, order, passed) = {
+            let _span = Span::enter_with("eigen.rayleigh_ritz", &span_args(q.cols(), l));
             a.spmm_dense_into(&q, threads, &mut y)?;
-            let values = work.rayleigh_ritz(&q, &y, &mut v, &mut wv)?;
-            // Per-pair residual ‖W·v − θ·v‖₂ ≤ tol·|θ₁| on the leading `r`,
-            // tested on the true image W·V, never on a filtered block.
-            let mut residual_sq = vec![0.0f64; r];
+            let active = work.rayleigh_ritz(&q, &y, &mut v, &mut wv)?;
+            let values: Vec<f64> = locked.iter().chain(&active).copied().collect();
+            let order = sort_by_magnitude(&values);
+            // Per-pair residual ‖W·v − θ·v‖₂ ≤ tol·|θ₁|, tested on the true
+            // image W·V, never on a filtered block.
+            let mut residual_sq = vec![0.0f64; active.len()];
             for i in 0..n {
                 let (wv_row, v_row) = (wv.row(i), v.row(i));
                 for (j, rs) in residual_sq.iter_mut().enumerate() {
-                    let d = wv_row[j] - values[j] * v_row[j];
+                    let d = wv_row[j] - active[j] * v_row[j];
                     *rs += d * d;
                 }
             }
-            let bound = config.tol * values[0].abs();
-            if residual_sq.iter().all(|&rs| rs.sqrt() <= bound) {
-                let mut vectors = DenseMatrix::zeros(n, r);
-                for i in 0..n {
-                    vectors.row_mut(i).copy_from_slice(&v.row(i)[..r]);
-                }
-                return Ok(EigenPairs {
-                    vectors,
-                    values: values[..r].to_vec(),
-                    iterations: iteration,
-                });
-            }
-            values
+            let bound = config.tol * values[order[0]].abs();
+            let passed: Vec<bool> = residual_sq.iter().map(|rs| rs.sqrt() <= bound).collect();
+            (values, order, passed)
         };
+        // The leading run, in the merged order, of pairs locked or passing.
+        let run = order[..r]
+            .iter()
+            .take_while(|&&i| i < l || passed[i - l])
+            .count();
+        if run == r {
+            let mut vectors = DenseMatrix::zeros(n, r);
+            for (t, &i) in order[..r].iter().enumerate() {
+                if i < l {
+                    for (row, &x) in work.locked(n, i).iter().enumerate() {
+                        vectors.set(row, t, x);
+                    }
+                } else {
+                    for row in 0..n {
+                        vectors.set(row, t, v.get(row, i - l));
+                    }
+                }
+            }
+            return Ok(EigenPairs {
+                vectors,
+                values: order[..r].iter().map(|&i| values[i]).collect(),
+                iterations: iteration,
+            });
+        }
         if iteration == max_iter {
             break;
         }
 
-        // Next basis: the filtered Ritz block, reorthonormalized. Filtering
-        // the Ritz vectors rather than Q keeps the leading columns aligned
-        // with the dominant directions, so Gram–Schmidt meets them first.
-        let top = values[0].abs();
+        // Lock the run's active pairs: their vectors join the frozen columns
+        // and leave the block.
+        let newly: Vec<usize> = order[..run]
+            .iter()
+            .filter_map(|&i| i.checked_sub(l))
+            .collect();
+        if !newly.is_empty() {
+            for &j in &newly {
+                work.lock(&v, j, locked.len());
+                locked.push(values[l + j]);
+            }
+            let keep: Vec<usize> = (0..v.cols()).filter(|j| !newly.contains(j)).collect();
+            for m in [&mut q, &mut y, &mut v, &mut wv] {
+                m.retain_cols(&keep);
+            }
+        }
+
+        // Next active basis: the filtered Ritz block, reorthonormalized.
+        // Filtering the Ritz vectors rather than Q keeps the leading columns
+        // aligned with the dominant directions, so Gram–Schmidt meets them
+        // first.
+        let top = values[order[0]].abs();
         if top > 0.0 {
-            let c = values[block - 1].abs().max(DAMPING_FLOOR * top);
-            let _span = Span::enter_with("eigen.filter", &span_args);
+            let c = values[order[block - 1]].abs().max(DAMPING_FLOOR * top);
+            let _span = Span::enter_with("eigen.filter", &span_args(v.cols(), locked.len()));
             chebyshev_filter(a, threads, c, top, &mut v, &mut wv, &mut y)?;
         }
         // With every Ritz value zero there is no scale to filter against, and
         // the unfiltered image W·V already in `wv` becomes the next block.
-        let _span = Span::enter_with("eigen.orthonormalize", &span_args);
-        work.orthonormalize(&mut wv)?;
+        let _span = Span::enter_with("eigen.orthonormalize", &span_args(wv.cols(), locked.len()));
+        work.orthonormalize(&mut wv, locked.len())?;
         std::mem::swap(&mut q, &mut wv);
     }
     Err(SparseError::DidNotConverge {
@@ -578,7 +883,7 @@ pub fn symmetric_eigen(
 mod tests {
     use super::*;
 
-    /// Full eigendecomposition of a dense symmetric matrix by the solver's own
+    /// Full eigendecomposition of a dense symmetric matrix by the test-only
     /// Jacobi kernel: `(values, U)` with `B = U·diag(values)·Uᵀ`, unsorted.
     /// Run on the whole of a small `W`, it is the tests' independent oracle.
     fn jacobi_eigen(b: &DenseMatrix) -> Result<(Vec<f64>, DenseMatrix)> {
@@ -904,6 +1209,196 @@ mod tests {
         assert!(symmetric_eigen(&a, &bad_tol, Threads::Serial).is_err());
         let rect = CsrMatrix::zeros(2, 3);
         assert!(symmetric_eigen(&rect, &EigenConfig::with_rank(1), Threads::Serial).is_err());
+    }
+
+    /// The production tridiagonal QL solver on a dense symmetric matrix, in
+    /// the shape of `jacobi_eigen`.
+    fn ql_eigen(b: &DenseMatrix, max_sweeps: usize) -> Result<(Vec<f64>, DenseMatrix)> {
+        let m = b.rows();
+        let mut a = b.data().to_vec();
+        let (mut vectors_t, mut d, mut e) = (vec![0.0; m * m], vec![0.0; m], vec![0.0; m]);
+        tridiagonal_eigen(&mut a, &mut vectors_t, &mut d, &mut e, max_sweeps)?;
+        Ok((d, DenseMatrix::from_vec(m, m, vectors_t)?.transpose()))
+    }
+
+    /// `Q·diag(values)·Qᵀ` for a dense orthogonal `Q` built from two
+    /// Householder reflections, so the spectrum is exactly `values`.
+    fn with_spectrum(values: &[f64], seed: u64) -> DenseMatrix {
+        let m = values.len();
+        let mut state = seed;
+        let mut q = DenseMatrix::identity(m);
+        for _ in 0..2 {
+            let mut u: Vec<f64> = (0..m).map(|_| unit_f64(splitmix64(&mut state))).collect();
+            let norm = dot(&u, &u).sqrt();
+            u.iter_mut().for_each(|x| *x /= norm);
+            let mut h = DenseMatrix::identity(m);
+            for i in 0..m {
+                for j in 0..m {
+                    h.add_at(i, j, -2.0 * u[i] * u[j]);
+                }
+            }
+            q = q.matmul(&h).unwrap();
+        }
+        let mut d = DenseMatrix::zeros(m, m);
+        for (i, &v) in values.iter().enumerate() {
+            d.set(i, i, v);
+        }
+        let b = q.matmul(&d).unwrap().matmul(&q.transpose()).unwrap();
+        // Symmetrize the round-off of the products.
+        let mut sym = b.clone();
+        for i in 0..m {
+            for j in 0..m {
+                sym.set(i, j, 0.5 * (b.get(i, j) + b.get(j, i)));
+            }
+        }
+        sym
+    }
+
+    /// QL against the Jacobi oracle: the same spectrum as a multiset, and
+    /// orthonormal eigenvectors with `B·u = λ·u`, all to round-off of ‖B‖.
+    fn assert_ql_matches_jacobi(b: &DenseMatrix) {
+        let m = b.rows();
+        let (mut got, u) = ql_eigen(b, QL_MAX_SWEEPS).unwrap();
+        let (mut want, _) = jacobi_eigen(b).unwrap();
+        let scale = b.max_abs().max(f64::MIN_POSITIVE) * m as f64;
+        let bu = b.matmul(&u).unwrap();
+        for (j, &value) in got.iter().enumerate() {
+            for i in 0..m {
+                let residual = bu.get(i, j) - value * u.get(i, j);
+                assert!(
+                    residual.abs() <= 1e-13 * scale,
+                    "{m}x{m} pair {j}: {residual:e}"
+                );
+            }
+        }
+        let gram = u.transpose().matmul(&u).unwrap();
+        assert!(gram.approx_eq(&DenseMatrix::identity(m), 1e-13 * m as f64));
+        got.sort_by(f64::total_cmp);
+        want.sort_by(f64::total_cmp);
+        for (g, w) in got.iter().zip(&want) {
+            assert!((g - w).abs() <= 1e-13 * scale, "{m}x{m}: {g} vs oracle {w}");
+        }
+    }
+
+    #[test]
+    fn tridiagonal_ql_matches_jacobi_oracle() {
+        let mut state = 0x71_d1a9_u64;
+        // Random symmetric matrices, from 3×3 to the production block width.
+        for m in [3, 10, 42] {
+            let mut b = DenseMatrix::zeros(m, m);
+            for i in 0..m {
+                for j in 0..=i {
+                    let x = unit_f64(splitmix64(&mut state));
+                    b.set(i, j, x);
+                    b.set(j, i, x);
+                }
+            }
+            assert_ql_matches_jacobi(&b);
+        }
+        // Repeated eigenvalues, and ±λ pairs (a zero one included).
+        assert_ql_matches_jacobi(&with_spectrum(&[2.0, 2.0, 2.0, -1.0, -1.0, 5.0, 0.5], 1));
+        assert_ql_matches_jacobi(&with_spectrum(&[3.0, -3.0, 1.5, -1.5, 0.0, 0.0], 2));
+        // A bipartite adjacency: its whole spectrum comes in ±λ pairs.
+        let dense = undirected(
+            8,
+            [
+                (0, 4, 1.0),
+                (0, 5, 2.0),
+                (1, 5, 1.0),
+                (2, 6, 0.5),
+                (3, 7, 1.0),
+                (1, 7, 3.0),
+            ],
+        )
+        .to_dense();
+        assert_ql_matches_jacobi(&dense);
+        // Diagonal and zero matrices, 1×1 and 2×2.
+        let diagonal = DenseMatrix::from_rows(&[
+            vec![3.0, 0.0, 0.0],
+            vec![0.0, -7.0, 0.0],
+            vec![0.0, 0.0, 0.0],
+        ])
+        .unwrap();
+        assert_ql_matches_jacobi(&diagonal);
+        let (values, _) = ql_eigen(&diagonal, QL_MAX_SWEEPS).unwrap();
+        assert_eq!(values, [3.0, -7.0, 0.0]);
+        let (values, u) = ql_eigen(&DenseMatrix::zeros(5, 5), QL_MAX_SWEEPS).unwrap();
+        assert!(values.iter().all(|&v| v == 0.0));
+        assert!(u.approx_eq(&DenseMatrix::identity(5), 0.0));
+        let (values, u) = ql_eigen(&DenseMatrix::filled(1, 1, -4.5), QL_MAX_SWEEPS).unwrap();
+        assert_eq!((values, u.data().to_vec()), (vec![-4.5], vec![1.0]));
+        assert_ql_matches_jacobi(
+            &DenseMatrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]).unwrap(),
+        );
+    }
+
+    #[test]
+    fn tridiagonal_ql_rejects_non_finite_entries() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut b = with_spectrum(&[1.0, 2.0, 3.0, 4.0], 3);
+            b.set(1, 2, bad);
+            b.set(2, 1, bad);
+            assert!(
+                matches!(
+                    ql_eigen(&b, QL_MAX_SWEEPS),
+                    Err(SparseError::InvalidInput(_))
+                ),
+                "{bad} was accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn tridiagonal_ql_sweep_cap_reports_did_not_converge() {
+        let b = with_spectrum(&[1.0, 2.0, 3.0, 4.0, 5.0], 4);
+        match ql_eigen(&b, 0) {
+            Err(SparseError::DidNotConverge { iterations, .. }) => assert_eq!(iterations, 0),
+            other => panic!("expected DidNotConverge, got {other:?}"),
+        }
+        // Already diagonal: no sweep is needed, so even a zero cap succeeds.
+        let diagonal = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 2.0]]).unwrap();
+        assert_eq!(ql_eigen(&diagonal, 0).unwrap().0, [1.0, 2.0]);
+    }
+
+    #[test]
+    fn locking_shrinks_the_filtered_block() {
+        let a = blob_knn(300, 10, 3);
+        fg_obs::start_capture();
+        let pairs = {
+            let _probe = Span::enter("probe");
+            symmetric_eigen(&a, &EigenConfig::with_rank(28), Threads::Serial).unwrap()
+        };
+        let trace = fg_obs::finish_capture();
+        // Other tests may run alongside; keep this thread's spans only.
+        let tid = trace
+            .records
+            .iter()
+            .find(|r| r.name == "probe")
+            .unwrap()
+            .tid;
+        let arg = |args: &[(&str, u64)], key: &str| args.iter().find(|(k, _)| *k == key).unwrap().1;
+        let filters: Vec<_> = trace
+            .records
+            .iter()
+            .filter(|r| r.tid == tid && r.name == "eigen.filter")
+            .map(|r| r.args.clone())
+            .collect();
+        assert_eq!(filters.len(), pairs.iterations - 1);
+        for args in &filters {
+            assert_eq!(
+                arg(args, "active") + arg(args, "locked"),
+                arg(args, "block")
+            );
+        }
+        let last = filters.last().unwrap();
+        assert!(
+            arg(last, "active") < arg(last, "block"),
+            "the last filter ran on the whole block: {last:?}"
+        );
+        // The active block only ever shrinks.
+        assert!(filters
+            .windows(2)
+            .all(|w| arg(&w[1], "active") <= arg(&w[0], "active")));
     }
 
     #[test]
