@@ -805,12 +805,16 @@ pub fn cmd_serve(args: &ArgMap) -> CommandResult {
 /// `--predictions-out FILE` additionally writes the last response that carries
 /// predictions in the same `node<TAB>class` format as `fg classify --out`.
 pub fn cmd_client(args: &ArgMap) -> CommandResult {
+    client_with_input(args, std::io::stdin())
+}
+
+/// [`cmd_client`] reading its stdin requests from `input`.
+fn client_with_input(args: &ArgMap, mut input: impl std::io::Read) -> CommandResult {
     let port: u16 = args.require_parsed("port").map_err(err)?;
     let host = args.get("host").unwrap_or("127.0.0.1");
     let requests: Vec<String> = if args.positional().is_empty() {
-        use std::io::Read as _;
         let mut buffer = String::new();
-        std::io::stdin().read_to_string(&mut buffer).map_err(err)?;
+        input.read_to_string(&mut buffer).map_err(err)?;
         buffer
             .lines()
             .filter(|l| !l.trim().is_empty())
@@ -1642,6 +1646,7 @@ mod tests {
 
     #[test]
     fn client_drives_a_served_session_and_matches_batch_classify() {
+        const TEST: &str = "client_drives_a_served_session_and_matches_batch_classify";
         let dir = temp_dir("serve_client");
         let edges = dir.join("edges.tsv");
         let labels = dir.join("labels.tsv");
@@ -1683,7 +1688,7 @@ mod tests {
             edges.display(),
             seed_path.display()
         );
-        let output = cmd_client(&args(&[
+        let client_args = args(&[
             &load,
             "{\"cmd\":\"classify\",\"method\":\"mce\"}",
             "{\"cmd\":\"stats\"}",
@@ -1691,8 +1696,8 @@ mod tests {
             &port,
             "--predictions-out",
             pred_served.to_str().unwrap(),
-        ]))
-        .unwrap();
+        ]);
+        let output = fg_serve::with_watchdog(TEST, 3, move || cmd_client(&client_args)).unwrap();
         assert_eq!(output.lines().count(), 3, "{output}");
         assert!(output.contains("\"summary_computations\":1"), "{output}");
 
@@ -1718,10 +1723,12 @@ mod tests {
             std::fs::read(&pred_batch).unwrap()
         );
 
-        // Client-side validation errors.
-        assert!(cmd_client(&args(&["--port", &port]))
-            .unwrap_err()
-            .contains("no requests"));
+        // Client-side validation errors; an empty stdin holds no requests.
+        assert!(
+            client_with_input(&args(&["--port", &port]), std::io::empty())
+                .unwrap_err()
+                .contains("no requests")
+        );
         assert!(cmd_client(&args(&["{\"cmd\":\"ping\"}", "--port", "1"]))
             .unwrap_err()
             .contains("cannot reach"));

@@ -28,6 +28,7 @@ use fg_graph::{Fingerprint, FingerprintBuilder, Graph, GraphError, Labeling, Res
 use fg_sparse::{run_ordered_cells, DenseMatrix, Threads};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BinaryHeap;
 
 /// Content fingerprint of a feature matrix: the shape plus every value's exact
 /// `f64` bit pattern, domain-separated from the graph and seed fingerprints.
@@ -199,45 +200,159 @@ fn euclidean_sq(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// The k smallest `(distance, node)` pairs among `i`'s rows, ties broken by node
-/// index so the selection is deterministic.
-fn nearest(
+/// The distance between feature rows `i` and `j`. Both metrics are symmetric
+/// bit for bit (`(x − y)²` equals `(y − x)²`, and `x·y` equals `y·x`, summed in
+/// the same order), so one evaluation serves both rows' lists.
+fn pair_distance(features: &DenseMatrix, norms: &[f64], metric: Metric, i: usize, j: usize) -> f64 {
+    let (xi, xj) = (features.row(i), features.row(j));
+    match metric {
+        Metric::Euclidean => euclidean_sq(xi, xj).sqrt(),
+        Metric::Cosine => {
+            // A zero row is at distance 1 from everything.
+            let denom = norms[i] * norms[j];
+            if denom == 0.0 {
+                1.0
+            } else {
+                let dot: f64 = xi.iter().zip(xj).map(|(x, y)| x * y).sum();
+                1.0 - dot / denom
+            }
+        }
+    }
+}
+
+/// A neighbour candidate under the `(distance, node)` total order, which
+/// breaks distance ties by node index so every selection is deterministic.
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    distance: f64,
+    node: usize,
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.distance
+            .total_cmp(&other.distance)
+            .then(self.node.cmp(&other.node))
+    }
+}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Candidate {}
+
+/// One node's `k` smallest candidates so far: a max-heap whose root is the
+/// candidate the next smaller offer evicts.
+struct TopK {
+    k: usize,
+    /// The root's distance once the heap is full (infinite before): an offer
+    /// farther than this is rejected without touching the heap.
+    bound: f64,
+    heap: BinaryHeap<Candidate>,
+}
+
+impl TopK {
+    fn new(k: usize) -> Self {
+        TopK {
+            k,
+            bound: f64::INFINITY,
+            heap: BinaryHeap::with_capacity(k),
+        }
+    }
+
+    fn offer(&mut self, candidate: Candidate) {
+        if candidate.distance > self.bound {
+            return;
+        }
+        if self.heap.len() < self.k {
+            self.heap.push(candidate);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if candidate < *worst {
+                *worst = candidate;
+            }
+        }
+        if self.heap.len() == self.k {
+            self.bound = self.heap.peek().map_or(f64::INFINITY, |c| c.distance);
+        }
+    }
+
+    /// The kept candidates as `(node, distance)`, nearest first.
+    fn into_sorted(self) -> Vec<(usize, f64)> {
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|c| (c.node, c.distance))
+            .collect()
+    }
+}
+
+/// Rows per side of a tile of the pair scan: a tile pair's feature rows stay
+/// cache-resident while every pair between them is measured.
+const PAIR_TILE: usize = 64;
+
+/// Every node's `k` nearest other nodes as `(node, distance)`, nearest first
+/// under the `(distance, node)` order. Each unordered pair's distance is
+/// computed once, over the upper triangle in [`PAIR_TILE`]-row tiles, and
+/// offered to both nodes' bounded lists. Tile rows are dealt to one stripe
+/// per worker (back and forth, so the stripes get equal shares of the
+/// triangle), each stripe fills its own lists, and the stripes' lists are
+/// merged in stripe order. The k smallest under a total order do not depend on
+/// the order they were offered in, so the lists are the same at any thread
+/// count.
+fn nearest_lists(
     features: &DenseMatrix,
     norms: &[f64],
     metric: Metric,
-    i: usize,
     k: usize,
-) -> Vec<(usize, f64)> {
+    threads: Threads,
+) -> Result<Vec<Vec<(usize, f64)>>> {
     let n = features.rows();
-    let xi = features.row(i);
-    let mut dists: Vec<(f64, usize)> = Vec::with_capacity(n - 1);
-    for j in 0..n {
-        if j == i {
-            continue;
+    let tiles = n.div_ceil(PAIR_TILE);
+    let stripes = threads.count_for(tiles);
+    let stripe_of = |tile: usize| {
+        let (round, pos) = (tile / stripes, tile % stripes);
+        if round % 2 == 0 {
+            pos
+        } else {
+            stripes - 1 - pos
         }
-        let d = match metric {
-            Metric::Euclidean => euclidean_sq(xi, features.row(j)).sqrt(),
-            Metric::Cosine => {
-                let denom = norms[i] * norms[j];
-                if denom == 0.0 {
-                    1.0
-                } else {
-                    let dot: f64 = xi.iter().zip(features.row(j)).map(|(x, y)| x * y).sum();
-                    1.0 - dot / denom
+    };
+    let partial: Vec<Vec<TopK>> = run_ordered_cells(stripes, threads, |stripe| {
+        let mut lists: Vec<TopK> = (0..n).map(|_| TopK::new(k)).collect();
+        for ti in (0..tiles).filter(|&t| stripe_of(t) == stripe) {
+            let rows = ti * PAIR_TILE..((ti + 1) * PAIR_TILE).min(n);
+            for tj in ti..tiles {
+                let cols = tj * PAIR_TILE..((tj + 1) * PAIR_TILE).min(n);
+                for i in rows.clone() {
+                    for j in cols.start.max(i + 1)..cols.end {
+                        let distance = pair_distance(features, norms, metric, i, j);
+                        lists[i].offer(Candidate { distance, node: j });
+                        lists[j].offer(Candidate { distance, node: i });
+                    }
                 }
             }
-        };
-        dists.push((d, j));
+        }
+        Ok::<_, GraphError>(lists)
+    })?;
+    let mut partial = partial.into_iter();
+    let mut lists = partial.next().unwrap_or_default();
+    for stripe in partial {
+        for (list, other) in lists.iter_mut().zip(stripe) {
+            for candidate in other.heap {
+                list.offer(candidate);
+            }
+        }
     }
-    // `(distance, index)` is a total order, so selecting the k smallest and
-    // sorting only those gives exactly the prefix a full sort would.
-    let order = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
-    if k < dists.len() {
-        dists.select_nth_unstable_by(k, order);
-        dists.truncate(k);
-    }
-    dists.sort_unstable_by(order);
-    dists.into_iter().map(|(d, j)| (j, d)).collect()
+    Ok(lists.into_iter().map(TopK::into_sorted).collect())
 }
 
 /// Fold per-node directed weights into an undirected edge list under a
@@ -247,35 +362,31 @@ fn symmetrized_edges(
     directed: &[Vec<(usize, f64)>],
     policy: Symmetrize,
 ) -> Vec<(usize, usize, f64)> {
-    use std::collections::HashMap;
-    let mut pairs: HashMap<(usize, usize), (Option<f64>, Option<f64>)> = HashMap::new();
-    for (i, list) in directed.iter().enumerate() {
-        for &(j, w) in list {
-            let slot = pairs.entry((i.min(j), i.max(j))).or_insert((None, None));
-            if i < j {
-                slot.0 = Some(w);
-            } else {
-                slot.1 = Some(w);
-            }
-        }
-    }
-    let mut edges: Vec<(usize, usize, f64)> = pairs
-        .into_iter()
-        .filter_map(|((u, v), (fwd, bwd))| {
-            let w = match policy {
-                Symmetrize::Union => match (fwd, bwd) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (Some(a), None) | (None, Some(a)) => Some(a),
-                    (None, None) => None,
-                },
-                Symmetrize::Intersection => fwd.zip(bwd).map(|(a, b)| a.min(b)),
-                Symmetrize::Mutual => fwd.zip(bwd).map(|(a, b)| 0.5 * (a + b)),
-            }?;
-            (w > 0.0).then_some((u, v, w))
+    // Each directed weight keyed by its undirected pair; `u → v` (u < v) sorts
+    // before `v → u`, and a node lists a neighbour at most once, so a pair's
+    // group holds one or both directions in that order.
+    let mut halves: Vec<(usize, usize, bool, f64)> = directed
+        .iter()
+        .enumerate()
+        .flat_map(|(i, list)| {
+            list.iter()
+                .map(move |&(j, w)| (i.min(j), i.max(j), i > j, w))
         })
         .collect();
-    edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
-    edges
+    halves.sort_unstable_by_key(|&(u, v, backward, _)| (u, v, backward));
+    halves
+        .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+        .filter_map(|pair| {
+            let w = match (policy, pair) {
+                (Symmetrize::Union, [one]) => one.3,
+                (Symmetrize::Union, [fwd, bwd]) => fwd.3.max(bwd.3),
+                (Symmetrize::Intersection, [fwd, bwd]) => fwd.3.min(bwd.3),
+                (Symmetrize::Mutual, [fwd, bwd]) => 0.5 * (fwd.3 + bwd.3),
+                _ => return None,
+            };
+            (w > 0.0).then_some((pair[0].0, pair[0].1, w))
+        })
+        .collect()
 }
 
 /// Exact brute-force k-nearest-neighbor graph construction.
@@ -291,8 +402,8 @@ pub struct KnnBuilder {
     pub symmetrize: Symmetrize,
     /// Heat-kernel bandwidth; `None` uses the mean k-th-neighbor distance.
     pub sigma: Option<f64>,
-    /// Thread policy for the per-node distance scans (bit-identical output at
-    /// any count).
+    /// Thread policy for the pair-distance scan (bit-identical output at any
+    /// count).
     pub threads: Threads,
 }
 
@@ -306,6 +417,45 @@ impl Default for KnnBuilder {
             sigma: None,
             threads: Threads::Serial,
         }
+    }
+}
+
+impl KnnBuilder {
+    /// Turn the `(node, distance)` neighbour lists into `(node, weight)` lists
+    /// under the builder's [`Weighting`].
+    fn weighted(&self, lists: &[Vec<(usize, f64)>]) -> Vec<Vec<(usize, f64)>> {
+        // The heat-kernel bandwidth defaults to the mean k-th-neighbor distance,
+        // reduced serially in node order — the same value at any thread count.
+        let sigma = match (self.weighting, self.sigma) {
+            (Weighting::HeatKernel, None) => {
+                let mean: f64 = lists
+                    .iter()
+                    .map(|l| l.last().map_or(0.0, |&(_, d)| d))
+                    .sum::<f64>()
+                    / lists.len() as f64;
+                if mean > 0.0 {
+                    mean
+                } else {
+                    1.0
+                }
+            }
+            (_, sigma) => sigma.unwrap_or(1.0),
+        };
+        lists
+            .iter()
+            .map(|list| {
+                list.iter()
+                    .map(|&(j, d)| {
+                        let w = match self.weighting {
+                            Weighting::Binary => 1.0,
+                            Weighting::HeatKernel => (-d * d / (2.0 * sigma * sigma)).exp(),
+                            Weighting::InverseDistance => 1.0 / (1.0 + d),
+                        };
+                        (j, w)
+                    })
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -328,44 +478,11 @@ impl GraphBuilder for KnnBuilder {
                 .collect(),
             Metric::Euclidean => Vec::new(),
         };
-        // Per-node scans are independent; `run_ordered_cells` returns them in node
-        // order regardless of which worker ran which node.
-        let lists: Vec<Vec<(usize, f64)>> = run_ordered_cells(n, self.threads, |i| {
-            Ok::<_, GraphError>(nearest(features, &norms, self.metric, i, k))
-        })?;
-        // The heat-kernel bandwidth defaults to the mean k-th-neighbor distance,
-        // reduced serially in node order — the same value at any thread count.
-        let sigma = match (self.weighting, self.sigma) {
-            (Weighting::HeatKernel, None) => {
-                let mean: f64 = lists
-                    .iter()
-                    .map(|l| l.last().map_or(0.0, |&(_, d)| d))
-                    .sum::<f64>()
-                    / n as f64;
-                if mean > 0.0 {
-                    mean
-                } else {
-                    1.0
-                }
-            }
-            (_, sigma) => sigma.unwrap_or(1.0),
-        };
-        let weighted: Vec<Vec<(usize, f64)>> = lists
-            .iter()
-            .map(|list| {
-                list.iter()
-                    .map(|&(j, d)| {
-                        let w = match self.weighting {
-                            Weighting::Binary => 1.0,
-                            Weighting::HeatKernel => (-d * d / (2.0 * sigma * sigma)).exp(),
-                            Weighting::InverseDistance => 1.0 / (1.0 + d),
-                        };
-                        (j, w)
-                    })
-                    .collect()
-            })
-            .collect();
-        Graph::from_weighted_edges(n, &symmetrized_edges(&weighted, self.symmetrize))
+        let lists = nearest_lists(features, &norms, self.metric, k, self.threads)?;
+        Graph::from_weighted_edges(
+            n,
+            &symmetrized_edges(&self.weighted(&lists), self.symmetrize),
+        )
     }
 
     fn name(&self) -> String {
@@ -442,6 +559,22 @@ impl SparseRegBuilder {
     }
 }
 
+/// The rows of `features` scaled to unit l2 norm (zero rows stay zero), so the
+/// reconstruction problem is scale-free.
+fn unit_rows(features: &DenseMatrix) -> DenseMatrix {
+    let mut unit = features.clone();
+    for i in 0..unit.rows() {
+        let row = unit.row_mut(i);
+        let norm = row.iter().map(|v| v * v).sum::<f64>().sqrt();
+        if norm > 0.0 {
+            for v in row.iter_mut() {
+                *v /= norm;
+            }
+        }
+    }
+    unit
+}
+
 impl GraphBuilder for SparseRegBuilder {
     fn build(&self, features: &DenseMatrix) -> Result<Graph> {
         validate_features(features)?;
@@ -459,19 +592,10 @@ impl GraphBuilder for SparseRegBuilder {
         }
         let n = features.rows();
         let k = self.k.min(n - 1);
-        // l2-normalize rows so the reconstruction problem is scale-free.
-        let mut unit = features.clone();
-        for i in 0..n {
-            let row = unit.row_mut(i);
-            let norm = row.iter().map(|v| v * v).sum::<f64>().sqrt();
-            if norm > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= norm;
-                }
-            }
-        }
+        let unit = unit_rows(features);
+        let candidate_lists = nearest_lists(&unit, &[], Metric::Euclidean, k, self.threads)?;
         let directed: Vec<Vec<(usize, f64)>> = run_ordered_cells(n, self.threads, |i| {
-            let candidates = nearest(&unit, &[], Metric::Euclidean, i, k);
+            let candidates = &candidate_lists[i];
             let xi = unit.row(i);
             let m = candidates.len();
             let mut gram = vec![vec![0.0; m]; m];
@@ -732,6 +856,93 @@ pub fn synthesize_blobs(config: &BlobConfig) -> Result<(DenseMatrix, Labeling)> 
 mod tests {
     use super::*;
 
+    /// The per-row scan the pair-once build replaced, kept as its oracle: the
+    /// k smallest `(distance, node)` pairs among `i`'s rows, ties broken by
+    /// node index, each distance measured from row `i`'s side.
+    fn nearest(
+        features: &DenseMatrix,
+        norms: &[f64],
+        metric: Metric,
+        i: usize,
+        k: usize,
+    ) -> Vec<(usize, f64)> {
+        let n = features.rows();
+        let xi = features.row(i);
+        let mut dists: Vec<(f64, usize)> = Vec::with_capacity(n - 1);
+        for j in 0..n {
+            if j == i {
+                continue;
+            }
+            let d = match metric {
+                Metric::Euclidean => euclidean_sq(xi, features.row(j)).sqrt(),
+                Metric::Cosine => {
+                    let denom = norms[i] * norms[j];
+                    if denom == 0.0 {
+                        1.0
+                    } else {
+                        let dot: f64 = xi.iter().zip(features.row(j)).map(|(x, y)| x * y).sum();
+                        1.0 - dot / denom
+                    }
+                }
+            };
+            dists.push((d, j));
+        }
+        let order = |a: &(f64, usize), b: &(f64, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        if k < dists.len() {
+            dists.select_nth_unstable_by(k, order);
+            dists.truncate(k);
+        }
+        dists.sort_unstable_by(order);
+        dists.into_iter().map(|(d, j)| (j, d)).collect()
+    }
+
+    /// The `HashMap` symmetrization the sorted fold replaced, kept as its
+    /// oracle.
+    fn symmetrized_edges_oracle(
+        directed: &[Vec<(usize, f64)>],
+        policy: Symmetrize,
+    ) -> Vec<(usize, usize, f64)> {
+        use std::collections::HashMap;
+        let mut pairs: HashMap<(usize, usize), (Option<f64>, Option<f64>)> = HashMap::new();
+        for (i, list) in directed.iter().enumerate() {
+            for &(j, w) in list {
+                let slot = pairs.entry((i.min(j), i.max(j))).or_insert((None, None));
+                if i < j {
+                    slot.0 = Some(w);
+                } else {
+                    slot.1 = Some(w);
+                }
+            }
+        }
+        let mut edges: Vec<(usize, usize, f64)> = pairs
+            .into_iter()
+            .filter_map(|((u, v), (fwd, bwd))| {
+                let w = match policy {
+                    Symmetrize::Union => match (fwd, bwd) {
+                        (Some(a), Some(b)) => Some(a.max(b)),
+                        (Some(a), None) | (None, Some(a)) => Some(a),
+                        (None, None) => None,
+                    },
+                    Symmetrize::Intersection => fwd.zip(bwd).map(|(a, b)| a.min(b)),
+                    Symmetrize::Mutual => fwd.zip(bwd).map(|(a, b)| 0.5 * (a + b)),
+                }?;
+                (w > 0.0).then_some((u, v, w))
+            })
+            .collect();
+        edges.sort_unstable_by_key(|&(u, v, _)| (u, v));
+        edges
+    }
+
+    fn row_norms(x: &DenseMatrix) -> Vec<f64> {
+        (0..x.rows())
+            .map(|i| x.row(i).iter().map(|v| v * v).sum::<f64>().sqrt())
+            .collect()
+    }
+
+    fn edge_bits(g: &Graph) -> Vec<(usize, usize, u64)> {
+        g.edges().map(|(u, v, w)| (u, v, w.to_bits())).collect()
+    }
+
     fn blob_features(nodes: usize, spread: f64, seed: u64) -> DenseMatrix {
         synthesize_blobs(&BlobConfig {
             nodes,
@@ -808,9 +1019,7 @@ mod tests {
         use std::collections::BTreeSet;
         let x = tied_features();
         let n = x.rows();
-        let norms: Vec<f64> = (0..n)
-            .map(|i| x.row(i).iter().map(|v| v * v).sum::<f64>().sqrt())
-            .collect();
+        let norms = row_norms(&x);
         for metric in [Metric::Euclidean, Metric::Cosine] {
             for i in 0..n {
                 // At k = n − 1 nothing is selected away: the list is the full
@@ -855,6 +1064,111 @@ mod tests {
                 let got: BTreeSet<_> = g.edges().map(|(u, v, _)| (u, v)).collect();
                 assert_eq!(got, want, "k {k} {threads:?}");
             }
+        }
+    }
+
+    /// The pair-once lists and the graphs built from them equal the per-row
+    /// oracle's byte for byte: both metrics, every weighting and
+    /// symmetrization, k inside the range and at or past n − 1, tied and
+    /// zero rows, 1, 2 and 4 threads.
+    #[test]
+    fn pair_once_build_matches_the_per_row_oracle() {
+        // 150 rows make three tiles of the pair scan, so stripes share work.
+        let mut x = tied_features();
+        let blobs = blob_features(110, 1.3, 21);
+        x = DenseMatrix::from_vec(
+            150,
+            x.cols(),
+            x.data().iter().chain(blobs.data()).copied().collect(),
+        )
+        .unwrap();
+        let n = x.rows();
+        assert!(n > 2 * PAIR_TILE);
+        let norms = row_norms(&x);
+        let bits = |list: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            list.iter().map(|&(j, d)| (j, d.to_bits())).collect()
+        };
+        for metric in [Metric::Euclidean, Metric::Cosine] {
+            for k in [1, 5, n - 1, n + 10] {
+                let kk = k.min(n - 1);
+                let oracle: Vec<_> = (0..n).map(|i| nearest(&x, &norms, metric, i, kk)).collect();
+                for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(4)] {
+                    let lists = nearest_lists(&x, &norms, metric, kk, threads).unwrap();
+                    for i in 0..n {
+                        assert_eq!(
+                            bits(&lists[i]),
+                            bits(&oracle[i]),
+                            "{metric:?} k {k} node {i}"
+                        );
+                    }
+                }
+                for weighting in [
+                    Weighting::Binary,
+                    Weighting::HeatKernel,
+                    Weighting::InverseDistance,
+                ] {
+                    for symmetrize in [
+                        Symmetrize::Union,
+                        Symmetrize::Intersection,
+                        Symmetrize::Mutual,
+                    ] {
+                        let builder = KnnBuilder {
+                            k,
+                            metric,
+                            weighting,
+                            symmetrize,
+                            ..KnnBuilder::default()
+                        };
+                        let edges =
+                            symmetrized_edges_oracle(&builder.weighted(&oracle), symmetrize);
+                        let want = Graph::from_weighted_edges(n, &edges).unwrap();
+                        for threads in [Threads::Serial, Threads::Fixed(2), Threads::Fixed(4)] {
+                            let got = KnnBuilder {
+                                threads,
+                                ..builder.clone()
+                            }
+                            .build(&x)
+                            .unwrap();
+                            let case = format!("{} {threads:?}", builder.name());
+                            assert_eq!(edge_bits(&got), edge_bits(&want), "{case}");
+                            assert_eq!(got.fingerprint(), want.fingerprint(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
+        // SparseReg's candidates are the euclidean lists over unit rows.
+        let unit = unit_rows(&x);
+        for k in [1, 10, n - 1] {
+            for threads in [Threads::Serial, Threads::Fixed(4)] {
+                let lists = nearest_lists(&unit, &[], Metric::Euclidean, k, threads).unwrap();
+                for (i, list) in lists.iter().enumerate() {
+                    let want = nearest(&unit, &[], Metric::Euclidean, i, k);
+                    assert_eq!(bits(list), bits(&want), "k {k} {threads:?} node {i}");
+                }
+            }
+        }
+        // The sorted fold equals the HashMap fold on the asymmetric SparseReg
+        // weights too, where mutual and intersection differ.
+        for symmetrize in [
+            Symmetrize::Union,
+            Symmetrize::Intersection,
+            Symmetrize::Mutual,
+        ] {
+            let directed: Vec<Vec<(usize, f64)>> = (0..n)
+                .map(|i| {
+                    nearest(&unit, &[], Metric::Euclidean, i, 7)
+                        .into_iter()
+                        .map(|(j, d)| (j, 1.0 / (1.0 + d + (i % 3) as f64)))
+                        .collect()
+                })
+                .collect();
+            let got = symmetrized_edges(&directed, symmetrize);
+            let want = symmetrized_edges_oracle(&directed, symmetrize);
+            let bits = |e: &[(usize, usize, f64)]| -> Vec<(usize, usize, u64)> {
+                e.iter().map(|&(u, v, w)| (u, v, w.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "{symmetrize:?}");
         }
     }
 

@@ -30,7 +30,7 @@ pub mod session;
 
 pub use json::Json;
 pub use server::{
-    scrape_metrics, send_requests, serve_lines, serve_lines_with, MetricsServer, ServeLimits,
-    TcpServer,
+    scrape_metrics, send_requests, send_requests_watched, serve_lines, serve_lines_with,
+    with_watchdog, MetricsServer, ServeLimits, TcpServer,
 };
 pub use session::{predictions_to_file_format, Flow, Session, DEFAULT_DATASET};

@@ -16,7 +16,9 @@ use fg_obs::{Gauge, MetricsRegistry};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Resource bounds for a serving transport. `Default` gives production-safe
 /// values; `0` means "unlimited" for the connection and request counts, but the
@@ -447,4 +449,97 @@ pub fn send_requests(addr: impl ToSocketAddrs, lines: &[String]) -> io::Result<V
         return Err(e);
     }
     Ok(responses)
+}
+
+/// How long [`with_watchdog`] waits for one client exchange.
+const EXCHANGE_WATCHDOG: Duration = Duration::from_secs(60);
+
+/// Test support: run one client exchange with an in-process server (a
+/// [`send_requests`] batch, a metrics scrape, a raw round trip) on its own
+/// thread and wait at most 60 s for it. A client that reads to EOF blocks for
+/// as long as the server keeps the connection open; past the deadline this
+/// panics with the test's name and the exchange's request count instead of
+/// hanging the suite. The stuck thread is abandoned; a panic inside the
+/// exchange is re-raised on the caller's thread. Not part of the supported
+/// API.
+#[doc(hidden)]
+pub fn with_watchdog<T, F>(test: &str, requests: usize, exchange: F) -> T
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    watchdog_for(EXCHANGE_WATCHDOG, test, requests, exchange)
+}
+
+fn watchdog_for<T, F>(limit: Duration, test: &str, requests: usize, exchange: F) -> T
+where
+    T: Send + 'static,
+    F: FnOnce() -> T + Send + 'static,
+{
+    let (done, outcome) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        // The receiver is gone only after a timeout, when nobody waits.
+        let _ = done.send(exchange());
+    });
+    match outcome.recv_timeout(limit) {
+        Ok(value) => {
+            worker
+                .join()
+                .expect("the exchange thread ended after sending");
+            value
+        }
+        Err(RecvTimeoutError::Timeout) => panic!(
+            "{test}: an exchange of {requests} request(s) was still running after {:?}",
+            limit
+        ),
+        Err(RecvTimeoutError::Disconnected) => match worker.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => unreachable!("the exchange thread ended without sending"),
+        },
+    }
+}
+
+/// Test support: [`send_requests`] under [`with_watchdog`]. Not part of the
+/// supported API.
+#[doc(hidden)]
+pub fn send_requests_watched(
+    test: &str,
+    addr: SocketAddr,
+    lines: &[String],
+) -> io::Result<Vec<String>> {
+    let owned = lines.to_vec();
+    with_watchdog(test, lines.len(), move || send_requests(addr, &owned))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn watchdog_names_the_test_and_request_count_of_a_hung_exchange() {
+        let hung = std::panic::catch_unwind(|| {
+            watchdog_for(Duration::from_millis(20), "some_test", 3, || {
+                std::thread::sleep(Duration::from_secs(5))
+            })
+        });
+        let message = panic_message(hung.unwrap_err());
+        assert!(message.starts_with("some_test: "), "{message}");
+        assert!(message.contains("3 request(s)"), "{message}");
+    }
+
+    #[test]
+    fn watchdog_returns_the_answer_and_re_raises_a_panic() {
+        assert_eq!(with_watchdog("quick", 1, || 7), 7);
+        let failed =
+            std::panic::catch_unwind(|| with_watchdog("failing", 1, || panic!("inner failure")));
+        assert_eq!(panic_message(failed.unwrap_err()), "inner failure");
+    }
 }

@@ -3,7 +3,9 @@
 //! must answer every abusive input with a structured protocol error and never
 //! hang or die.
 
-use fg_serve::{send_requests, serve_lines_with, Json, ServeLimits, Session, TcpServer};
+use fg_serve::{
+    send_requests_watched, serve_lines_with, with_watchdog, Json, ServeLimits, Session, TcpServer,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -95,6 +97,7 @@ fn request_budget_closes_the_connection_after_the_last_allowed_response() {
 
 #[test]
 fn connections_past_the_cap_are_refused_and_capacity_recovers() {
+    const TEST: &str = "connections_past_the_cap_are_refused_and_capacity_recovers";
     let limits = ServeLimits {
         max_connections: 1,
         ..ServeLimits::default()
@@ -105,14 +108,17 @@ fn connections_past_the_cap_are_refused_and_capacity_recovers() {
     let first = TcpStream::connect(addr).unwrap();
     let mut writer = first.try_clone().unwrap();
     let mut reader = BufReader::new(first.try_clone().unwrap());
-    writer.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
-    writer.flush().unwrap();
-    let mut line = String::new();
-    reader.read_line(&mut line).unwrap();
+    let (writer, reader, line) = with_watchdog(TEST, 1, move || {
+        writer.write_all(b"{\"cmd\":\"ping\"}\n").unwrap();
+        writer.flush().unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        (writer, reader, line)
+    });
     assert!(line.contains("pong"), "{line}");
 
     // A second client is refused with one structured error line, then EOF.
-    let refused = send_requests(addr, &["{\"cmd\":\"ping\"}".to_string()]).unwrap();
+    let refused = send_requests_watched(TEST, addr, &["{\"cmd\":\"ping\"}".to_string()]).unwrap();
     assert_eq!(refused.len(), 1, "{refused:?}");
     let parsed = parse(&refused[0]);
     assert_eq!(parsed.get("ok").and_then(Json::as_bool), Some(false));
@@ -132,7 +138,8 @@ fn connections_past_the_cap_are_refused_and_capacity_recovers() {
     drop(first);
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let responses = send_requests(addr, &["{\"cmd\":\"ping\"}".to_string()]).unwrap();
+        let responses =
+            send_requests_watched(TEST, addr, &["{\"cmd\":\"ping\"}".to_string()]).unwrap();
         if responses.len() == 1 && responses[0].contains("pong") {
             break;
         }

@@ -2,7 +2,7 @@
 //! incremental counters, stdio loop, and concurrent TCP clients.
 
 use fg_core::prelude::*;
-use fg_serve::{send_requests, serve_lines, Json, Session, TcpServer};
+use fg_serve::{send_requests_watched, serve_lines, Json, Session, TcpServer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -365,12 +365,14 @@ fn stdio_loop_and_shutdown() {
 
 #[test]
 fn concurrent_tcp_clients_share_state_and_get_deterministic_responses() {
+    const TEST: &str = "concurrent_tcp_clients_share_state_and_get_deterministic_responses";
     let (dir, edges, seeds_path, _) = dataset("tcp");
     let session = Arc::new(Session::new(Threads::Serial, None));
     let addr = TcpServer::spawn(Arc::clone(&session), "127.0.0.1:0").unwrap();
 
     // One client loads and warms the session.
-    let responses = send_requests(
+    let responses = send_requests_watched(
+        TEST,
         addr,
         &[
             load_line(&edges, &seeds_path),
@@ -388,7 +390,7 @@ fn concurrent_tcp_clients_share_state_and_get_deterministic_responses() {
         (0..4)
             .map(|_| {
                 let request = request.clone();
-                scope.spawn(move || send_requests(addr, &[request]).unwrap())
+                scope.spawn(move || send_requests_watched(TEST, addr, &[request]).unwrap())
             })
             .collect::<Vec<_>>()
             .into_iter()
@@ -403,7 +405,8 @@ fn concurrent_tcp_clients_share_state_and_get_deterministic_responses() {
     }
 
     // A malformed request over TCP errors without killing the server.
-    let responses = send_requests(
+    let responses = send_requests_watched(
+        TEST,
         addr,
         &["oops".to_string(), "{\"cmd\":\"ping\"}".to_string()],
     )
@@ -421,6 +424,7 @@ fn concurrent_tcp_clients_share_state_and_get_deterministic_responses() {
 /// client's responses depend on its own request history alone.
 #[test]
 fn concurrent_mutating_clients_match_a_serial_replay() {
+    const TEST: &str = "concurrent_mutating_clients_match_a_serial_replay";
     const CLIENTS: usize = 3;
     const CYCLES: usize = 2;
     let mut dirs = Vec::new();
@@ -460,7 +464,7 @@ fn concurrent_mutating_clients_match_a_serial_replay() {
         TcpServer::spawn(Arc::new(Session::new(Threads::Serial, None)), "127.0.0.1:0").unwrap();
     let expected: Vec<Vec<String>> = streams
         .iter()
-        .map(|stream| send_requests(serial, stream).unwrap())
+        .map(|stream| send_requests_watched(TEST, serial, stream).unwrap())
         .collect();
     for responses in &expected {
         assert_eq!(responses.len(), 1 + 5 * CYCLES);
@@ -480,7 +484,7 @@ fn concurrent_mutating_clients_match_a_serial_replay() {
                 let start = &start;
                 scope.spawn(move || {
                     start.wait();
-                    send_requests(addr, stream).unwrap()
+                    send_requests_watched(TEST, addr, stream).unwrap()
                 })
             })
             .collect::<Vec<_>>()

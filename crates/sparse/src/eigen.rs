@@ -32,10 +32,11 @@
 //!    computed, so it costs `d − 1` SpMMs of width a, and the normalization
 //!    keeps every value O(1).
 //! 4. **Reorthonormalization** of the filtered block against the locked
-//!    vectors and itself by twice-through modified Gram–Schmidt, with a
-//!    deterministic replacement for numerically dead columns, so the basis
-//!    never loses orthogonality and never consults a random source after
-//!    start-up.
+//!    vectors and itself by modified Gram–Schmidt with DGKS
+//!    reorthogonalization (a second pass only for a column the first pass
+//!    shrank below 1/√2 of its norm), and a deterministic replacement for
+//!    numerically dead columns, so the basis never loses orthogonality and
+//!    never consults a random source after start-up.
 //!
 //! A round is therefore `d` block products plus one pass of dense work, each
 //! on the a active columns; the round that converges skips steps 3 and 4.
@@ -51,7 +52,8 @@
 //! Each phase records a span (`eigen.rayleigh_ritz`, `eigen.filter`,
 //! `eigen.orthonormalize`, args `n`/`block`/`degree`/`active`/`locked`), so a
 //! trace splits the solve and shows the active block shrinking without a
-//! benchmark.
+//! benchmark. `eigen.orthonormalize` also records `reprojected`, the columns
+//! that took the second Gram–Schmidt pass.
 
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
@@ -97,6 +99,12 @@ const MAGNITUDE_TIE: f64 = 1e-12;
 /// A column whose norm after projection falls below this share of its norm
 /// before projection carries no independent direction and is replaced.
 const DEAD_COLUMN: f64 = 1e-12;
+
+/// The DGKS test (Daniel, Gragg, Kaufman & Stewart): when one Gram–Schmidt
+/// pass leaves a column at least this share of its norm, cancellation was too
+/// mild to leave it measurably non-orthogonal; a column left with less takes a
+/// second pass.
+const REPROJECT: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
 /// Implicit QL sweeps allowed per eigenvalue of the projected matrix: the
 /// EISPACK/LAPACK budget, far above what the shifted iteration takes.
@@ -294,8 +302,11 @@ impl Workspace {
     }
 
     /// Orthonormalize the columns of `block` in place against the first
-    /// `locked` locked vectors and each other with modified Gram–Schmidt, run
-    /// twice per column (full reorthogonalization — "twice is enough").
+    /// `locked` locked vectors and each other with modified Gram–Schmidt, and
+    /// return how many columns took a second pass. A column gets that second
+    /// pass ("twice is enough") only when the first left less than
+    /// [`REPROJECT`] of its norm; a column that kept more is already
+    /// orthogonal to round-off.
     ///
     /// A column whose norm collapses under projection to below
     /// [`DEAD_COLUMN`] of its norm before projection (a rank-deficient
@@ -303,7 +314,7 @@ impl Workspace {
     /// canonical basis vector `e_i` that survives projection, so the basis
     /// always has full column rank and the procedure stays deterministic. The
     /// test is relative because filtered columns have norms far from 1.
-    fn orthonormalize(&mut self, block: &mut DenseMatrix, locked: usize) -> Result<()> {
+    fn orthonormalize(&mut self, block: &mut DenseMatrix, locked: usize) -> Result<usize> {
         let (n, a) = block.shape();
         // Gram–Schmidt is column arithmetic and the block is row-major, so it
         // runs on a column-major copy placed after the locked vectors.
@@ -313,24 +324,32 @@ impl Workspace {
                 cols[(locked + j) * n + i] = x;
             }
         }
+        let project = |done: &[f64], col: &mut [f64]| {
+            for prev in done.chunks_exact(n) {
+                let d = dot(prev, col);
+                for (c, &p) in col.iter_mut().zip(prev) {
+                    *c -= d * p;
+                }
+            }
+            dot(col, col).sqrt()
+        };
+        let mut reprojected = 0usize;
         for j in locked..locked + a {
             let (done, rest) = cols.split_at_mut(j * n);
             let col = &mut rest[..n];
             let mut replacement = 0usize;
+            let mut twice = false;
             loop {
                 let before = dot(col, col).sqrt();
-                for _ in 0..2 {
-                    for prev in done.chunks_exact(n) {
-                        let d = dot(prev, col);
-                        for (c, &p) in col.iter_mut().zip(prev) {
-                            *c -= d * p;
-                        }
-                    }
+                let mut norm = project(done, col);
+                if norm < REPROJECT * before {
+                    norm = project(done, col);
+                    twice = true;
                 }
-                let norm = dot(col, col).sqrt();
                 if norm > DEAD_COLUMN * before {
                     let inv = 1.0 / norm;
                     col.iter_mut().for_each(|x| *x *= inv);
+                    reprojected += usize::from(twice);
                     break;
                 }
                 // Dead column: substitute the next canonical basis vector and retry.
@@ -350,7 +369,7 @@ impl Workspace {
                 *x = cols[(locked + j) * n + i];
             }
         }
-        Ok(())
+        Ok(reprojected)
     }
 }
 
@@ -778,8 +797,9 @@ pub fn symmetric_eigen(
     let mut work = Workspace::new(n, block);
     let mut q = seeded_block(n, block, config.seed);
     {
-        let _span = Span::enter_with("eigen.orthonormalize", &span_args(block, 0));
-        work.orthonormalize(&mut q, 0)?;
+        let mut span = Span::enter_with("eigen.orthonormalize", &span_args(block, 0));
+        let reprojected = work.orthonormalize(&mut q, 0)?;
+        span.record("reprojected", reprojected as u64);
     }
     let mut y = DenseMatrix::zeros(n, block);
     let mut v = DenseMatrix::zeros(n, block);
@@ -869,8 +889,10 @@ pub fn symmetric_eigen(
         }
         // With every Ritz value zero there is no scale to filter against, and
         // the unfiltered image W·V already in `wv` becomes the next block.
-        let _span = Span::enter_with("eigen.orthonormalize", &span_args(wv.cols(), locked.len()));
-        work.orthonormalize(&mut wv, locked.len())?;
+        let mut span =
+            Span::enter_with("eigen.orthonormalize", &span_args(wv.cols(), locked.len()));
+        let reprojected = work.orthonormalize(&mut wv, locked.len())?;
+        span.record("reprojected", reprojected as u64);
         std::mem::swap(&mut q, &mut wv);
     }
     Err(SparseError::DidNotConverge {
@@ -1399,6 +1421,115 @@ mod tests {
         assert!(filters
             .windows(2)
             .all(|w| arg(&w[1], "active") <= arg(&w[0], "active")));
+        // Gram–Schmidt reports its second passes, and most columns skip it.
+        let passes: Vec<(u64, u64)> = trace
+            .records
+            .iter()
+            .filter(|r| r.tid == tid && r.name == "eigen.orthonormalize")
+            .map(|r| (arg(&r.args, "reprojected"), arg(&r.args, "active")))
+            .collect();
+        assert_eq!(passes.len(), pairs.iterations);
+        assert!(passes.iter().all(|&(twice, active)| twice <= active));
+        let (twice, active) = passes
+            .iter()
+            .fold((0, 0), |(t, a), &(ti, ai)| (t + ti, a + ai));
+        assert!(
+            2 * twice < active,
+            "{twice} of {active} columns reprojected"
+        );
+    }
+
+    /// The locked vectors and the orthonormalized block, as the columns of one
+    /// n×(locked + a) matrix.
+    fn basis(work: &Workspace, block: &DenseMatrix, locked: usize) -> DenseMatrix {
+        let n = block.rows();
+        let mut all = DenseMatrix::zeros(n, locked + block.cols());
+        for slot in 0..locked {
+            for (i, &x) in work.locked(n, slot).iter().enumerate() {
+                all.set(i, slot, x);
+            }
+        }
+        for i in 0..n {
+            for j in 0..block.cols() {
+                all.set(i, locked + j, block.get(i, j));
+            }
+        }
+        all
+    }
+
+    /// max |QᵀQ − I| over the entries.
+    fn orthogonality_error(q: &DenseMatrix) -> f64 {
+        let gram = q.transpose().matmul(q).unwrap();
+        let mut worst = 0.0f64;
+        for i in 0..gram.rows() {
+            for j in 0..gram.cols() {
+                worst = worst.max((gram.get(i, j) - f64::from(i == j)).abs());
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn dgks_reprojects_columns_nearly_parallel_to_the_locked_ones() {
+        let (n, locked, a) = (60, 3, 4);
+        let mut work = Workspace::new(n, locked + a);
+        let mut frozen = seeded_block(n, locked, 11);
+        assert_eq!(work.orthonormalize(&mut frozen, 0).unwrap(), 0);
+        for j in 0..locked {
+            work.lock(&frozen, j, j);
+        }
+        // Each column is a mix of the locked vectors plus a 1e-7 perturbation:
+        // one pass cancels almost all of its norm.
+        let noise = seeded_block(n, a, 12);
+        let mut block = DenseMatrix::zeros(n, a);
+        for i in 0..n {
+            for j in 0..a {
+                let along: f64 = (0..locked)
+                    .map(|s| (s + j + 1) as f64 * frozen.get(i, s))
+                    .sum();
+                block.set(i, j, along + 1e-7 * noise.get(i, j));
+            }
+        }
+        let reprojected = work.orthonormalize(&mut block, locked).unwrap();
+        assert!(reprojected > 0, "no column took the second pass");
+        let err = orthogonality_error(&basis(&work, &block, locked));
+        assert!(err <= 1e-13, "‖QᵀQ − I‖ = {err:e}");
+    }
+
+    #[test]
+    fn dgks_skips_the_second_pass_on_an_orthogonal_block() {
+        let (n, a) = (40, 5);
+        let mut work = Workspace::new(n, a);
+        let mut block = seeded_block(n, a, 3);
+        work.orthonormalize(&mut block, 0).unwrap();
+        let before = block.clone();
+        assert_eq!(work.orthonormalize(&mut block, 0).unwrap(), 0);
+        assert!(block.approx_eq(&before, 1e-15));
+        assert!(orthogonality_error(&block) <= 1e-14);
+    }
+
+    #[test]
+    fn dead_columns_are_replaced_on_a_rank_deficient_block() {
+        // Column 1 is three times column 0, so projection kills it and the
+        // first canonical vector orthogonal to the rest takes its place.
+        let n = 8;
+        let mut block = DenseMatrix::zeros(n, 3);
+        for (i, j, x) in [
+            (1, 0, 1.0),
+            (2, 0, 1.0),
+            (1, 1, 3.0),
+            (2, 1, 3.0),
+            (5, 2, 1.0),
+        ] {
+            block.set(i, j, x);
+        }
+        let mut work = Workspace::new(n, 3);
+        let reprojected = work.orthonormalize(&mut block, 0).unwrap();
+        assert_eq!(reprojected, 1, "the dead column takes the second pass");
+        for i in 0..n {
+            assert_eq!(block.get(i, 1), f64::from(i == 0), "row {i}");
+        }
+        assert!(orthogonality_error(&block) <= 1e-15);
     }
 
     #[test]

@@ -499,23 +499,23 @@ mod tests {
         CsrMatrix::from_triplets(rows, cols, &triplets)
     }
 
-    /// The blocked / monomorphized SpMM (k ≤ 8 takes a fixed-size-accumulator fast
-    /// path, larger k the generic column-blocked loop) must be bit-identical to the
+    /// The register-blocked SpMM (k ≤ 8 is one monomorphized block, wider k
+    /// cut into 16-, 4- and 1..=3-wide blocks) must be bit-identical to the
     /// scalar reference kernel for every k, thread count, and degree profile —
     /// including hub rows and empty rows.
     #[test]
     fn blocked_spmm_matches_reference_across_k_and_threads() {
         let matrices = [random_csr(301, 97, 5), hub_heavy_csr(500, 97, 13)];
         for m in &matrices {
-            // Covers every dispatch arm: monomorphized (k ≤ 8), single-pass
-            // streaming (9..=64), and the column-blocked fallback (k > 64).
-            for k in [1usize, 2, 3, 5, 8, 17, 70] {
+            // Every k to 72 covers each mix of 16-wide and 4-wide blocks with
+            // each remainder width; 100 and 130 take several 16-wide blocks.
+            for k in (1usize..=72).chain([100, 130]) {
                 let x = random_dense(m.cols(), k, 40 + k as u64);
                 let reference = m.spmm_dense_reference(&x).unwrap();
                 assert_eq!(
                     reference.data(),
                     m.spmm_dense(&x).unwrap().data(),
-                    "serial blocked kernel diverged at k={k}"
+                    "serial kernel diverged at k={k}"
                 );
                 for threads in [
                     Threads::Serial,

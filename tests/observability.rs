@@ -6,7 +6,8 @@
 
 use factorized_graphs::prelude::*;
 use factorized_graphs::serve::{
-    scrape_metrics, send_requests, Json, MetricsServer, ServeLimits, Session, TcpServer,
+    scrape_metrics, send_requests_watched, with_watchdog, Json, MetricsServer, ServeLimits,
+    Session, TcpServer,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -371,6 +372,7 @@ fn session_counters_stay_monotone_across_reload() {
 /// perturbs the protocol responses.
 #[test]
 fn metrics_endpoint_serves_prometheus_text() {
+    const TEST: &str = "metrics_endpoint_serves_prometheus_text";
     let dir = temp_dir("metrics");
     let stream = request_stream(&dir);
     let session = Arc::new(Session::new(Threads::Serial, None));
@@ -378,11 +380,11 @@ fn metrics_endpoint_serves_prometheus_text() {
     let metrics_addr =
         MetricsServer::spawn(session.metrics(), ("127.0.0.1", 0), ServeLimits::default()).unwrap();
 
-    let responses = send_requests(addr, &stream).unwrap();
+    let responses = send_requests_watched(TEST, addr, &stream).unwrap();
     assert_eq!(responses.len(), stream.len());
     assert!(responses.iter().all(|r| r.contains("\"ok\":true")));
 
-    let body = scrape_metrics(metrics_addr).unwrap();
+    let body = with_watchdog(TEST, 1, move || scrape_metrics(metrics_addr)).unwrap();
     for family in [
         "# TYPE fg_requests_total counter",
         "# TYPE fg_request_seconds histogram",
@@ -406,7 +408,7 @@ fn metrics_endpoint_serves_prometheus_text() {
     // A second scrape still works and the protocol session was not perturbed:
     // replaying `stats` yields the same deterministic counters as a fresh
     // replay of the same stream on a new session.
-    let rescrape = scrape_metrics(metrics_addr).unwrap();
+    let rescrape = with_watchdog(TEST, 1, move || scrape_metrics(metrics_addr)).unwrap();
     assert!(rescrape.contains("fg_requests_total"));
     std::fs::remove_dir_all(&dir).ok();
 }
