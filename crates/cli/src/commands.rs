@@ -956,6 +956,57 @@ mod tests {
     }
 
     #[test]
+    fn node_counts_beyond_u32_ids_are_refused_on_every_command() {
+        let dir = temp_dir("oversized_nodes");
+        let edges = dir.join("edges.tsv");
+        let labels = dir.join("labels.tsv");
+        std::fs::write(&edges, "0\t1\n").unwrap();
+        std::fs::write(&labels, "0\t0\n1\t1\n").unwrap();
+        let expected = "node count 4294967296 exceeds the limit of 4294967295 nodes";
+        let files = [
+            "--edges",
+            edges.to_str().unwrap(),
+            "--labels",
+            labels.to_str().unwrap(),
+            "--classes",
+            "2",
+            "--nodes",
+            "4294967296",
+        ];
+        for (command, method) in [
+            (cmd_estimate as fn(&ArgMap) -> CommandResult, "mce"),
+            (cmd_classify, "mce"),
+            (cmd_propagate, "harmonic"),
+        ] {
+            let err = command(&args(&[&files[..], &["--method", method]].concat())).unwrap_err();
+            assert_eq!(err, expected, "{method}");
+        }
+        let out = dir.join("out.tsv");
+        let generate = args(&[
+            "--nodes",
+            "4294967296",
+            "--out-edges",
+            out.to_str().unwrap(),
+            "--out-labels",
+            out.to_str().unwrap(),
+        ]);
+        assert_eq!(cmd_generate(&generate).unwrap_err(), expected);
+        let manifest = dir.join("m.toml");
+        std::fs::write(
+            &manifest,
+            format!(
+                "[[run]]\nname = \"huge\"\nedges = \"{}\"\nlabels = \"{}\"\nnodes = 4294967296\nclasses = 2\n",
+                edges.display(),
+                labels.display()
+            ),
+        )
+        .unwrap();
+        let err = crate::manifest::run_manifest(&manifest).unwrap_err();
+        assert!(err.contains(expected), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn generate_then_classify_end_to_end() {
         let dir = temp_dir("end_to_end");
         let edges = dir.join("edges.tsv");

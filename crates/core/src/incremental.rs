@@ -470,8 +470,7 @@ impl DeltaSummary {
             if ell == 1 {
                 // a₁ = W e_i: the mutated node's adjacency column (= row, W is
                 // symmetric).
-                let (nbrs, weights) = self.graph.neighbors_weighted(node);
-                for (&u, &w) in nbrs.iter().zip(weights) {
+                for (u, w) in self.graph.neighbors_weighted(node) {
                     s2.add(u, w);
                 }
             } else {
@@ -482,8 +481,7 @@ impl DeltaSummary {
                 for idx in 0..s1.support.len() {
                     let t = s1.support[idx];
                     let v = s1.values[t];
-                    let (nbrs, weights) = self.graph.neighbors_weighted(t);
-                    for (&u, &w) in nbrs.iter().zip(weights) {
+                    for (u, w) in self.graph.neighbors_weighted(t) {
                         s2.add(u, w * v);
                     }
                 }

@@ -621,7 +621,7 @@ mod tests {
             } else {
                 None
             };
-            for &next in graph.neighbors(last) {
+            for next in graph.neighbors(last).iter().map(|&v| v as usize) {
                 if Some(next) == before {
                     continue; // backtracking step
                 }

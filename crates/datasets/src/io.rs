@@ -32,8 +32,14 @@
 //! For two copies the order cannot matter. With three or more copies whose
 //! rounded sum depends on the order, file order decides it; earlier versions summed
 //! such copies in an unspecified order, so their last bit can differ.
+//!
+//! Endpoints are kept as `u32` and no weight is stored while every weight read is
+//! exactly 1, so `u v`, `u v 1` and `u v 1.0` load the same unweighted graph, the
+//! 4-bytes-per-entry CSR layout of [`fg_sparse::CsrMatrix`]. The node count must
+//! not exceed [`fg_graph::MAX_NODES`]; a larger one is an error before the file is
+//! read.
 
-use fg_graph::{Graph, GraphError, Labeling, Result, SeedLabels};
+use fg_graph::{check_node_count, Graph, GraphError, Labeling, Result, SeedLabels};
 use fg_sparse::DenseMatrix;
 use std::fs;
 use std::io::Write;
@@ -55,16 +61,49 @@ const FAST_MAX_DIGITS: usize = 15;
 /// Node ids must be zero-based integers smaller than `n`. Lines that are empty or
 /// start with `#` are ignored. Malformed lines, non-finite weights, out-of-bounds
 /// endpoints and self-loops are reported as [`GraphError::Parse`] with their 1-based
-/// line number; the first such line wins.
+/// line number; the first such line wins. A node count above
+/// [`fg_graph::MAX_NODES`] is rejected before the content is read.
 pub fn parse_edge_list(n: usize, content: &str) -> Result<Graph> {
-    Graph::from_weighted_edges(n, &parse_edges(n, content)?)
+    check_node_count(n)?;
+    parse_edges(n, content)?.into_graph(n)
 }
 
-/// The edges of an edge list, checked line by line (see [`parse_edge_list`]).
-fn parse_edges(n: usize, content: &str) -> Result<Vec<(usize, usize, f64)>> {
+/// The edges of an edge list, endpoints as `u32`: bare pairs while every weight
+/// read is 1, weighted records from the first line whose weight is not.
+enum EdgeBuffer {
+    Unit(Vec<(u32, u32)>),
+    Weighted(Vec<(u32, u32, f64)>),
+}
+
+impl EdgeBuffer {
+    fn push(&mut self, u: u32, v: u32, w: f64) {
+        match self {
+            EdgeBuffer::Unit(pairs) if w == 1.0 => pairs.push((u, v)),
+            EdgeBuffer::Unit(pairs) => {
+                let mut edges = Vec::with_capacity(pairs.capacity());
+                edges.extend(pairs.iter().map(|&(a, b)| (a, b, 1.0)));
+                edges.push((u, v, w));
+                *self = EdgeBuffer::Weighted(edges);
+            }
+            EdgeBuffer::Weighted(edges) => edges.push((u, v, w)),
+        }
+    }
+
+    fn into_graph(self, n: usize) -> Result<Graph> {
+        match self {
+            EdgeBuffer::Unit(pairs) => Graph::from_edge_list(n, &pairs),
+            EdgeBuffer::Weighted(edges) => Graph::from_edge_list(n, &edges),
+        }
+    }
+}
+
+/// The edges of an edge list, checked line by line (see [`parse_edge_list`]);
+/// `n` is at most [`fg_graph::MAX_NODES`], so every endpoint fits a `u32`.
+fn parse_edges(n: usize, content: &str) -> Result<EdgeBuffer> {
     let bytes = content.as_bytes();
-    let mut edges: Vec<(usize, usize, f64)> =
-        Vec::with_capacity(bytes.iter().filter(|&&b| b == b'\n').count() + 1);
+    let mut edges = EdgeBuffer::Unit(Vec::with_capacity(
+        bytes.iter().filter(|&&b| b == b'\n').count() + 1,
+    ));
     let mut start = 0;
     let mut line_no = 0;
     while start < bytes.len() {
@@ -95,7 +134,7 @@ fn parse_edges(n: usize, content: &str) -> Result<Vec<(usize, usize, f64)>> {
                     format!("self-loop on node {u} is not allowed"),
                 ));
             }
-            edges.push((u, v, w));
+            edges.push(u as u32, v as u32, w);
         }
         start = end + 1;
         line_no += 1;
@@ -185,6 +224,7 @@ pub fn format_edge_list(graph: &Graph) -> String {
 /// out-of-range lines are reported as [`GraphError::Parse`] with their 1-based line
 /// number.
 pub fn parse_labels(n: usize, k: usize, content: &str) -> Result<SeedLabels> {
+    check_node_count(n)?;
     let mut observed = vec![None; n];
     for (line_no, line) in content.lines().enumerate() {
         let trimmed = line.trim();
@@ -223,12 +263,13 @@ pub fn format_labels(labeling: &Labeling) -> String {
 
 /// Read a graph from an edge-list file (see [`parse_edge_list`] for the format).
 pub fn read_edge_list(path: &Path, n: usize) -> Result<Graph> {
+    check_node_count(n)?;
     let content = fs::read_to_string(path)
         .map_err(|e| GraphError::Io(format!("cannot read {path:?}: {e}")))?;
     let edges = parse_edges(n, &content)?;
     // The text is no longer needed; free it before the CSR arrays are allocated.
     drop(content);
-    Graph::from_weighted_edges(n, &edges)
+    edges.into_graph(n)
 }
 
 /// Write a graph to an edge-list file.
@@ -241,6 +282,7 @@ pub fn write_edge_list(path: &Path, graph: &Graph) -> Result<()> {
 
 /// Read a seed-label file.
 pub fn read_labels(path: &Path, n: usize, k: usize) -> Result<SeedLabels> {
+    check_node_count(n)?;
     let content = fs::read_to_string(path)
         .map_err(|e| GraphError::Io(format!("cannot read {path:?}: {e}")))?;
     parse_labels(n, k, &content)
@@ -475,6 +517,74 @@ mod tests {
         // A 16-digit weight is beyond the fast path but still parses.
         let long = parse_edge_list(2, "0\t1\t1234567890123456\n").unwrap();
         assert_eq!(long.adjacency().get(1, 0), 1234567890123456.0);
+    }
+
+    #[test]
+    fn unit_weight_spellings_load_one_unweighted_graph() {
+        // `u v`, `u v 1` and `u v 1.0` (and a mix, in either orientation) are the
+        // same graph: same matrix and layout, fingerprint and degrees.
+        let edges = [(0, 1), (1, 2), (3, 1), (2, 4)];
+        let spell = |weight: &str| -> String {
+            edges
+                .iter()
+                .map(|(u, v)| format!("{u}\t{v}{weight}\n"))
+                .collect()
+        };
+        let bare = parse_edge_list(5, &spell("")).unwrap();
+        assert_eq!(bare.adjacency().entry_bytes(), 4);
+        for content in [
+            spell("\t1"),
+            spell("\t1.0"),
+            "1\t0\t1.0\n1 2\n3\t1\t1\n# comment\n2\t4\t1e0".to_string(),
+        ] {
+            let g = parse_edge_list(5, &content).unwrap();
+            assert_eq!(g.adjacency(), bare.adjacency(), "{content:?}");
+            assert_eq!(g.fingerprint(), bare.fingerprint(), "{content:?}");
+            assert_eq!(g.degrees(), bare.degrees(), "{content:?}");
+        }
+        let built = Graph::from_edges(5, &edges).unwrap();
+        assert_eq!(built.adjacency(), bare.adjacency());
+        assert_eq!(built.fingerprint(), bare.fingerprint());
+    }
+
+    #[test]
+    fn weights_other_than_one_load_the_weighted_layout() {
+        // One weight that is not 1, even on the last line, keeps every weight.
+        let g = parse_edge_list(4, "0\t1\n1\t2\n2\t3\t2.5\n").unwrap();
+        assert_eq!(g.adjacency().entry_bytes(), 12);
+        assert_eq!(g.degrees(), vec![1.0, 2.0, 3.5, 2.5]);
+        let same = Graph::from_weighted_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.5)]);
+        assert_eq!(g.fingerprint(), same.unwrap().fingerprint());
+        // A duplicated unit edge sums to 2.0, which is not 1: weighted as well.
+        let dup = parse_edge_list(3, "0\t1\n1\t2\n1\t0\n").unwrap();
+        assert_eq!(dup.adjacency().entry_bytes(), 12);
+        assert_eq!(dup.adjacency().get(0, 1), 2.0);
+        assert_eq!(dup.adjacency().get(1, 2), 1.0);
+        assert_eq!(dup.num_edges(), 2);
+    }
+
+    #[test]
+    fn node_counts_beyond_u32_ids_are_rejected_before_reading() {
+        let n = fg_graph::MAX_NODES + 1;
+        let expected = format!("node count {n} exceeds the limit of 4294967295 nodes");
+        assert_eq!(
+            parse_edge_list(n, "0\t1\n").unwrap_err().to_string(),
+            expected
+        );
+        assert_eq!(
+            parse_labels(n, 2, "0\t1\n").unwrap_err().to_string(),
+            expected
+        );
+        // The path does not exist: the count is checked before the file is opened.
+        let missing = Path::new("/nonexistent/edges.tsv");
+        assert_eq!(
+            read_edge_list(missing, n).unwrap_err().to_string(),
+            expected
+        );
+        assert_eq!(
+            read_labels(missing, n, 2).unwrap_err().to_string(),
+            expected
+        );
     }
 
     #[test]

@@ -218,7 +218,7 @@ fn corpus_file(rng: &mut StdRng) -> String {
 }
 
 fn value_bits(g: &Graph) -> Vec<u64> {
-    g.adjacency().values().iter().map(|v| v.to_bits()).collect()
+    g.adjacency().iter().map(|(_, _, v)| v.to_bits()).collect()
 }
 
 fn assert_same(content: &str, case: &str) -> bool {
@@ -230,6 +230,12 @@ fn assert_same(content: &str, case: &str) -> bool {
             assert_eq!(g.adjacency().indptr(), w.adjacency().indptr(), "{case}");
             assert_eq!(g.adjacency().indices(), w.adjacency().indices(), "{case}");
             assert_eq!(value_bits(g), value_bits(w), "{case}: {content:?}");
+            // Both builds pick the same (canonical) layout.
+            assert_eq!(
+                g.adjacency().entry_bytes(),
+                w.adjacency().entry_bytes(),
+                "{case}: {content:?}"
+            );
             assert_eq!(g.num_edges(), w.num_edges(), "{case}");
             true
         }

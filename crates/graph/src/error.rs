@@ -11,6 +11,15 @@ pub enum GraphError {
     InvalidLabels(String),
     /// The generator was asked for an impossible configuration.
     InvalidGeneratorConfig(String),
+    /// An edge of an edge list is a self-loop or has a non-finite weight.
+    InvalidEdge(String),
+    /// An adjacency matrix is not square, not symmetric, or has a self-loop.
+    InvalidAdjacency(String),
+    /// A node count does not fit the `u32` node ids.
+    TooManyNodes {
+        /// The requested node count.
+        n: usize,
+    },
     /// An edge references a node outside the graph.
     NodeOutOfBounds {
         /// The offending node id.
@@ -39,6 +48,13 @@ impl fmt::Display for GraphError {
             }
             GraphError::InvalidLabels(msg) => write!(f, "invalid labels: {msg}"),
             GraphError::InvalidGeneratorConfig(msg) => write!(f, "invalid generator config: {msg}"),
+            GraphError::InvalidEdge(msg) => write!(f, "invalid edge: {msg}"),
+            GraphError::InvalidAdjacency(msg) => write!(f, "invalid adjacency matrix: {msg}"),
+            GraphError::TooManyNodes { n } => write!(
+                f,
+                "node count {n} exceeds the limit of {} nodes",
+                crate::MAX_NODES
+            ),
             GraphError::NodeOutOfBounds { node, n } => {
                 write!(f, "node {node} out of bounds for graph with {n} nodes")
             }

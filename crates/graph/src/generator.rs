@@ -61,6 +61,7 @@ impl GeneratorConfig {
     }
 
     fn validate(&self) -> Result<()> {
+        crate::check_node_count(self.n)?;
         if self.n == 0 {
             return Err(GraphError::InvalidGeneratorConfig(
                 "n must be positive".into(),
@@ -271,6 +272,8 @@ pub fn generate<R: Rng + ?Sized>(config: &GeneratorConfig, rng: &mut R) -> Resul
         }
     }
 
+    // The set only rejected duplicates; free it before the CSR is assembled.
+    drop(edge_set);
     let graph = Graph::from_edges(n, &edges)?;
     Ok(SyntheticGraph {
         graph,

@@ -6,7 +6,7 @@
 
 use crate::error::{GraphError, Result};
 use crate::fingerprint::{Fingerprint, FingerprintBuilder};
-use fg_sparse::{CsrMatrix, Span};
+use fg_sparse::{CsrMatrix, Edge, Span};
 use std::sync::OnceLock;
 
 /// An undirected, optionally weighted graph backed by a symmetric CSR adjacency matrix.
@@ -28,10 +28,7 @@ impl Graph {
     /// Build a graph from an undirected edge list. Each `(u, v)` pair is inserted in
     /// both directions with weight 1. Self-loops are rejected, parallel edges are merged.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Self> {
-        Self::from_weighted_edges(
-            n,
-            &edges.iter().map(|&(u, v)| (u, v, 1.0)).collect::<Vec<_>>(),
-        )
+        Self::from_edge_list(n, edges)
     }
 
     /// Build a graph from a weighted undirected edge list. Edges are checked in
@@ -39,7 +36,16 @@ impl Graph {
     /// weights must be finite. Parallel edges are merged by summing their weights in
     /// input order; an edge whose copies sum to zero is dropped.
     pub fn from_weighted_edges(n: usize, edges: &[(usize, usize, f64)]) -> Result<Self> {
-        for &(u, v, w) in edges {
+        Self::from_edge_list(n, edges)
+    }
+
+    /// [`Graph::from_weighted_edges`] for any [`Edge`] type: unweighted pairs weigh
+    /// 1, and `u32` endpoints are read as they are. A node count above
+    /// [`MAX_NODES`] is rejected before anything is allocated.
+    pub fn from_edge_list<E: Edge>(n: usize, edges: &[E]) -> Result<Self> {
+        check_node_count(n)?;
+        for &e in edges {
+            let ((u, v), w) = (e.endpoints(), e.weight());
             if u >= n {
                 return Err(GraphError::NodeOutOfBounds { node: u, n });
             }
@@ -47,12 +53,12 @@ impl Graph {
                 return Err(GraphError::NodeOutOfBounds { node: v, n });
             }
             if u == v {
-                return Err(GraphError::InvalidGeneratorConfig(format!(
+                return Err(GraphError::InvalidEdge(format!(
                     "self-loop on node {u} is not allowed"
                 )));
             }
             if !w.is_finite() {
-                return Err(GraphError::InvalidGeneratorConfig(format!(
+                return Err(GraphError::InvalidEdge(format!(
                     "non-finite weight {w} on edge ({u}, {v})"
                 )));
             }
@@ -70,20 +76,18 @@ impl Graph {
     /// Wrap an existing symmetric adjacency matrix.
     pub fn from_adjacency(adjacency: CsrMatrix) -> Result<Self> {
         if !adjacency.is_square() {
-            return Err(GraphError::InvalidGeneratorConfig(format!(
-                "adjacency must be square, got {}x{}",
+            return Err(GraphError::InvalidAdjacency(format!(
+                "must be square, got {}x{}",
                 adjacency.rows(),
                 adjacency.cols()
             )));
         }
         if !adjacency.is_symmetric(1e-9) {
-            return Err(GraphError::InvalidGeneratorConfig(
-                "adjacency must be symmetric".into(),
-            ));
+            return Err(GraphError::InvalidAdjacency("must be symmetric".into()));
         }
         if adjacency.diagonal().iter().any(|&d| d != 0.0) {
-            return Err(GraphError::InvalidGeneratorConfig(
-                "adjacency must have an empty diagonal (no self-loops)".into(),
+            return Err(GraphError::InvalidAdjacency(
+                "must have an empty diagonal (no self-loops)".into(),
             ));
         }
         let num_edges = adjacency.nnz() / 2;
@@ -121,7 +125,7 @@ impl Graph {
 
     /// The weighted degree of node `i` (sum of incident edge weights).
     pub fn degree(&self, i: usize) -> f64 {
-        self.adjacency.row(i).1.iter().sum()
+        self.adjacency.row_entries(i).map(|(_, w)| w).sum()
     }
 
     /// Weighted degrees of all nodes (the diagonal of `D`).
@@ -140,14 +144,14 @@ impl Graph {
         CsrMatrix::from_diagonal(&diag)
     }
 
-    /// Neighbors of node `i` (column indices of row `i`).
-    pub fn neighbors(&self, i: usize) -> &[usize] {
-        self.adjacency.row(i).0
+    /// Neighbors of node `i` (column indices of row `i`), in increasing order.
+    pub fn neighbors(&self, i: usize) -> &[u32] {
+        self.adjacency.row_indices(i)
     }
 
-    /// Neighbors of node `i` together with edge weights.
-    pub fn neighbors_weighted(&self, i: usize) -> (&[usize], &[f64]) {
-        self.adjacency.row(i)
+    /// Neighbors of node `i` together with edge weights, in increasing order.
+    pub fn neighbors_weighted(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.adjacency.row_entries(i)
     }
 
     /// Whether an edge `(u, v)` exists.
@@ -182,7 +186,9 @@ impl Graph {
 
     /// Deterministic structural [`Fingerprint`] of this graph: a 128-bit content hash
     /// over the CSR shape, `indptr`, `indices`, and the exact `f64` bit patterns of
-    /// the edge weights (domain tag `fg-graph-csr-v1`).
+    /// the edge weights (domain tag `fg-graph-csr-v1`). Each index is hashed as an
+    /// 8-byte word and an unweighted graph hashes 1.0 per stored entry, so the key
+    /// does not depend on the in-memory layout.
     ///
     /// Two independently loaded copies of the same graph share one fingerprint, and
     /// any structural difference — an extra edge, a changed weight, a different node
@@ -203,14 +209,27 @@ impl Graph {
                 h.write_usize(p);
             }
             for &i in self.adjacency.indices() {
-                h.write_usize(i);
+                h.write_usize(i as usize);
             }
-            for &v in self.adjacency.values() {
-                h.write_f64(v);
+            let values = self.adjacency.values();
+            for p in 0..self.adjacency.nnz() {
+                h.write_f64(values.map_or(1.0, |v| v[p]));
             }
             h.finish()
         })
     }
+}
+
+/// Largest node count a [`Graph`] can have: node ids are stored as `u32`.
+pub const MAX_NODES: usize = fg_sparse::MAX_DIM;
+
+/// Reject a node count above [`MAX_NODES`]. Every loader calls this before it
+/// allocates anything sized by `n`.
+pub fn check_node_count(n: usize) -> Result<()> {
+    if n > MAX_NODES {
+        return Err(GraphError::TooManyNodes { n });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -283,14 +302,35 @@ mod tests {
             let err = Graph::from_weighted_edges(3, &[(0, 1, 1.0), (1, 2, w)]).unwrap_err();
             assert_eq!(
                 err.to_string(),
-                format!("invalid generator config: non-finite weight {w} on edge (1, 2)")
+                format!("invalid edge: non-finite weight {w} on edge (1, 2)")
             );
         }
     }
 
     #[test]
     fn from_edges_rejects_self_loops() {
-        assert!(Graph::from_edges(3, &[(1, 1)]).is_err());
+        assert_eq!(
+            Graph::from_edges(3, &[(0, 1), (1, 1)])
+                .unwrap_err()
+                .to_string(),
+            "invalid edge: self-loop on node 1 is not allowed"
+        );
+    }
+
+    #[test]
+    fn node_counts_beyond_u32_ids_are_rejected_before_allocating() {
+        let n = MAX_NODES + 1;
+        let err = Graph::from_edges(n, &[]).unwrap_err();
+        assert_eq!(err, GraphError::TooManyNodes { n });
+        assert_eq!(
+            err.to_string(),
+            "node count 4294967296 exceeds the limit of 4294967295 nodes"
+        );
+        assert!(Graph::from_weighted_edges(usize::MAX, &[(0, 1, 1.0)]).is_err());
+        assert!(Graph::from_edge_list(n, &[(0u32, 1u32)]).is_err());
+        let config = GeneratorConfig::balanced(n, 1.0, 2, 2.0).unwrap();
+        let err = generate(&config, &mut StdRng::seed_from_u64(1)).unwrap_err();
+        assert_eq!(err, GraphError::TooManyNodes { n });
     }
 
     #[test]
@@ -298,6 +338,7 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1), (0, 1)]).unwrap();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.adjacency().get(0, 1), 2.0); // weights accumulate
+        assert_eq!(g.adjacency().entry_bytes(), 12); // 2.0 needs the value array
     }
 
     #[test]
@@ -305,18 +346,28 @@ mod tests {
         let g = Graph::from_weighted_edges(3, &[(0, 1, 2.5), (1, 2, 0.5)]).unwrap();
         assert_eq!(g.degree(1), 3.0);
         assert_eq!(g.adjacency().get(2, 1), 0.5);
+        assert_eq!(g.adjacency().entry_bytes(), 12);
+        let nbrs: Vec<(usize, f64)> = g.neighbors_weighted(1).collect();
+        assert_eq!(nbrs, vec![(0, 2.5), (2, 0.5)]);
     }
 
     #[test]
     fn from_adjacency_validation() {
         let sym = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0), (1, 0, 1.0)]);
         assert!(Graph::from_adjacency(sym).is_ok());
+        let text = |m: CsrMatrix| Graph::from_adjacency(m).unwrap_err().to_string();
         let asym = CsrMatrix::from_triplets(2, 2, &[(0, 1, 1.0)]);
-        assert!(Graph::from_adjacency(asym).is_err());
+        assert_eq!(text(asym), "invalid adjacency matrix: must be symmetric");
         let non_square = CsrMatrix::zeros(2, 3);
-        assert!(Graph::from_adjacency(non_square).is_err());
+        assert_eq!(
+            text(non_square),
+            "invalid adjacency matrix: must be square, got 2x3"
+        );
         let self_loop = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0)]);
-        assert!(Graph::from_adjacency(self_loop).is_err());
+        assert_eq!(
+            text(self_loop),
+            "invalid adjacency matrix: must have an empty diagonal (no self-loops)"
+        );
     }
 
     #[test]
@@ -334,7 +385,10 @@ mod tests {
     #[test]
     fn neighbors_and_edges() {
         let g = triangle_plus_pendant();
+        assert_eq!(g.adjacency().entry_bytes(), 4);
         assert_eq!(g.neighbors(2), &[0, 1, 3]);
+        let nbrs: Vec<(usize, f64)> = g.neighbors_weighted(2).collect();
+        assert_eq!(nbrs, vec![(0, 1.0), (1, 1.0), (3, 1.0)]);
         assert!(g.has_edge(0, 2));
         assert!(!g.has_edge(0, 3));
         let edges: Vec<_> = g.edges().collect();
@@ -383,6 +437,39 @@ mod tests {
         assert_eq!(arg("nnz"), g.adjacency().nnz() as u64);
         assert_eq!(arg("converged"), 1);
         assert!(arg("spmvs") <= 20, "{} SpMVs", arg("spmvs"));
+    }
+
+    #[test]
+    fn spectral_radius_bits_survive_the_row_kernel_spmv() {
+        // SpMV runs the k = 1 SpMM row kernel, whose empty rows read +0.0 where
+        // the former iterator sum read -0.0. The estimates are pinned to that
+        // former SpMV's bits: on graphs without and with isolated nodes, unit
+        // and weighted.
+        let generated = |n, degree, seed| {
+            let config = GeneratorConfig::balanced(n, degree, 3, 8.0).unwrap();
+            generate(&config, &mut StdRng::seed_from_u64(seed))
+                .unwrap()
+                .graph
+        };
+        let sparse = {
+            let config = GeneratorConfig::balanced(3000, 2.0, 3, 3.0).unwrap();
+            generate(&config, &mut StdRng::seed_from_u64(7))
+                .unwrap()
+                .graph
+        };
+        assert_eq!(sparse.num_isolated_nodes(), 483);
+        let weighted =
+            Graph::from_weighted_edges(7, &[(0, 1, 2.5), (1, 2, 1.0), (2, 0, 0.5), (3, 4, 1.0)])
+                .unwrap();
+        let small = Graph::from_edges(7, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]).unwrap();
+        for (g, bits) in [
+            (generated(30_000, 20.0, 101), 0x403a0ac6dd1b1806u64),
+            (sparse, 0x401042b75b17956a),
+            (weighted, 0x40072314f4c86f74),
+            (small, 0x4000000000000000),
+        ] {
+            assert_eq!(g.spectral_radius().unwrap().to_bits(), bits);
+        }
     }
 
     #[test]

@@ -37,6 +37,6 @@ pub use degree::DegreeDistribution;
 pub use error::{GraphError, Result};
 pub use fingerprint::{Fingerprint, FingerprintBuilder, RollingFingerprint};
 pub use generator::{generate, measure_compatibilities, GeneratorConfig, SyntheticGraph};
-pub use graph::Graph;
+pub use graph::{check_node_count, Graph, MAX_NODES};
 pub use labels::{Labeling, SeedLabels};
 pub use lowrank::{factor_fingerprint, FactorConfig, LowRankFactor};

@@ -23,7 +23,7 @@ fn graph_from_edges_is_symmetric() {
         assert!(g.adjacency().is_symmetric(0.0), "seed {seed}");
         // Handshake lemma: sum of degrees equals 2m (unit weights, duplicates merged add weight).
         let total_weight: f64 = g.degrees().iter().sum();
-        let stored: f64 = g.adjacency().values().iter().sum();
+        let stored: f64 = g.adjacency().iter().map(|(_, _, w)| w).sum();
         assert!((total_weight - stored).abs() < 1e-9, "seed {seed}");
     }
 }

@@ -106,7 +106,7 @@ pub fn propagate_bp(
     for u in 0..n {
         for &v in graph.neighbors(u) {
             edge_from.push(u);
-            edge_to.push(v);
+            edge_to.push(v as usize);
         }
     }
     let num_messages = edge_from.len();

@@ -606,6 +606,45 @@ fn named_datasets_are_independent_and_unloadable() {
     std::fs::remove_dir_all(&dir_b).ok();
 }
 
+/// A node count beyond the `u32` node ids is a structured error before anything
+/// sized by it is allocated (10^10 nodes would ask for an 80 GB row pointer
+/// array), and the datasets already loaded keep answering.
+#[test]
+fn oversized_node_count_is_refused_and_other_datasets_keep_serving() {
+    let (dir, edges, seeds, _) = dataset("oversized_nodes");
+    let session = Session::new(Threads::Serial, None);
+    let (resp, _) = session.handle_line(&load_line(&edges, &seeds), 1);
+    assert_ok(&resp);
+    for (line, nodes) in [(2, "10000000000"), (3, "4294967296")] {
+        let load = format!(
+            "{{\"cmd\":\"load\",\"dataset\":\"huge\",\"edges\":\"{}\",\"labels\":\"{}\",\"nodes\":{nodes},\"classes\":3}}",
+            edges.display(),
+            seeds.display()
+        );
+        let (resp, _) = session.handle_line(&load, line);
+        let parsed = parse(&resp);
+        assert_eq!(
+            parsed.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{resp}"
+        );
+        assert!(
+            resp.contains(&format!(
+                "node count {nodes} exceeds the limit of 4294967295 nodes"
+            )),
+            "{resp}"
+        );
+    }
+    let (resp, _) = session.handle_line("{\"cmd\":\"classify\",\"method\":\"dcer\"}", 4);
+    assert_ok(&resp);
+    let (resp, _) = session.handle_line("{\"cmd\":\"stats\"}", 5);
+    let stats = assert_ok(&resp);
+    let datasets = stats.get("datasets").unwrap();
+    assert!(datasets.get("default").is_some(), "{resp}");
+    assert!(datasets.get("huge").is_none(), "{resp}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Reverting a mutation lands back on a seed fingerprint whose engines are still
 /// resident in the LRU: the `seed` request reports `engine_reused` and performs
 /// zero delta work, and the follow-up estimate is computation-free.

@@ -4,10 +4,63 @@
 //! pipeline. Every kernel that touches it is written so intermediate results stay
 //! `n x k` dense (never `n x n`): this is the "factorized" evaluation order the paper
 //! relies on for scalability (Section 4.6, footnote 5).
+//!
+//! # Layout
+//!
+//! Column indices are stored as `u32` (so neither dimension may exceed
+//! [`MAX_DIM`]), and the value array is kept only when some stored value is not
+//! exactly `1.0`. An unweighted graph — every graph `fg generate` and binary kNN
+//! produce — therefore costs 4 bytes per stored entry, a weighted one 12
+//! ([`CsrMatrix::entry_bytes`]). The layout is canonical: every constructor and
+//! every operation that yields a matrix picks it from the data, so two matrices
+//! with equal entries are equal, whichever way they were built. Kernels are
+//! generic over the two layouts; the unit one adds `x` where the weighted one adds
+//! `w·x`, which is bit-identical for `w = 1.0`.
 
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
 use std::ops::Range;
+
+/// Largest row or column count of a [`CsrMatrix`]: indices are stored as `u32`.
+pub const MAX_DIM: usize = u32::MAX as usize;
+
+/// One undirected edge as CSR assembly reads it: two endpoints and a weight, `1.0`
+/// for an unweighted pair.
+pub trait Edge: Copy {
+    /// The two endpoints.
+    fn endpoints(self) -> (usize, usize);
+    /// The weight.
+    fn weight(self) -> f64;
+}
+
+/// [`Edge`] for pairs (weight 1.0) and weighted triples of one index type.
+macro_rules! impl_edge {
+    ($($index:ty),*) => {$(
+        impl Edge for ($index, $index) {
+            #[inline]
+            fn endpoints(self) -> (usize, usize) {
+                (self.0 as usize, self.1 as usize)
+            }
+            #[inline]
+            fn weight(self) -> f64 {
+                1.0
+            }
+        }
+
+        impl Edge for ($index, $index, f64) {
+            #[inline]
+            fn endpoints(self) -> (usize, usize) {
+                (self.0 as usize, self.1 as usize)
+            }
+            #[inline]
+            fn weight(self) -> f64 {
+                self.2
+            }
+        }
+    )*};
+}
+
+impl_edge!(usize, u32);
 
 /// A sequence of `(row, col, value)` entries that can be walked more than once.
 trait Entries {
@@ -26,11 +79,12 @@ impl Entries for Triplets<'_> {
 }
 
 /// Undirected edges: `(u, v, w)` and `(v, u, w)`, a self-loop once.
-struct UndirectedEdges<'a>(&'a [(usize, usize, f64)]);
+struct UndirectedEdges<'a, E>(&'a [E]);
 
-impl Entries for UndirectedEdges<'_> {
+impl<E: Edge> Entries for UndirectedEdges<'_, E> {
     fn for_each(&self, mut f: impl FnMut(usize, usize, f64)) {
-        for &(u, v, w) in self.0 {
+        for &e in self.0 {
+            let ((u, v), w) = (e.endpoints(), e.weight());
             f(u, v, w);
             if u != v {
                 f(v, u, w);
@@ -44,6 +98,55 @@ impl Entries for UndirectedEdges<'_> {
 /// has, and the row's indices and values are re-read once per block.
 const SPMM_WIDE_BLOCK: usize = 16;
 
+/// Panics unless both dimensions fit the `u32` indices.
+fn check_dims(rows: usize, cols: usize) {
+    assert!(
+        rows <= MAX_DIM && cols <= MAX_DIM,
+        "a {rows}x{cols} matrix exceeds the largest CSR dimension {MAX_DIM}"
+    );
+}
+
+/// The canonical value array: none when every value is exactly 1.0.
+fn canonical(values: Vec<f64>) -> Option<Vec<f64>> {
+    values.iter().any(|&v| v != 1.0).then_some(values)
+}
+
+/// The stored values of a row range as the kernels read them: [`Unit`] or an
+/// explicit slice. Monomorphizing the kernels over it keeps the unit layout free
+/// of the multiply.
+trait Weights: Copy {
+    /// The weights of the stored entries in `range`.
+    fn range(self, range: Range<usize>) -> Self;
+    /// `w · x` for the `p`-th entry.
+    fn times(self, p: usize, x: f64) -> f64;
+}
+
+/// Every stored value is 1.0.
+#[derive(Clone, Copy)]
+struct Unit;
+
+impl Weights for Unit {
+    #[inline(always)]
+    fn range(self, _: Range<usize>) -> Self {
+        Unit
+    }
+    #[inline(always)]
+    fn times(self, _: usize, x: f64) -> f64 {
+        x
+    }
+}
+
+impl Weights for &[f64] {
+    #[inline(always)]
+    fn range(self, range: Range<usize>) -> Self {
+        &self[range]
+    }
+    #[inline(always)]
+    fn times(self, p: usize, x: f64) -> f64 {
+        self[p] * x
+    }
+}
+
 /// A sparse matrix in compressed sparse row format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
@@ -52,31 +155,33 @@ pub struct CsrMatrix {
     /// Row pointer array of length `rows + 1`.
     indptr: Vec<usize>,
     /// Column indices, sorted within each row.
-    indices: Vec<usize>,
-    /// Non-zero values aligned with `indices`.
-    values: Vec<f64>,
+    indices: Vec<u32>,
+    /// Non-zero values aligned with `indices`; `None` when every one is 1.0.
+    values: Option<Vec<f64>>,
 }
 
 impl CsrMatrix {
     /// Create an empty (all-zero) matrix of the given shape.
     pub fn zeros(rows: usize, cols: usize) -> Self {
+        check_dims(rows, cols);
         CsrMatrix {
             rows,
             cols,
             indptr: vec![0; rows + 1],
             indices: Vec::new(),
-            values: Vec::new(),
+            values: None,
         }
     }
 
     /// Create the `n x n` identity.
     pub fn identity(n: usize) -> Self {
+        check_dims(n, n);
         CsrMatrix {
             rows: n,
             cols: n,
             indptr: (0..=n).collect(),
-            indices: (0..n).collect(),
-            values: vec![1.0; n],
+            indices: (0..n as u32).collect(),
+            values: None,
         }
     }
 
@@ -85,13 +190,14 @@ impl CsrMatrix {
     /// zeros), so `nnz()` counts only the non-zero diagonal values.
     pub fn from_diagonal(diag: &[f64]) -> Self {
         let n = diag.len();
+        check_dims(n, n);
         let mut indptr = Vec::with_capacity(n + 1);
         let mut indices = Vec::new();
         let mut values = Vec::new();
         indptr.push(0);
         for (i, &d) in diag.iter().enumerate() {
             if d != 0.0 {
-                indices.push(i);
+                indices.push(i as u32);
                 values.push(d);
             }
             indptr.push(indices.len());
@@ -101,7 +207,7 @@ impl CsrMatrix {
             cols: n,
             indptr,
             indices,
-            values,
+            values: canonical(values),
         }
     }
 
@@ -117,8 +223,9 @@ impl CsrMatrix {
     /// every undirected edge (a self-loop `u == v` is stored once). Duplicate edges
     /// sum in input order and entries that sum to exactly zero are dropped, as in
     /// [`CsrMatrix::from_triplets`] on the doubled triplet list, without building
-    /// that list. Panics if an endpoint is not smaller than `n`.
-    pub fn from_undirected_edges(n: usize, edges: &[(usize, usize, f64)]) -> Self {
+    /// that list. Unweighted pairs `(u, v)` weigh 1.0. Panics if an endpoint is not
+    /// smaller than `n`.
+    pub fn from_undirected_edges<E: Edge>(n: usize, edges: &[E]) -> Self {
         Self::from_entries(n, n, UndirectedEdges(edges))
     }
 
@@ -127,43 +234,67 @@ impl CsrMatrix {
     /// whose columns are already strictly increasing with no zero value is kept as
     /// is; any other row is stably sorted by column, its duplicates summed in input
     /// order and its zero sums dropped.
+    ///
+    /// When every entry is 1.0 no value array is scattered; it is materialized
+    /// (as ones) only if some row turns out to hold duplicates, whose sums are not
+    /// 1.0. A value array left holding only ones is dropped at the end.
     fn from_entries(rows: usize, cols: usize, entries: impl Entries) -> Self {
+        check_dims(rows, cols);
         // `indptr[r + 1]` counts row `r`; the exclusive prefix sum then makes
         // `indptr[r]` row `r`'s scatter cursor, which the scatter advances to the
         // row's end. Shifting by one afterwards restores the bucket bounds.
         let mut indptr = vec![0usize; rows + 1];
-        entries.for_each(|r, c, _| {
+        let mut unit = true;
+        entries.for_each(|r, c, v| {
             assert!(
                 r < rows && c < cols,
                 "entry ({r}, {c}) out of bounds for a {rows}x{cols} matrix"
             );
             indptr[r + 1] += 1;
+            unit &= v == 1.0;
         });
         for r in 0..rows {
             indptr[r + 1] += indptr[r];
         }
-        let mut indices = vec![0usize; indptr[rows]];
-        let mut values = vec![0.0f64; indptr[rows]];
+        let nnz = indptr[rows];
+        let mut indices = vec![0u32; nnz];
+        let mut values = if unit { Vec::new() } else { vec![0.0f64; nnz] };
         entries.for_each(|r, c, v| {
             let pos = indptr[r];
-            indices[pos] = c;
-            values[pos] = v;
+            indices[pos] = c as u32;
+            if !unit {
+                values[pos] = v;
+            }
             indptr[r] += 1;
         });
         indptr.copy_within(0..rows, 1);
         indptr[0] = 0;
         // Compact each bucket towards the front; the write cursor never passes the
         // read position, so the scatter buffers become the output arrays.
-        let mut row: Vec<(usize, f64)> = Vec::new();
+        let mut row: Vec<(u32, f64)> = Vec::new();
         let (mut out, mut start) = (0usize, 0usize);
         for r in 0..rows {
             let end = indptr[r + 1];
-            let clean = indices[start..end].windows(2).all(|p| p[0] < p[1])
-                && values[start..end].iter().all(|&v| v != 0.0);
+            let mut clean = indices[start..end].windows(2).all(|p| p[0] < p[1]);
+            if unit && !clean {
+                // Equal unit entries are interchangeable, so an unstable sort
+                // gives the stable sort's result; only a duplicate column (a sum
+                // of two or more ones) needs the value array.
+                indices[start..end].sort_unstable();
+                clean = indices[start..end].windows(2).all(|p| p[0] < p[1]);
+                if !clean {
+                    unit = false;
+                    values = vec![1.0; nnz];
+                }
+            } else if !unit {
+                clean = clean && values[start..end].iter().all(|&v| v != 0.0);
+            }
             if clean {
                 if out != start {
                     indices.copy_within(start..end, out);
-                    values.copy_within(start..end, out);
+                    if !unit {
+                        values.copy_within(start..end, out);
+                    }
                 }
                 out += end - start;
             } else {
@@ -197,7 +328,7 @@ impl CsrMatrix {
             cols,
             indptr,
             indices,
-            values,
+            values: if unit { None } else { canonical(values) },
         }
     }
 
@@ -215,15 +346,21 @@ impl CsrMatrix {
         Self::from_triplets(dense.rows(), dense.cols(), &triplets)
     }
 
-    /// Construct directly from raw CSR arrays. Validates monotone `indptr`, in-bounds
-    /// column indices, and matching lengths.
+    /// Construct directly from raw CSR arrays. Validates the dimensions, monotone
+    /// `indptr`, in-bounds column indices, and matching lengths. `values` holding
+    /// only ones is not kept (the canonical layout).
     pub fn from_raw(
         rows: usize,
         cols: usize,
         indptr: Vec<usize>,
-        indices: Vec<usize>,
+        indices: Vec<u32>,
         values: Vec<f64>,
     ) -> Result<Self> {
+        if rows > MAX_DIM || cols > MAX_DIM {
+            return Err(SparseError::InvalidInput(format!(
+                "a {rows}x{cols} matrix exceeds the largest CSR dimension {MAX_DIM}"
+            )));
+        }
         if indptr.len() != rows + 1 {
             return Err(SparseError::InvalidInput(format!(
                 "indptr must have length rows+1 = {}, got {}",
@@ -246,7 +383,7 @@ impl CsrMatrix {
                 "indptr must be non-decreasing".into(),
             ));
         }
-        if indices.iter().any(|&c| c >= cols) {
+        if indices.iter().any(|&c| c as usize >= cols) {
             return Err(SparseError::InvalidInput(
                 "column index out of bounds".into(),
             ));
@@ -256,7 +393,7 @@ impl CsrMatrix {
             cols,
             indptr,
             indices,
-            values,
+            values: canonical(values),
         })
     }
 
@@ -281,7 +418,7 @@ impl CsrMatrix {
     /// Number of explicitly stored (non-zero) entries.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.values.len()
+        self.indices.len()
     }
 
     /// Whether the matrix is square.
@@ -296,21 +433,40 @@ impl CsrMatrix {
     }
 
     /// Column index array.
-    pub fn indices(&self) -> &[usize] {
+    pub fn indices(&self) -> &[u32] {
         &self.indices
     }
 
-    /// Value array.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    /// Value array, aligned with [`CsrMatrix::indices`]; `None` when every stored
+    /// value is exactly 1.0 (the unit layout).
+    pub fn values(&self) -> Option<&[f64]> {
+        self.values.as_deref()
     }
 
-    /// The stored columns and values of row `i`.
+    /// Bytes each stored entry occupies: 4 (a `u32` column) in the unit layout,
+    /// 12 with a value array.
+    pub fn entry_bytes(&self) -> usize {
+        if self.values.is_some() {
+            12
+        } else {
+            4
+        }
+    }
+
+    /// The stored columns of row `i`.
     #[inline]
-    pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let start = self.indptr[i];
-        let end = self.indptr[i + 1];
-        (&self.indices[start..end], &self.values[start..end])
+    pub fn row_indices(&self, i: usize) -> &[u32] {
+        &self.indices[self.indptr[i]..self.indptr[i + 1]]
+    }
+
+    /// The stored entries of row `i` as `(column, value)`, in column order.
+    pub fn row_entries(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let range = self.indptr[i]..self.indptr[i + 1];
+        let values = self.values.as_deref().map(|v| &v[range.clone()]);
+        self.indices[range]
+            .iter()
+            .enumerate()
+            .map(move |(p, &c)| (c as usize, values.map_or(1.0, |v| v[p])))
     }
 
     /// Number of stored entries in row `i`.
@@ -321,24 +477,28 @@ impl CsrMatrix {
 
     /// Read the entry at `(i, j)` (zero when not stored).
     pub fn get(&self, i: usize, j: usize) -> f64 {
-        let (cols, vals) = self.row(i);
-        match cols.binary_search(&j) {
-            Ok(pos) => vals[pos],
+        let Ok(j) = u32::try_from(j) else {
+            return 0.0;
+        };
+        match self.row_indices(i).binary_search(&j) {
+            Ok(pos) => self
+                .values
+                .as_ref()
+                .map_or(1.0, |v| v[self.indptr[i] + pos]),
             Err(_) => 0.0,
         }
     }
 
     /// Iterate over all stored entries as `(row, col, value)`.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        (0..self.rows).flat_map(move |i| {
-            let (cols, vals) = self.row(i);
-            cols.iter().zip(vals.iter()).map(move |(&c, &v)| (i, c, v))
-        })
+        (0..self.rows).flat_map(move |i| self.row_entries(i).map(move |(c, v)| (i, c, v)))
     }
 
     /// Sum of the entries in each row (weighted node degrees for an adjacency matrix).
     pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.rows).map(|i| self.row(i).1.iter().sum()).collect()
+        (0..self.rows)
+            .map(|i| self.row_entries(i).map(|(_, v)| v).sum())
+            .collect()
     }
 
     /// Diagonal entries as a vector.
@@ -385,33 +545,60 @@ impl CsrMatrix {
         rows: Range<usize>,
         out: &mut [f64],
     ) {
-        match dense.cols() {
-            0 => {}
-            1 => self.spmm_rows_fixed::<1>(dense, rows, out),
-            2 => self.spmm_rows_fixed::<2>(dense, rows, out),
-            3 => self.spmm_rows_fixed::<3>(dense, rows, out),
-            4 => self.spmm_rows_fixed::<4>(dense, rows, out),
-            5 => self.spmm_rows_fixed::<5>(dense, rows, out),
-            6 => self.spmm_rows_fixed::<6>(dense, rows, out),
-            7 => self.spmm_rows_fixed::<7>(dense, rows, out),
-            8 => self.spmm_rows_fixed::<8>(dense, rows, out),
-            _ => self.spmm_rows_wide(dense, rows, out),
+        self.spmm_rows(dense.data(), dense.cols(), rows, out);
+    }
+
+    /// [`CsrMatrix::spmm_dense_rows_into`] on the row-major `k`-wide RHS `data`,
+    /// monomorphized for the matrix's value layout.
+    fn spmm_rows(&self, data: &[f64], k: usize, rows: Range<usize>, out: &mut [f64]) {
+        match self.values.as_deref() {
+            None => self.spmm_rows_with(Unit, data, k, rows, out),
+            Some(values) => self.spmm_rows_with(values, data, k, rows, out),
         }
     }
 
-    /// Monomorphized SpMM row kernel for small `K = dense.cols()`: the whole
-    /// K-wide output row is one register block, written out once per row.
-    fn spmm_rows_fixed<const K: usize>(
+    /// [`CsrMatrix::spmm_rows`] for one value layout.
+    fn spmm_rows_with<V: Weights>(
         &self,
-        dense: &DenseMatrix,
+        weights: V,
+        data: &[f64],
+        k: usize,
         rows: Range<usize>,
         out: &mut [f64],
     ) {
-        debug_assert_eq!(dense.cols(), K);
-        let data = dense.data();
+        match k {
+            0 => {}
+            1 => self.spmm_rows_fixed::<1, V>(weights, data, rows, out),
+            2 => self.spmm_rows_fixed::<2, V>(weights, data, rows, out),
+            3 => self.spmm_rows_fixed::<3, V>(weights, data, rows, out),
+            4 => self.spmm_rows_fixed::<4, V>(weights, data, rows, out),
+            5 => self.spmm_rows_fixed::<5, V>(weights, data, rows, out),
+            6 => self.spmm_rows_fixed::<6, V>(weights, data, rows, out),
+            7 => self.spmm_rows_fixed::<7, V>(weights, data, rows, out),
+            8 => self.spmm_rows_fixed::<8, V>(weights, data, rows, out),
+            _ => self.spmm_rows_wide(weights, data, k, rows, out),
+        }
+    }
+
+    /// The stored columns and weights of row `i`.
+    #[inline(always)]
+    fn kernel_row<V: Weights>(&self, weights: V, i: usize) -> (&[u32], V) {
+        let range = self.indptr[i]..self.indptr[i + 1];
+        (&self.indices[range.clone()], weights.range(range))
+    }
+
+    /// Monomorphized SpMM row kernel for small `K`: the whole K-wide output row is
+    /// one register block, written out once per row.
+    fn spmm_rows_fixed<const K: usize, V: Weights>(
+        &self,
+        weights: V,
+        data: &[f64],
+        rows: Range<usize>,
+        out: &mut [f64],
+    ) {
         for (i, out_row) in rows.zip(out.chunks_exact_mut(K)) {
-            let (cols, vals) = self.row(i);
-            spmm_block::<K>(cols, vals, data, K, 0, out_row);
+            let (cols, vals) = self.kernel_row(weights, i);
+            spmm_block::<K, V>(cols, vals, data, K, 0, out_row);
         }
     }
 
@@ -421,24 +608,29 @@ impl CsrMatrix {
     /// row's stored entries and written out once. Widths are fixed at compile
     /// time, so no block loops over a runtime length, and the output row is never
     /// read back.
-    fn spmm_rows_wide(&self, dense: &DenseMatrix, rows: Range<usize>, out: &mut [f64]) {
-        let k = dense.cols();
-        let data = dense.data();
+    fn spmm_rows_wide<V: Weights>(
+        &self,
+        weights: V,
+        data: &[f64],
+        k: usize,
+        rows: Range<usize>,
+        out: &mut [f64],
+    ) {
         for (i, out_row) in rows.zip(out.chunks_exact_mut(k)) {
-            let (cols, vals) = self.row(i);
+            let (cols, vals) = self.kernel_row(weights, i);
             let mut j0 = 0;
             while k - j0 >= SPMM_WIDE_BLOCK {
-                spmm_block::<SPMM_WIDE_BLOCK>(cols, vals, data, k, j0, out_row);
+                spmm_block::<SPMM_WIDE_BLOCK, V>(cols, vals, data, k, j0, out_row);
                 j0 += SPMM_WIDE_BLOCK;
             }
             while k - j0 >= 4 {
-                spmm_block::<4>(cols, vals, data, k, j0, out_row);
+                spmm_block::<4, V>(cols, vals, data, k, j0, out_row);
                 j0 += 4;
             }
             match k - j0 {
-                1 => spmm_block::<1>(cols, vals, data, k, j0, out_row),
-                2 => spmm_block::<2>(cols, vals, data, k, j0, out_row),
-                3 => spmm_block::<3>(cols, vals, data, k, j0, out_row),
+                1 => spmm_block::<1, V>(cols, vals, data, k, j0, out_row),
+                2 => spmm_block::<2, V>(cols, vals, data, k, j0, out_row),
+                3 => spmm_block::<3, V>(cols, vals, data, k, j0, out_row),
                 _ => {}
             }
         }
@@ -460,9 +652,8 @@ impl CsrMatrix {
         let mut out = DenseMatrix::zeros(self.rows, k);
         let buf = out.data_mut();
         for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
             let out_row = &mut buf[i * k..(i + 1) * k];
-            for (&c, &w) in cols.iter().zip(vals.iter()) {
+            for (c, w) in self.row_entries(i) {
                 let src = dense.row(c);
                 for (o, &s) in out_row.iter_mut().zip(src.iter()) {
                     *o += w * s;
@@ -472,7 +663,7 @@ impl CsrMatrix {
         Ok(out)
     }
 
-    /// Sparse matrix-vector product `self * v`.
+    /// Sparse matrix-vector product `self * v`: the `k = 1` SpMM row kernel.
     pub fn spmv(&self, v: &[f64]) -> Result<Vec<f64>> {
         if v.len() != self.cols {
             return Err(SparseError::DimensionMismatch {
@@ -481,12 +672,9 @@ impl CsrMatrix {
                 right: (v.len(), 1),
             });
         }
-        Ok((0..self.rows)
-            .map(|i| {
-                let (cols, vals) = self.row(i);
-                cols.iter().zip(vals.iter()).map(|(&c, &w)| w * v[c]).sum()
-            })
-            .collect())
+        let mut out = vec![0.0; self.rows];
+        self.spmm_rows(v, 1, 0..self.rows, &mut out);
+        Ok(out)
     }
 
     /// Sparse-sparse product `self * other`, returning a sparse result.
@@ -504,15 +692,13 @@ impl CsrMatrix {
         // Classic Gustavson's algorithm with a dense per-row accumulator.
         let mut indptr = Vec::with_capacity(self.rows + 1);
         indptr.push(0);
-        let mut indices: Vec<usize> = Vec::new();
+        let mut indices: Vec<u32> = Vec::new();
         let mut values: Vec<f64> = Vec::new();
         let mut accumulator = vec![0.0f64; other.cols];
         let mut touched: Vec<usize> = Vec::new();
         for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            for (&c, &w) in cols.iter().zip(vals.iter()) {
-                let (ocols, ovals) = other.row(c);
-                for (&oc, &ov) in ocols.iter().zip(ovals.iter()) {
+            for (c, w) in self.row_entries(i) {
+                for (oc, ov) in other.row_entries(c) {
                     if accumulator[oc] == 0.0 {
                         touched.push(oc);
                     }
@@ -523,7 +709,7 @@ impl CsrMatrix {
             for &c in &touched {
                 let v = accumulator[c];
                 if v != 0.0 {
-                    indices.push(c);
+                    indices.push(c as u32);
                     values.push(v);
                 }
                 accumulator[c] = 0.0;
@@ -536,7 +722,7 @@ impl CsrMatrix {
             cols: other.cols,
             indptr,
             indices,
-            values,
+            values: canonical(values),
         })
     }
 
@@ -564,13 +750,28 @@ impl CsrMatrix {
         Ok(CsrMatrix::from_triplets(self.rows, self.cols, &triplets))
     }
 
+    /// The same sparsity pattern with the stored values replaced by
+    /// `f(row, col, value)`, in the canonical layout.
+    fn map_values(&self, mut f: impl FnMut(usize, usize, f64) -> f64) -> CsrMatrix {
+        let mut values = self.values.clone().unwrap_or_else(|| vec![1.0; self.nnz()]);
+        for i in 0..self.rows {
+            let range = self.indptr[i]..self.indptr[i + 1];
+            for (v, &c) in values[range.clone()].iter_mut().zip(&self.indices[range]) {
+                *v = f(i, c as usize, *v);
+            }
+        }
+        CsrMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            indptr: self.indptr.clone(),
+            indices: self.indices.clone(),
+            values: canonical(values),
+        }
+    }
+
     /// Multiply every stored value by `factor`.
     pub fn scaled(&self, factor: f64) -> CsrMatrix {
-        let mut out = self.clone();
-        for v in &mut out.values {
-            *v *= factor;
-        }
-        out
+        self.map_values(|_, _, v| v * factor)
     }
 
     /// Transpose into a new CSR matrix.
@@ -585,7 +786,7 @@ impl CsrMatrix {
         // into scatter cursors, and after the scatter a one-slot shift recovers the
         // row pointers (cursor `c` has advanced exactly to the end of row `c`).
         let mut next = vec![0usize; self.cols + 1];
-        for (&c, &v) in self.indices.iter().zip(self.values.iter()) {
+        for (_, c, v) in self.iter() {
             if v != 0.0 {
                 next[c + 1] += 1;
             }
@@ -594,17 +795,14 @@ impl CsrMatrix {
             next[c + 1] += next[c];
         }
         let tnnz = next[self.cols];
-        let mut t_indices = vec![0usize; tnnz];
+        let mut t_indices = vec![0u32; tnnz];
         let mut t_values = vec![0.0f64; tnnz];
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
-                if v != 0.0 {
-                    let pos = next[c];
-                    t_indices[pos] = r;
-                    t_values[pos] = v;
-                    next[c] += 1;
-                }
+        for (r, c, v) in self.iter() {
+            if v != 0.0 {
+                let pos = next[c];
+                t_indices[pos] = r as u32;
+                t_values[pos] = v;
+                next[c] += 1;
             }
         }
         for c in (1..=self.cols).rev() {
@@ -616,7 +814,7 @@ impl CsrMatrix {
             cols: self.rows,
             indptr: next,
             indices: t_indices,
-            values: t_values,
+            values: canonical(t_values),
         }
     }
 
@@ -633,7 +831,7 @@ impl CsrMatrix {
     /// entries (no transpose is materialized).
     pub fn column_sums(&self) -> Vec<f64> {
         let mut sums = vec![0.0; self.cols];
-        for (&c, &v) in self.indices.iter().zip(self.values.iter()) {
+        for (_, c, v) in self.iter() {
             sums[c] += v;
         }
         sums
@@ -643,34 +841,19 @@ impl CsrMatrix {
     /// methods, Eq. 3). Columns with zero sum are left as zero.
     pub fn column_normalized(&self) -> CsrMatrix {
         let col_sums = self.column_sums();
-        let mut out = self.clone();
-        for i in 0..out.rows {
-            let start = out.indptr[i];
-            let end = out.indptr[i + 1];
-            for idx in start..end {
-                let c = out.indices[idx];
-                if col_sums[c] != 0.0 {
-                    out.values[idx] /= col_sums[c];
-                }
+        self.map_values(|_, c, v| {
+            if col_sums[c] != 0.0 {
+                v / col_sums[c]
+            } else {
+                v
             }
-        }
-        out
+        })
     }
 
     /// Row-normalize: divide each entry by its row sum. Rows with zero sum stay zero.
     pub fn row_normalized(&self) -> CsrMatrix {
         let sums = self.row_sums();
-        let mut out = self.clone();
-        for (i, &s) in sums.iter().enumerate() {
-            let start = out.indptr[i];
-            let end = out.indptr[i + 1];
-            if s != 0.0 {
-                for idx in start..end {
-                    out.values[idx] /= s;
-                }
-            }
-        }
-        out
+        self.map_values(|i, _, v| if sums[i] != 0.0 { v / sums[i] } else { v })
     }
 
     /// Symmetric normalization `D^{-1/2} W D^{-1/2}` used by the harmonic/LGC family.
@@ -680,16 +863,7 @@ impl CsrMatrix {
             .iter()
             .map(|&s| if s > 0.0 { 1.0 / s.sqrt() } else { 0.0 })
             .collect();
-        let mut out = self.clone();
-        for i in 0..out.rows {
-            let start = out.indptr[i];
-            let end = out.indptr[i + 1];
-            for idx in start..end {
-                let c = out.indices[idx];
-                out.values[idx] *= inv_sqrt[i] * inv_sqrt[c];
-            }
-        }
-        out
+        self.map_values(|i, c, v| v * (inv_sqrt[i] * inv_sqrt[c]))
     }
 
     /// Convert to a dense matrix. Intended for tests and small matrices only.
@@ -703,7 +877,7 @@ impl CsrMatrix {
 
     /// Frobenius norm of the stored entries.
     pub fn frobenius_norm(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
+        self.iter().map(|(_, _, v)| v * v).sum::<f64>().sqrt()
     }
 }
 
@@ -712,24 +886,24 @@ impl CsrMatrix {
 /// `data`. Each accumulator starts at zero and adds `w * x` entry by entry in
 /// column order, the reference kernel's order.
 #[inline(always)]
-fn spmm_block<const W: usize>(
-    cols: &[usize],
-    vals: &[f64],
+fn spmm_block<const W: usize, V: Weights>(
+    cols: &[u32],
+    vals: V,
     data: &[f64],
     k: usize,
     j0: usize,
     out_row: &mut [f64],
 ) {
     let mut acc = [0.0f64; W];
-    for (&c, &w) in cols.iter().zip(vals) {
-        let src = &data[c * k + j0..c * k + j0 + W];
+    for (p, &c) in cols.iter().enumerate() {
+        let start = c as usize * k + j0;
+        let src = &data[start..start + W];
         for j in 0..W {
-            acc[j] += w * src[j];
+            acc[j] += vals.times(p, src[j]);
         }
     }
     out_row[j0..j0 + W].copy_from_slice(&acc);
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -777,7 +951,7 @@ mod tests {
     #[test]
     fn from_triplets_sums_and_sorts() {
         let m = CsrMatrix::from_triplets(2, 3, &[(0, 2, 1.0), (0, 0, 2.0), (0, 2, 3.0)]);
-        assert_eq!(m.row(0).0, &[0, 2]);
+        assert_eq!(m.row_indices(0), &[0, 2]);
         assert_eq!(m.get(0, 2), 4.0);
         assert_eq!(m.nnz(), 2);
     }
@@ -810,7 +984,7 @@ mod tests {
         assert_ne!(in_order, 0.0 + b + c + a);
         let m = CsrMatrix::from_triplets(1, 3, &[(0, 2, a), (0, 0, 5.0), (0, 2, b), (0, 2, c)]);
         assert_eq!(m.get(0, 2).to_bits(), in_order.to_bits());
-        assert_eq!(m.row(0).0, &[0, 2]);
+        assert_eq!(m.row_indices(0), &[0, 2]);
     }
 
     #[test]
@@ -824,17 +998,17 @@ mod tests {
 
     #[test]
     fn from_undirected_edges_stores_both_directions() {
-        let m = CsrMatrix::from_undirected_edges(3, &[(0, 1, 1.0), (2, 1, 2.0)]);
+        let m = CsrMatrix::from_undirected_edges(3, &[(0usize, 1usize, 1.0), (2, 1, 2.0)]);
         assert_eq!(m.nnz(), 4);
         assert_eq!(m.get(1, 0), 1.0);
         assert_eq!(m.get(1, 2), 2.0);
         assert!(m.is_symmetric(0.0));
         // A self-loop is stored once.
-        let looped = CsrMatrix::from_undirected_edges(3, &[(0, 1, 1.0), (2, 2, 1.0)]);
+        let looped = CsrMatrix::from_undirected_edges(3, &[(0usize, 1usize, 1.0), (2, 2, 1.0)]);
         assert_eq!(looped.nnz(), 3);
         assert_eq!(looped.get(2, 2), 1.0);
         // Copies that cancel vanish from both rows.
-        let cancelled = CsrMatrix::from_undirected_edges(2, &[(0, 1, 1.5), (1, 0, -1.5)]);
+        let cancelled = CsrMatrix::from_undirected_edges(2, &[(0usize, 1usize, 1.5), (1, 0, -1.5)]);
         assert_eq!(cancelled.nnz(), 0);
     }
 
@@ -875,9 +1049,105 @@ mod tests {
             let reference = CsrMatrix::from_triplets(n, n, &doubled);
             assert_eq!(direct.indptr(), reference.indptr(), "n = {n}");
             assert_eq!(direct.indices(), reference.indices(), "n = {n}");
-            let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let bits = |m: &CsrMatrix| m.iter().map(|(_, _, v)| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&direct), bits(&reference), "n = {n}");
         }
+    }
+
+    #[test]
+    fn layout_is_canonical_across_constructors() {
+        // One unweighted 3-node path, built every way there is: each build keeps
+        // no value array and all of them are equal.
+        let path =
+            CsrMatrix::from_triplets(3, 3, &[(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)]);
+        assert_eq!((path.values(), path.entry_bytes()), (None, 4));
+        let builds = [
+            CsrMatrix::from_undirected_edges(3, &[(0usize, 1usize), (2, 1)]),
+            CsrMatrix::from_undirected_edges(3, &[(0u32, 1u32), (2, 1)]),
+            CsrMatrix::from_undirected_edges(3, &[(0usize, 1usize, 1.0), (2, 1, 1.0)]),
+            CsrMatrix::from_raw(3, 3, vec![0, 1, 3, 4], vec![1, 0, 2, 1], vec![1.0; 4]).unwrap(),
+            CsrMatrix::from_dense(&path.to_dense()),
+            path.scaled(1.0),
+            path.transpose(),
+            path.clone(),
+        ];
+        for (i, m) in builds.iter().enumerate() {
+            assert_eq!(m, &path, "build {i}");
+            assert_eq!(m.values(), None, "build {i}");
+        }
+        let identity = CsrMatrix::identity(3);
+        assert_eq!(identity.values(), None);
+        assert_eq!(identity, CsrMatrix::from_diagonal(&[1.0, 1.0, 1.0]));
+        assert_eq!(identity, CsrMatrix::from_dense(&identity.to_dense()));
+        assert_eq!(CsrMatrix::zeros(2, 2).values(), None);
+        // Any other value keeps the value array, 12 bytes per entry.
+        let weighted = path.scaled(2.0);
+        assert_eq!(weighted.values(), Some(&[2.0; 4][..]));
+        assert_eq!(weighted.entry_bytes(), 12);
+        assert_eq!(
+            CsrMatrix::from_diagonal(&[1.0, 3.0]).values(),
+            Some(&[1.0, 3.0][..])
+        );
+    }
+
+    #[test]
+    fn values_that_come_to_one_give_the_unit_layout() {
+        // Halves that sum to one, a doubling undone, and a row normalization of
+        // degree-one rows all land on the matrix built unit, kernels included.
+        let unit = CsrMatrix::from_undirected_edges(4, &[(0usize, 1usize), (2, 3)]);
+        let halves = CsrMatrix::from_undirected_edges(
+            4,
+            &[
+                (0usize, 1usize, 0.5),
+                (2, 3, 0.25),
+                (1, 0, 0.5),
+                (3, 2, 0.75),
+            ],
+        );
+        let undone = unit.scaled(2.0).scaled(0.5);
+        let normalized = unit.scaled(3.0).row_normalized();
+        let x =
+            DenseMatrix::from_vec(4, 3, (0..12).map(|v| v as f64 * 0.3 - 1.1).collect()).unwrap();
+        for m in [&halves, &undone, &normalized] {
+            assert_eq!(m, &unit);
+            assert_eq!(m.values(), None);
+            assert_eq!(
+                m.spmm_dense(&x).unwrap().data(),
+                unit.spmm_dense(&x).unwrap().data()
+            );
+        }
+    }
+
+    #[test]
+    fn duplicate_unit_entries_fall_back_to_the_weighted_layout() {
+        // Unsorted unit rows stay unit; a duplicate sums to 2.0 and brings the
+        // value array back, for the rows before and after it too.
+        let unsorted = CsrMatrix::from_undirected_edges(4, &[(0usize, 3usize), (0, 1), (2, 0)]);
+        assert_eq!(unsorted.values(), None);
+        assert_eq!(unsorted.row_indices(0), &[1, 2, 3]);
+        let doubled =
+            CsrMatrix::from_undirected_edges(4, &[(0usize, 3usize), (1, 2), (2, 1), (3, 1)]);
+        assert_eq!(doubled.entry_bytes(), 12);
+        assert_eq!(doubled.get(1, 2), 2.0);
+        assert_eq!(doubled.get(2, 1), 2.0);
+        assert_eq!(doubled.get(0, 3), 1.0);
+        assert_eq!(doubled.get(3, 1), 1.0);
+        let triplets = [
+            (0, 3, 1.0),
+            (3, 0, 1.0),
+            (1, 2, 2.0),
+            (2, 1, 2.0),
+            (1, 3, 1.0),
+            (3, 1, 1.0),
+        ];
+        assert_eq!(doubled, CsrMatrix::from_triplets(4, 4, &triplets));
+    }
+
+    #[test]
+    fn dimensions_beyond_u32_indices_are_rejected() {
+        let too_big = MAX_DIM + 1;
+        assert!(CsrMatrix::from_raw(0, too_big, vec![0], vec![], vec![]).is_err());
+        assert!(std::panic::catch_unwind(|| CsrMatrix::from_triplets(1, too_big, &[])).is_err());
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! materialize `Wℓ`; instead push the thin `n x k` label matrix through repeated
 //! sparse-times-dense products. This crate provides exactly the kernels needed for that:
 //!
-//! * [`CsrMatrix`] — compressed sparse row adjacency matrices, assembled from
-//!   triplets or straight from an undirected edge list
-//!   ([`CsrMatrix::from_undirected_edges`]), with `O(nnz·k)` sparse-times-dense
-//!   products ([`CsrMatrix::spmm_dense`]), plus the sparse-sparse product used only
-//!   by the unfactorized baseline.
+//! * [`CsrMatrix`] — compressed sparse row adjacency matrices with `u32` column
+//!   indices and no value array when every value is 1.0 (4 bytes per stored entry
+//!   for an unweighted graph), assembled from triplets or straight from an
+//!   undirected edge list ([`CsrMatrix::from_undirected_edges`]), with `O(nnz·k)`
+//!   sparse-times-dense products ([`CsrMatrix::spmm_dense`]), plus the
+//!   sparse-sparse product used only by the unfactorized baseline.
 //! * [`DenseMatrix`] — small row-major dense matrices for the `k x k` sketches and the
 //!   `n x k` belief matrices, with the three normalization variants from Section 4.3.
 //! * [`parallel`] — a thread-parallel execution layer for the hot `spmm_dense`
@@ -37,7 +38,7 @@ pub mod parallel;
 pub mod spectral;
 pub mod vector;
 
-pub use csr::CsrMatrix;
+pub use csr::{CsrMatrix, Edge, MAX_DIM};
 pub use dense::DenseMatrix;
 pub use eigen::{
     symmetric_eigen, EigenConfig, EigenPairs, DEFAULT_EIGEN_MAX_ITER, DEFAULT_EIGEN_SEED,
@@ -98,7 +99,7 @@ mod integration_tests {
 
     #[test]
     fn coo_to_csr_to_dense_pipeline() {
-        let csr = CsrMatrix::from_undirected_edges(3, &[(0, 1, 1.0), (1, 2, 2.0)]);
+        let csr = CsrMatrix::from_undirected_edges(3, &[(0usize, 1usize, 1.0), (1, 2, 2.0)]);
         let dense = csr.to_dense();
         assert_eq!(dense.get(0, 1), 1.0);
         assert_eq!(dense.get(2, 1), 2.0);

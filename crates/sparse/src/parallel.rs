@@ -313,6 +313,7 @@ impl CsrMatrix {
                 ("nnz", self.nnz() as u64),
                 ("k", k as u64),
                 ("workers", workers as u64),
+                ("entry_bytes", self.entry_bytes() as u64),
             ],
         );
         let ranges = if workers <= 1 {
@@ -499,14 +500,31 @@ mod tests {
         CsrMatrix::from_triplets(rows, cols, &triplets)
     }
 
+    /// `m`'s sparsity pattern with every stored value 1.0: the unit layout.
+    fn unit_pattern(m: &CsrMatrix) -> CsrMatrix {
+        let ones = vec![1.0; m.nnz()];
+        let unit = CsrMatrix::from_raw(
+            m.rows(),
+            m.cols(),
+            m.indptr().to_vec(),
+            m.indices().to_vec(),
+            ones,
+        )
+        .unwrap();
+        assert_eq!(unit.entry_bytes(), 4);
+        unit
+    }
+
     /// The register-blocked SpMM (k ≤ 8 is one monomorphized block, wider k
     /// cut into 16-, 4- and 1..=3-wide blocks) must be bit-identical to the
-    /// scalar reference kernel for every k, thread count, and degree profile —
-    /// including hub rows and empty rows.
+    /// scalar reference kernel for every k, thread count, degree profile —
+    /// including hub rows and empty rows — and value layout: the unit kernels,
+    /// which add `x` where the reference adds `1.0 * x`, included.
     #[test]
     fn blocked_spmm_matches_reference_across_k_and_threads() {
-        let matrices = [random_csr(301, 97, 5), hub_heavy_csr(500, 97, 13)];
-        for m in &matrices {
+        let weighted = [random_csr(301, 97, 5), hub_heavy_csr(500, 97, 13)];
+        let unit = weighted.each_ref().map(unit_pattern);
+        for m in weighted.iter().chain(&unit) {
             // Every k to 72 covers each mix of 16-wide and 4-wide blocks with
             // each remainder width; 100 and 130 take several 16-wide blocks.
             for k in (1usize..=72).chain([100, 130]) {
@@ -517,6 +535,10 @@ mod tests {
                     m.spmm_dense(&x).unwrap().data(),
                     "serial kernel diverged at k={k}"
                 );
+                if k == 1 {
+                    // SpMV is the same row kernel.
+                    assert_eq!(reference.data(), m.spmv(x.data()).unwrap(), "spmv");
+                }
                 for threads in [
                     Threads::Serial,
                     Threads::Fixed(2),

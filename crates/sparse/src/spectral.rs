@@ -36,11 +36,18 @@ const BISECTIONS: usize = 60;
 /// exact). The result is a pure function of the matrix. Returns `Ok(0.0)` for a
 /// matrix without stored entries.
 ///
-/// Each call records one `spectral_radius` span with args `nnz`, `spmvs` (Lanczos
+/// Each call records one `spectral_radius` span with args `nnz`, `entry_bytes`
+/// (bytes per stored entry, see [`CsrMatrix::entry_bytes`]), `spmvs` (Lanczos
 /// steps taken) and `converged` (0 when the step cap ran out first; the last
 /// estimate is then returned).
 pub fn spectral_radius_sparse(m: &CsrMatrix) -> Result<f64> {
-    let mut span = Span::enter_with("spectral_radius", &[("nnz", m.nnz() as u64)]);
+    let mut span = Span::enter_with(
+        "spectral_radius",
+        &[
+            ("nnz", m.nnz() as u64),
+            ("entry_bytes", m.entry_bytes() as u64),
+        ],
+    );
     let lanczos = lanczos_radius(m)?;
     span.record("spmvs", lanczos.spmvs as u64);
     span.record("converged", u64::from(lanczos.converged));

@@ -160,7 +160,7 @@ fn row_normalized_rows_sum_to_one_or_zero() {
         );
         let norm = abs.row_normalized();
         for (i, s) in norm.row_sums().iter().enumerate() {
-            if abs.row_nnz(i) > 0 && abs.row(i).1.iter().sum::<f64>() > 0.0 {
+            if abs.row_nnz(i) > 0 && abs.row_entries(i).map(|(_, v)| v).sum::<f64>() > 0.0 {
                 assert!((s - 1.0).abs() < 1e-9, "seed {seed} row {i}");
             } else {
                 assert!(s.abs() < 1e-12, "seed {seed} row {i}");

@@ -155,6 +155,45 @@ fn spectral_radius_is_computed_once_per_graph() {
     assert_eq!(count, 1, "one Holdout estimate");
 }
 
+/// Every pass over `W` names the layout it streamed: the `spmm` and
+/// `spectral_radius` spans of a traced run carry `entry_bytes`, 4 on an
+/// unweighted graph and 12 once one edge weighs anything but 1.
+#[test]
+fn kernel_spans_carry_the_bytes_per_stored_entry() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let (unit, seeds) = synthetic(5, 300);
+    let mut edges: Vec<(usize, usize, f64)> = unit.edges().collect();
+    edges[0].2 = 2.0;
+    let weighted = Graph::from_weighted_edges(unit.num_nodes(), &edges).unwrap();
+    for (graph, bytes) in [(&unit, 4), (&weighted, 12)] {
+        let report = Pipeline::on(graph)
+            .seeds(&seeds)
+            .estimator(DceWithRestarts::default())
+            .propagator(LinBp::default())
+            .trace(true)
+            .run()
+            .unwrap();
+        let trace = report.trace.expect("traced run carries a trace");
+        let tid = trace
+            .records
+            .iter()
+            .find(|r| r.name == "pipeline")
+            .unwrap()
+            .tid;
+        let kernels: Vec<_> = trace
+            .records
+            .iter()
+            .filter(|r| r.tid == tid && (r.name == "spmm" || r.name == "spectral_radius"))
+            .collect();
+        assert!(kernels.iter().any(|r| r.name == "spectral_radius"));
+        assert!(kernels.iter().any(|r| r.name == "spmm"));
+        for record in kernels {
+            let arg = record.args.iter().find(|(k, _)| *k == "entry_bytes");
+            assert_eq!(arg, Some(&("entry_bytes", bytes)), "{}", record.name);
+        }
+    }
+}
+
 /// A run without a store or a shared cache reads no content key, so it never
 /// hashes the graph: a private-context DCEr + LinBP classify records no
 /// `fingerprint` span, while a run with a store pays for exactly one.
