@@ -12,8 +12,9 @@
 use crate::args::ArgMap;
 use crate::matrix_io;
 use fg_core::prelude::*;
-use fg_core::{estimator_by_name_with, EntryMeta, GraphKey, ESTIMATORS};
+use fg_core::{EntryMeta, GraphKey, ESTIMATORS};
 use fg_datasets::{synthesize, DatasetId};
+use fg_graph::spec::{Kind, SpecOptions};
 use fg_propagation::{PropagatorOptions, PROPAGATORS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,59 +44,36 @@ fn load_graph_and_labels(args: &ArgMap) -> Result<(Graph, SeedLabels, usize), St
 /// parameterized name, e.g. `"DCEr(r=10,l=5,lambda=10)"`).
 ///
 /// `--method` accepts a plain registry name (`dcer`) or a fully parameterized spec
-/// (`"DCEr(r=10,l=5,lambda=0.1)"`); the `--lmax` / `--lambda` / `--restarts` /
-/// `--splits` / `--variant` / `--mode` / `--rank` / `--threads` options supply
-/// defaults that spec parameters override. `--mode lowrank` (or a bare `--rank N`)
-/// selects the low-rank counting backend for DCE/DCEr. `--threads` covers the
-/// estimation stage: the summarization kernels run in parallel with bit-identical
-/// output.
+/// (`"DCEr(r=10,l=5,lambda=0.1)"`); every key of the estimator table is also a
+/// flag (`--lmax`, `--mode`, `--rank`, …) supplying a default that spec
+/// parameters override. `--threads` covers the estimation stage: the
+/// summarization kernels run in parallel with bit-identical output.
 fn build_estimator(args: &ArgMap) -> Result<(Box<dyn CompatibilityEstimator>, String), String> {
     let method = args.get("method").unwrap_or("dcer");
-    let variant = match args.get_parsed::<usize>("variant").map_err(err)? {
-        Some(index) => Some(NormalizationVariant::from_index(index).ok_or_else(|| {
-            format!("option --variant has invalid value '{index}' (expected 1, 2, or 3)")
-        })?),
-        None => None,
-    };
-    let lowrank = match args.get("mode") {
-        Some("lowrank") => Some(true),
-        Some("exact") => Some(false),
-        Some(other) => {
-            return Err(format!(
-                "option --mode has invalid value '{other}' (expected exact or lowrank)"
-            ))
-        }
-        None => None,
-    };
     let defaults = EstimatorOptions {
-        max_length: args.get_parsed("lmax").map_err(err)?,
-        lambda: args.get_parsed("lambda").map_err(err)?,
-        restarts: args.get_parsed("restarts").map_err(err)?,
-        splits: args.get_parsed("splits").map_err(err)?,
-        variant,
-        non_backtracking: None,
-        lowrank,
-        rank: args.get_parsed("rank").map_err(err)?,
         threads: args.get_parsed("threads").map_err(err)?,
+        ..EstimatorOptions::default()
     };
-    let estimator = estimator_by_name_with(method, &defaults)?;
+    let defaults =
+        ESTIMATORS.options(defaults, |key| Ok(args.get(key.name).map(str::to_string)))?;
+    let estimator = ESTIMATORS.by_spec(method, &defaults)?;
     let label = estimator.name();
     Ok((estimator, label))
 }
 
 /// Build the propagation backend selected by `option_name` (default `linbp`) through
-/// the propagation registry, applying the generic `--iterations` / `--tolerance` /
-/// `--damping` / `--threads` overrides. `--threads` accepts a worker count, `auto`
-/// (one worker per hardware thread), or `serial`; the parallel kernels are
-/// bit-identical to the serial ones, so it never changes the predictions.
+/// the propagation registry, applying the propagator table's flags
+/// (`--iterations`, `--tolerance`, `--damping`) and `--threads`. `--threads`
+/// accepts a worker count, `auto` (one worker per hardware thread), or `serial`;
+/// the parallel kernels are bit-identical to the serial ones, so it never changes
+/// the predictions.
 fn build_propagator(args: &ArgMap, option_name: &str) -> Result<Box<dyn Propagator>, String> {
     let method = args.get(option_name).unwrap_or("linbp");
     let opts = PropagatorOptions {
-        max_iterations: args.get_parsed("iterations").map_err(err)?,
-        tolerance: args.get_parsed("tolerance").map_err(err)?,
-        damping: args.get_parsed("damping").map_err(err)?,
         threads: args.get_parsed("threads").map_err(err)?,
+        ..PropagatorOptions::default()
     };
+    let opts = PROPAGATORS.options(opts, |key| Ok(args.get(key.name).map(str::to_string)))?;
     PROPAGATORS.build(method, &opts)
 }
 
@@ -841,7 +819,7 @@ fn client_with_input(args: &ArgMap, mut input: impl std::io::Read) -> CommandRes
 
 /// Top-level usage string.
 pub fn usage() -> String {
-    [
+    let usage = [
         "fg — factorized graph representations for SSL from sparse data",
         "",
         "USAGE: fg <command> [options]",
@@ -864,20 +842,18 @@ pub fn usage() -> String {
         "             feature-matrix fingerprint + builder spec",
         "  estimate   --edges FILE --nodes N --classes K --labels FILE",
         "             [--method dcer|dce|mce|lce|holdout | 'DCEr(r=10,l=5,lambda=10)']",
-        "             [--lmax L] [--lambda X] [--restarts R] [--splits B]",
-        "             [--variant 1|2|3] [--mode exact|lowrank] [--rank R]",
-        "             [--threads N|auto] [--summary-cache [DIR]]",
+        "             [ESTIMATOR OPTIONS] [--threads N|auto] [--summary-cache [DIR]]",
         "             [--out H_FILE] [--list-methods]",
         "             (--mode lowrank, or a bare --rank R, counts paths through a",
         "              rank-R spectral factor: edge-count-independent per length,",
         "              persisted as .fgv entries by --summary-cache)",
         "  propagate  --edges FILE --nodes N --classes K --labels FILE",
         "             [--method linbp|bp|harmonic|rw] [--compat H_FILE]",
-        "             [--iterations I] [--tolerance T] [--damping A] [--threads N|auto]",
-        "             [--out PREDICTIONS]",
+        "             [PROPAGATOR OPTIONS] [--threads N|auto] [--out PREDICTIONS]",
         "             (--compat is required for linbp and bp, ignored by harmonic and rw)",
         "  classify   --edges FILE --nodes N --classes K --labels FILE",
-        "             [--method ...] [--propagator linbp|bp|harmonic|rw] [--threads N|auto]",
+        "             [--method ...] [--propagator linbp|bp|harmonic|rw] [ESTIMATOR OPTIONS]",
+        "             [PROPAGATOR OPTIONS] [--threads N|auto]",
         "             [--summary-cache [DIR]] [--truth FULL_LABELS] [--out PREDICTIONS]",
         "             [--json] [--trace-out TRACE.json]",
         "             (--threads parallelizes estimation and propagation alike;",
@@ -919,7 +895,39 @@ pub fn usage() -> String {
         "  classify --abstain adds the abstention rate and abstaining macro accuracy",
         "  to the text and --json reports.",
     ]
-    .join("\n")
+    .join("\n");
+    [
+        usage,
+        key_lines::<EstimatorOptions>(
+            "ESTIMATOR OPTIONS (estimate, classify; also serve estimate/classify fields,\n\
+             manifest keys, and keys inside a --method spec):",
+        ),
+        key_lines::<PropagatorOptions>(
+            "PROPAGATOR OPTIONS (propagate, classify; also serve classify fields and\n\
+             manifest keys):",
+        ),
+    ]
+    .join("\n\n")
+}
+
+/// The usage lines of one key table, rendered from its rows.
+fn key_lines<O: SpecOptions>(heading: &str) -> String {
+    let mut lines = vec![heading.to_string()];
+    for key in O::KEYS {
+        let value = match key.kind {
+            Kind::Count => "N".to_string(),
+            Kind::Number => "X".to_string(),
+            Kind::Choice(words) => words.join("|"),
+            Kind::Flag => "true|false".to_string(),
+        };
+        let flag = format!("--{} {value}", key.name);
+        let aliases = match key.aliases {
+            [] => String::new(),
+            aliases => format!("; in specs also {}", aliases.join(", ")),
+        };
+        lines.push(format!("  {flag:<24}{}{aliases}", key.help));
+    }
+    lines.join("\n")
 }
 
 /// Dispatch a subcommand by name.
@@ -941,6 +949,9 @@ pub fn run(command: &str, args: &ArgMap) -> CommandResult {
 }
 
 #[cfg(test)]
+mod option_parity;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::path::PathBuf;
@@ -953,6 +964,47 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fg_cli_cmd_{name}"));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn out_of_range_builder_and_propagator_parameters_name_a_parameter() {
+        let dir = temp_dir("bad_parameters");
+        let edges = dir.join("edges.tsv");
+        let labels = dir.join("labels.tsv");
+        std::fs::write(&edges, "0\t1\n1\t2\n").unwrap();
+        std::fs::write(&labels, "0\t0\n2\t1\n").unwrap();
+        let propagate = args(&[
+            "--edges",
+            edges.to_str().unwrap(),
+            "--labels",
+            labels.to_str().unwrap(),
+            "--nodes",
+            "3",
+            "--classes",
+            "2",
+            "--method",
+            "rw",
+            "--damping",
+            "1.5",
+        ]);
+        assert_eq!(
+            cmd_propagate(&propagate).unwrap_err(),
+            "graph error: invalid parameter: damping must be in [0, 1), got 1.5"
+        );
+        let out = dir.join("constructed.tsv");
+        let construct = args(&[
+            "--blobs",
+            "30",
+            "--builder",
+            "Knn(k=0)",
+            "--out-edges",
+            out.to_str().unwrap(),
+        ]);
+        assert_eq!(
+            cmd_construct(&construct).unwrap_err(),
+            "invalid parameter: kNN construction needs k >= 1"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

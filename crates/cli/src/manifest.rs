@@ -61,17 +61,22 @@
 //! Entry keys: `name`, dataset selection (`edges`+`labels`+`nodes`+`classes`, or
 //! `dataset` plus `scale`, or `nodes` plus `degree`/`classes`/`skew` for the generator,
 //! or `features` plus `builder` to construct a graph from a raw feature matrix;
-//! `seed` and `fraction` apply to the synthetic and feature modes), `estimator`,
-//! `rank` (selects the low-rank counting backend at that factor rank),
-//! `propagator`, `iterations`, `tolerance`, `damping`, `threads`, `summary-cache`,
-//! `truth`, `out`, `report`. A `[construct]` section supplies feature-mode defaults
-//! (`features`, `builder`, `classes`) that apply when neither the entry nor the
-//! top-level defaults pick another dataset mode. Unknown keys, unknown sections, and
+//! `seed` and `fraction` apply to the synthetic and feature modes), `estimator`
+//! plus every estimator key (`restarts`, `lmax`, `lambda`, `splits`, `variant`,
+//! `nb`, `mode`, `rank`; keys inside the `estimator` spec win), `propagator`
+//! plus every propagator key (`iterations`, `tolerance`, `damping`), `threads`,
+//! `summary-cache`, `truth`, `out`, `report`. The option keys are the key
+//! tables of `fg_core::ESTIMATORS` and `fg_propagation::PROPAGATORS`, so they
+//! mean what the same CLI flags, serve fields and spec keys mean. A
+//! `[construct]` section supplies feature-mode defaults (`features`, `builder`,
+//! `classes`) that apply when neither the entry nor the top-level defaults
+//! pick another dataset mode. Unknown keys, unknown sections, and
 //! malformed values are rejected with the offending line number.
 
 use fg_core::prelude::*;
-use fg_core::{estimator_by_name_with, EstimatorOptions, GraphKey};
+use fg_core::{EstimatorOptions, GraphKey, ESTIMATORS};
 use fg_datasets::{synthesize, DatasetId};
+use fg_graph::spec::{Key, Kind, SpecOptions};
 use fg_propagation::{PropagatorOptions, PROPAGATORS};
 use fg_serve::Json;
 use rand::rngs::StdRng;
@@ -90,13 +95,15 @@ enum Value {
 }
 
 impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
+    /// The refusal of this value where `expected` was wanted.
+    fn not(&self, expected: &str) -> String {
+        let got = match self {
             Value::Str(_) => "string",
             Value::Int(_) => "integer",
             Value::Float(_) => "float",
             Value::Bool(_) => "boolean",
-        }
+        };
+        format!("{expected}, got {got}")
     }
 }
 
@@ -119,53 +126,55 @@ impl Table {
         self.values.get(key)
     }
 
+    /// The value under `key` through `convert`, which says what the value must
+    /// be when it refuses it.
+    fn typed<T>(
+        &self,
+        key: &str,
+        convert: impl Fn(&Value) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let Some((value, line)) = self.get(key) else {
+            return Ok(None);
+        };
+        let refused = |must| format!("line {line}: key '{key}' must be {must}");
+        convert(value).map(Some).map_err(refused)
+    }
+
     fn string(&self, key: &str) -> Result<Option<String>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some((Value::Str(s), _)) => Ok(Some(s.clone())),
-            Some((other, line)) => Err(format!(
-                "line {line}: key '{key}' must be a string, got {}",
-                other.type_name()
-            )),
-        }
+        self.typed(key, |value| match value {
+            Value::Str(s) => Ok(s.clone()),
+            other => Err(other.not("a string")),
+        })
     }
 
     fn usize_value(&self, key: &str) -> Result<Option<usize>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some((Value::Int(i), line)) => usize::try_from(*i)
-                .map(Some)
-                .map_err(|_| format!("line {line}: key '{key}' must be non-negative")),
-            Some((other, line)) => Err(format!(
-                "line {line}: key '{key}' must be an integer, got {}",
-                other.type_name()
-            )),
-        }
-    }
-
-    fn u64_value(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some((Value::Int(i), line)) => u64::try_from(*i)
-                .map(Some)
-                .map_err(|_| format!("line {line}: key '{key}' must be non-negative")),
-            Some((other, line)) => Err(format!(
-                "line {line}: key '{key}' must be an integer, got {}",
-                other.type_name()
-            )),
-        }
+        self.typed(key, |value| match value {
+            Value::Int(i) => usize::try_from(*i).map_err(|_| "non-negative".to_string()),
+            other => Err(other.not("an integer")),
+        })
     }
 
     fn f64_value(&self, key: &str) -> Result<Option<f64>, String> {
-        match self.get(key) {
-            None => Ok(None),
-            Some((Value::Float(v), _)) => Ok(Some(*v)),
-            Some((Value::Int(i), _)) => Ok(Some(*i as f64)),
-            Some((other, line)) => Err(format!(
-                "line {line}: key '{key}' must be a number, got {}",
-                other.type_name()
-            )),
-        }
+        self.typed(key, |value| match value {
+            Value::Float(v) => Ok(*v),
+            Value::Int(i) => Ok(*i as f64),
+            other => Err(other.not("a number")),
+        })
+    }
+
+    /// The value of one options key, checked against the key's kind and handed
+    /// over as text (a float's `to_string` parses back to the same bits).
+    fn option_value<O>(&self, key: &Key<O>) -> Result<Option<String>, String> {
+        self.typed(key.name, |value| match (key.kind, value) {
+            (Kind::Count | Kind::Number, Value::Int(i)) => Ok(i.to_string()),
+            (Kind::Number, Value::Float(v)) => Ok(v.to_string()),
+            (Kind::Choice(_), Value::Str(word)) => Ok(word.clone()),
+            (Kind::Flag, Value::Bool(flag)) => Ok(flag.to_string()),
+            (Kind::Count, other) => Err(other.not("an integer")),
+            (Kind::Number, other) => Err(other.not("a number")),
+            (Kind::Choice(_), other) => Err(other.not("a string")),
+            (Kind::Flag, other) => Err(other.not("a boolean")),
+        })
     }
 }
 
@@ -272,8 +281,9 @@ fn parse_manifest(content: &str) -> Result<Manifest, String> {
     Ok(manifest)
 }
 
-/// Keys understood in a `[[run]]` table (defaults accept the same set minus the
-/// per-dataset ones, but validating against one list keeps the error friendly).
+/// Keys understood in a `[[run]]` table besides the estimator and propagator
+/// keys (defaults accept the same set minus the per-run ones, but validating
+/// against one list keeps the error friendly).
 const KNOWN_KEYS: &[&str] = &[
     "name",
     "edges",
@@ -289,11 +299,7 @@ const KNOWN_KEYS: &[&str] = &[
     "seed",
     "fraction",
     "estimator",
-    "rank",
     "propagator",
-    "iterations",
-    "tolerance",
-    "damping",
     "threads",
     "summary_cache",
     "truth",
@@ -311,20 +317,17 @@ const RUN_ONLY_KEYS: &[&str] = &["name", "out", "report"];
 const CONSTRUCT_KEYS: &[&str] = &["features", "builder", "classes"];
 
 fn validate_keys(table: &Table, what: &str) -> Result<(), String> {
+    let options = EstimatorOptions::KEYS.iter().map(|k| k.name);
+    let options = options.chain(PropagatorOptions::KEYS.iter().map(|k| k.name));
+    let known: Vec<&str> = match what {
+        "[construct]" => CONSTRUCT_KEYS.to_vec(),
+        _ => KNOWN_KEYS.iter().copied().chain(options).collect(),
+    };
     for (key, (_, line)) in &table.values {
-        if what == "[construct]" {
-            if !CONSTRUCT_KEYS.contains(&key.as_str()) {
-                return Err(format!(
-                    "line {line}: unknown {what} key '{key}' (expected one of {})",
-                    CONSTRUCT_KEYS.join(", ")
-                ));
-            }
-            continue;
-        }
-        if !KNOWN_KEYS.contains(&key.as_str()) {
+        if !known.contains(&key.as_str()) {
             return Err(format!(
                 "line {line}: unknown {what} key '{key}' (expected one of {})",
-                KNOWN_KEYS.join(", ")
+                known.join(", ")
             ));
         }
         if what == "default" && RUN_ONLY_KEYS.contains(&key.as_str()) {
@@ -371,7 +374,7 @@ fn load_run_data(
     construct: &Table,
     base: &Path,
 ) -> Result<RunData, String> {
-    let seed = entry_or_default!(run, defaults, u64_value, "seed").unwrap_or(0);
+    let seed = entry_or_default!(run, defaults, usize_value, "seed").unwrap_or(0) as u64;
     let fraction = entry_or_default!(run, defaults, f64_value, "fraction").unwrap_or(0.05);
     // Dataset-mode selection: keys set on the run itself pick the mode first (so one
     // run can override, say, a defaults-level edge file with its own generator spec);
@@ -761,35 +764,41 @@ fn execute_run(
 ) -> Result<String, String> {
     let context = |e: String| format!("run '{name}': {e}");
 
-    // Estimator through the PR 3 registry (parameterized specs supported).
+    // Estimator through the registry (parameterized specs supported).
     let estimator_spec =
         entry_or_default!(run, defaults, string, "estimator").unwrap_or_else(|| "dcer".into());
     let threads = match entry_or_default!(run, defaults, string, "threads") {
         Some(spec) => Some(spec.parse::<Threads>().map_err(err).map_err(context)?),
         None => None,
     };
-    let estimator = estimator_by_name_with(
-        &estimator_spec,
-        &EstimatorOptions {
-            threads,
-            // A `rank =` key selects the low-rank counting backend for every
-            // estimator in the entry (spec-string keys still win).
-            rank: entry_or_default!(run, defaults, usize_value, "rank"),
-            ..EstimatorOptions::default()
-        },
-    )
-    .map_err(context)?;
+    // Every estimator and propagator key is read from the entry, then the
+    // defaults; keys inside the estimator spec still win.
+    let estimator_defaults = EstimatorOptions {
+        threads,
+        ..EstimatorOptions::default()
+    };
+    let estimator_defaults = ESTIMATORS
+        .options(estimator_defaults, |key| {
+            Ok(entry_or_default!(run, defaults, option_value, key))
+        })
+        .map_err(context)?;
+    let estimator = ESTIMATORS
+        .by_spec(&estimator_spec, &estimator_defaults)
+        .map_err(context)?;
     let estimator_label = estimator.name();
 
     // Propagator through the propagation registry.
     let propagator_name =
         entry_or_default!(run, defaults, string, "propagator").unwrap_or_else(|| "linbp".into());
     let opts = PropagatorOptions {
-        max_iterations: entry_or_default!(run, defaults, usize_value, "iterations"),
-        tolerance: entry_or_default!(run, defaults, f64_value, "tolerance"),
-        damping: entry_or_default!(run, defaults, f64_value, "damping"),
         threads,
+        ..PropagatorOptions::default()
     };
+    let opts = PROPAGATORS
+        .options(opts, |key| {
+            Ok(entry_or_default!(run, defaults, option_value, key))
+        })
+        .map_err(context)?;
     let propagator = PROPAGATORS
         .build(&propagator_name, &opts)
         .map_err(context)?;

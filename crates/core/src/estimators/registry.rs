@@ -15,14 +15,17 @@ use super::{
 };
 use crate::normalization::NormalizationVariant;
 use crate::paths::{CountingBackend, DEFAULT_LOWRANK_RANK};
-use fg_graph::spec::{parse, Entry, ParamError, Registry, SpecOptions};
+use fg_graph::spec::{
+    parse, parse_non_negative, put, Entry, Key, Kind, ParamError, Registry, SpecOptions,
+};
 use fg_graph::FactorConfig;
 use fg_sparse::Threads;
 
 /// Estimator-agnostic configuration overrides understood by every registered
 /// estimator. `None` fields keep the estimator's default; keys an estimator has no
 /// use for are ignored (mirroring how `PropagatorOptions.damping` is ignored by
-/// backends without such a knob).
+/// backends without such a knob). Every field but `threads` is set by key through
+/// the table [`SpecOptions::KEYS`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EstimatorOptions {
     /// Maximum path length `ℓmax` (key `l` / `lmax`; DCE and DCEr).
@@ -163,43 +166,85 @@ pub static ESTIMATORS: Registry<dyn CompatibilityEstimator, EstimatorOptions> = 
     ],
 );
 
+/// The estimator key table: spec keys, CLI flags, serve request fields and
+/// manifest keys alike.
 impl SpecOptions for EstimatorOptions {
-    fn set(&mut self, key: &str, value: &str) -> Result<(), ParamError> {
-        match key {
-            "r" | "restarts" => self.restarts = Some(parse(value, "count")?),
-            "l" | "lmax" => self.max_length = Some(parse(value, "length")?),
-            "lambda" => self.lambda = Some(parse(value, "number")?),
-            "b" | "splits" => self.splits = Some(parse(value, "count")?),
-            "variant" => {
-                let index = parse(value, "variant number")?;
-                self.variant = Some(
-                    NormalizationVariant::from_index(index)
-                        .ok_or(ParamError::Invalid("variant number", Some("1-3")))?,
-                );
-            }
-            "nb" => {
-                self.non_backtracking = Some(match value.to_ascii_lowercase().as_str() {
-                    "true" | "1" => true,
-                    "false" | "0" => false,
-                    _ => return Err(ParamError::Invalid("flag", Some("true or false"))),
-                });
-            }
-            "mode" => {
-                self.lowrank = Some(match value.to_ascii_lowercase().as_str() {
-                    "lowrank" => true,
-                    "exact" => false,
-                    _ => return Err(ParamError::Invalid("backend", Some("exact or lowrank"))),
-                });
-            }
-            "rank" => self.rank = Some(parse(value, "rank")?),
-            _ => {
-                return Err(ParamError::UnknownKey(
-                    "r, l, lambda, b, variant, nb, mode, or rank",
-                ))
-            }
-        }
-        Ok(())
-    }
+    const KEYS: &'static [Key<EstimatorOptions>] = &[
+        Key {
+            name: "restarts",
+            aliases: &["r"],
+            kind: Kind::Count,
+            help: "optimization restarts (DCEr)",
+            set: |o, v| put(&mut o.restarts, parse(v, "count")),
+        },
+        Key {
+            name: "lmax",
+            aliases: &["l"],
+            kind: Kind::Count,
+            help: "maximum path length (DCE, DCEr)",
+            set: |o, v| put(&mut o.max_length, parse(v, "length")),
+        },
+        Key {
+            name: "lambda",
+            aliases: &[],
+            kind: Kind::Number,
+            help: "distance scaling factor (DCE, DCEr)",
+            set: |o, v| put(&mut o.lambda, parse_non_negative(v)),
+        },
+        Key {
+            name: "splits",
+            aliases: &["b"],
+            kind: Kind::Count,
+            help: "seed/holdout splits (Holdout)",
+            set: |o, v| put(&mut o.splits, parse(v, "count")),
+        },
+        Key {
+            name: "variant",
+            aliases: &[],
+            kind: Kind::Count,
+            help: "normalization variant 1, 2 or 3 (MCE, DCE, DCEr)",
+            set: |o, v| {
+                let variant = parse(v, "variant number").map(NormalizationVariant::from_index);
+                let invalid = ParamError::Invalid("variant number", Some("1-3"));
+                put(&mut o.variant, variant?.ok_or(invalid))
+            },
+        },
+        Key {
+            name: "nb",
+            aliases: &[],
+            kind: Kind::Flag,
+            help: "count non-backtracking paths only (DCE, DCEr)",
+            set: |o, v| {
+                let flag = match v.to_ascii_lowercase().as_str() {
+                    "true" | "1" => Ok(true),
+                    "false" | "0" => Ok(false),
+                    _ => Err(ParamError::Invalid("flag", Some("true or false"))),
+                };
+                put(&mut o.non_backtracking, flag)
+            },
+        },
+        Key {
+            name: "mode",
+            aliases: &[],
+            kind: Kind::Choice(&["exact", "lowrank"]),
+            help: "path-counting backend (DCE, DCEr)",
+            set: |o, v| {
+                let lowrank = match v.to_ascii_lowercase().as_str() {
+                    "lowrank" => Ok(true),
+                    "exact" => Ok(false),
+                    _ => Err(ParamError::Invalid("backend", Some("exact or lowrank"))),
+                };
+                put(&mut o.lowrank, lowrank)
+            },
+        },
+        Key {
+            name: "rank",
+            aliases: &[],
+            kind: Kind::Count,
+            help: "low-rank factor rank; implies mode lowrank (DCE, DCEr)",
+            set: |o, v| put(&mut o.rank, parse(v, "rank")),
+        },
+    ];
 }
 
 /// Build an estimator from a name or parameterized spec string (e.g. `"mce"`,

@@ -23,7 +23,7 @@
 //! format [`GraphBuilder::name`] renders — `Knn(k=10,metric=cosine,weighting=heat,
 //! sym=union)` — mirroring the estimator and propagator registries.
 
-use fg_graph::spec::{parse, Entry, ParamError, Registry, SpecOptions};
+use fg_graph::spec::{parse, put, Entry, Key, Kind, ParamError, Registry, SpecOptions};
 use fg_graph::{Fingerprint, FingerprintBuilder, Graph, GraphError, Labeling, Result};
 use fg_sparse::{run_ordered_cells, DenseMatrix, Threads};
 use rand::rngs::StdRng;
@@ -174,7 +174,7 @@ pub trait GraphBuilder: Send + Sync {
 }
 
 fn invalid(message: impl Into<String>) -> GraphError {
-    GraphError::InvalidGeneratorConfig(message.into())
+    GraphError::InvalidParameter(message.into())
 }
 
 /// Shared input validation: at least two rows, one column, all entries finite.
@@ -723,26 +723,59 @@ pub static BUILDERS: Registry<dyn GraphBuilder, ConstructionOptions> = Registry:
     ],
 );
 
+/// The construction key table (keys of a `--builder` / `builder =` spec).
 impl SpecOptions for ConstructionOptions {
-    fn set(&mut self, key: &str, value: &str) -> std::result::Result<(), ParamError> {
-        match key {
-            "k" => self.k = Some(parse(value, "count")?),
-            "metric" => self.metric = Some(value.parse().map_err(ParamError::Message)?),
-            "weighting" | "w" => self.weighting = Some(value.parse().map_err(ParamError::Message)?),
-            "sym" | "symmetrize" => {
-                self.symmetrize = Some(value.parse().map_err(ParamError::Message)?)
-            }
-            "sigma" => self.sigma = Some(parse(value, "number")?),
-            "alpha" => self.alpha = Some(parse(value, "number")?),
-            "iters" | "iterations" => self.iterations = Some(parse(value, "count")?),
-            _ => {
-                return Err(ParamError::UnknownKey(
-                    "k, metric, weighting, sym, sigma, alpha, or iters",
-                ))
-            }
-        }
-        Ok(())
-    }
+    const KEYS: &'static [Key<ConstructionOptions>] = &[
+        Key {
+            name: "k",
+            aliases: &[],
+            kind: Kind::Count,
+            help: "neighbor / candidate count",
+            set: |o, v| put(&mut o.k, parse(v, "count")),
+        },
+        Key {
+            name: "metric",
+            aliases: &[],
+            kind: Kind::Choice(&["euclidean", "cosine"]),
+            help: "distance metric (kNN)",
+            set: |o, v| put(&mut o.metric, v.parse().map_err(ParamError::Message)),
+        },
+        Key {
+            name: "weighting",
+            aliases: &["w"],
+            kind: Kind::Choice(&["binary", "heat", "inverse"]),
+            help: "edge weighting (kNN)",
+            set: |o, v| put(&mut o.weighting, v.parse().map_err(ParamError::Message)),
+        },
+        Key {
+            name: "sym",
+            aliases: &["symmetrize"],
+            kind: Kind::Choice(&["union", "intersection", "mutual"]),
+            help: "symmetrization policy",
+            set: |o, v| put(&mut o.symmetrize, v.parse().map_err(ParamError::Message)),
+        },
+        Key {
+            name: "sigma",
+            aliases: &[],
+            kind: Kind::Number,
+            help: "heat-kernel bandwidth (kNN)",
+            set: |o, v| put(&mut o.sigma, parse(v, "number")),
+        },
+        Key {
+            name: "alpha",
+            aliases: &[],
+            kind: Kind::Number,
+            help: "l1 penalty (SparseReg)",
+            set: |o, v| put(&mut o.alpha, parse(v, "number")),
+        },
+        Key {
+            name: "iters",
+            aliases: &["iterations"],
+            kind: Kind::Count,
+            help: "coordinate-descent sweeps (SparseReg)",
+            set: |o, v| put(&mut o.iterations, parse(v, "count")),
+        },
+    ];
 }
 
 /// Build a construction backend from a name or parameterized spec string (e.g.
@@ -802,20 +835,20 @@ impl Default for BlobConfig {
 /// and the full ground-truth labeling.
 pub fn synthesize_blobs(config: &BlobConfig) -> Result<(DenseMatrix, Labeling)> {
     if config.nodes < config.classes || config.classes == 0 || config.dims == 0 {
-        return Err(invalid(format!(
+        return Err(GraphError::InvalidGeneratorConfig(format!(
             "blob config needs nodes >= classes >= 1 and dims >= 1, \
              got nodes={}, classes={}, dims={}",
             config.nodes, config.classes, config.dims
         )));
     }
     if !config.spread.is_finite() || config.spread < 0.0 {
-        return Err(invalid(format!(
+        return Err(GraphError::InvalidGeneratorConfig(format!(
             "blob spread must be non-negative, got {}",
             config.spread
         )));
     }
     if !config.spread_skew.is_finite() || config.spread_skew <= 0.0 {
-        return Err(invalid(format!(
+        return Err(GraphError::InvalidGeneratorConfig(format!(
             "blob spread_skew must be positive, got {}",
             config.spread_skew
         )));

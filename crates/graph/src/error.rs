@@ -11,6 +11,8 @@ pub enum GraphError {
     InvalidLabels(String),
     /// The generator was asked for an impossible configuration.
     InvalidGeneratorConfig(String),
+    /// A builder or propagator was given an out-of-range parameter.
+    InvalidParameter(String),
     /// An edge of an edge list is a self-loop or has a non-finite weight.
     InvalidEdge(String),
     /// An adjacency matrix is not square, not symmetric, or has a self-loop.
@@ -48,6 +50,7 @@ impl fmt::Display for GraphError {
             }
             GraphError::InvalidLabels(msg) => write!(f, "invalid labels: {msg}"),
             GraphError::InvalidGeneratorConfig(msg) => write!(f, "invalid generator config: {msg}"),
+            GraphError::InvalidParameter(msg) => write!(f, "invalid parameter: {msg}"),
             GraphError::InvalidEdge(msg) => write!(f, "invalid edge: {msg}"),
             GraphError::InvalidAdjacency(msg) => write!(f, "invalid adjacency matrix: {msg}"),
             GraphError::TooManyNodes { n } => write!(
@@ -100,6 +103,10 @@ mod tests {
         assert!(GraphError::InvalidGeneratorConfig("z".into())
             .to_string()
             .contains("generator"));
+        assert_eq!(
+            GraphError::InvalidParameter("k must be >= 1".into()).to_string(),
+            "invalid parameter: k must be >= 1"
+        );
         assert!(GraphError::NodeOutOfBounds { node: 5, n: 3 }
             .to_string()
             .contains('5'));

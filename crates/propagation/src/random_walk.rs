@@ -79,7 +79,7 @@ pub fn multi_rank_walk(
         )));
     }
     if !(0.0..1.0).contains(&config.damping) {
-        return Err(GraphError::InvalidGeneratorConfig(format!(
+        return Err(GraphError::InvalidParameter(format!(
             "damping must be in [0, 1), got {}",
             config.damping
         )));

@@ -11,11 +11,13 @@ use crate::harmonic::HarmonicConfig;
 use crate::linbp::LinBpConfig;
 use crate::propagator::{Harmonic, LinBp, LoopyBp, Propagator, RandomWalk};
 use crate::random_walk::RandomWalkConfig;
-use fg_graph::spec::{Entry, Registry};
+use fg_graph::spec::{parse, parse_non_negative, put, Entry, Key, Kind, Registry, SpecOptions};
 use fg_sparse::Threads;
 
 /// Backend-agnostic configuration overrides understood by every registered backend.
-/// `None` fields keep the backend's default.
+/// `None` fields keep the backend's default. Every field but `threads` is set by
+/// key through the table [`SpecOptions::KEYS`]; propagators themselves are
+/// addressed by name only.
 #[derive(Debug, Clone, Default)]
 pub struct PropagatorOptions {
     /// Maximum number of iterations.
@@ -28,6 +30,33 @@ pub struct PropagatorOptions {
     /// Thread policy for the backend's parallel kernels (`fg --threads N`). All
     /// backends honor it; results are bit-identical at any thread count.
     pub threads: Option<Threads>,
+}
+
+/// The propagator key table: CLI flags, serve request fields and manifest keys.
+impl SpecOptions for PropagatorOptions {
+    const KEYS: &'static [Key<PropagatorOptions>] = &[
+        Key {
+            name: "iterations",
+            aliases: &[],
+            kind: Kind::Count,
+            help: "maximum iterations",
+            set: |o, v| put(&mut o.max_iterations, parse(v, "count")),
+        },
+        Key {
+            name: "tolerance",
+            aliases: &[],
+            kind: Kind::Number,
+            help: "early-stopping tolerance",
+            set: |o, v| put(&mut o.tolerance, parse_non_negative(v)),
+        },
+        Key {
+            name: "damping",
+            aliases: &[],
+            kind: Kind::Number,
+            help: "random-walk continuation / BP damping (rw, bp)",
+            set: |o, v| put(&mut o.damping, parse_non_negative(v)),
+        },
+    ];
 }
 
 fn build_linbp(opts: &PropagatorOptions) -> Box<dyn Propagator> {

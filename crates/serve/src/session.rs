@@ -46,8 +46,8 @@
 //! | `load`     | `edges`, `labels`, `nodes`, `classes`, `dataset` (optional name)  |
 //! | `unload`   | `dataset` (optional name)                                         |
 //! | `seed`     | `add` `[[node,label],..]`, `remove` `[node,..]`, `relabel` `[[node,label],..]` |
-//! | `estimate` | `method`, `lmax`, `lambda`, `restarts`, `splits`, `variant`       |
-//! | `classify` | estimate's parameters + `propagator`, `iterations`, `tolerance`, `damping`, `nodes` (subset), `abstain` |
+//! | `estimate` | `method` + every estimator key (`restarts`, `lmax`, `lambda`, `splits`, `variant`, `nb`, `mode`, `rank`) |
+//! | `classify` | estimate's parameters + `propagator`, every propagator key (`iterations`, `tolerance`, `damping`), `nodes` (subset), `abstain` |
 //! | `stats`    | —                                                                 |
 //! | `shutdown` | — (closes this connection; the process keeps serving others)      |
 //!
@@ -60,7 +60,8 @@
 use crate::json::Json;
 use fg_core::incremental::{validate_mutations, DeltaSummary, SeedMutation};
 use fg_core::prelude::*;
-use fg_core::{estimator_by_name_with, EstimateKey, EstimatorOptions, SummaryKey, SummaryStore};
+use fg_core::{EstimateKey, EstimatorOptions, SummaryKey, SummaryStore, ESTIMATORS};
+use fg_graph::spec::{Key, Kind};
 use fg_graph::Fingerprint;
 use fg_obs::{default_latency_buckets, MetricsRegistry};
 use fg_propagation::{Propagator, PropagatorOptions, PROPAGATORS};
@@ -942,11 +943,10 @@ impl Session {
             .and_then(Json::as_str)
             .unwrap_or("linbp");
         let opts = PropagatorOptions {
-            max_iterations: optional_usize(request, "iterations")?,
-            tolerance: optional_f64(request, "tolerance")?,
-            damping: optional_f64(request, "damping")?,
             threads: Some(self.threads),
+            ..PropagatorOptions::default()
         };
+        let opts = PROPAGATORS.options(opts, |key| option_field(request, key))?;
         let propagator = PROPAGATORS.build(propagator_name, &opts)?;
         let estimator = if propagator.uses_compatibilities() {
             Some(build_estimator(request, self.threads)?)
@@ -1090,23 +1090,19 @@ fn required_usize(request: &Json, key: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("field '{key}' must be a non-negative integer"))
 }
 
-fn optional_usize(request: &Json, key: &str) -> Result<Option<usize>, String> {
-    match request.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_usize()
-            .map(Some)
-            .ok_or_else(|| format!("field '{key}' must be a non-negative integer")),
-    }
-}
-
-fn optional_f64(request: &Json, key: &str) -> Result<Option<f64>, String> {
-    match request.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("field '{key}' must be a number")),
+/// A request field for one options key: checked against the key's kind and
+/// handed over as text (a JSON number's `to_string` parses back to the same bits).
+fn option_field<O>(request: &Json, key: &Key<O>) -> Result<Option<String>, String> {
+    let name = key.name;
+    match (key.kind, request.get(name)) {
+        (_, None | Some(Json::Null)) => Ok(None),
+        (Kind::Count | Kind::Number, Some(Json::Num(v))) => Ok(Some(v.to_string())),
+        (Kind::Choice(_), Some(Json::Str(word))) => Ok(Some(word.clone())),
+        (Kind::Flag, Some(Json::Bool(flag))) => Ok(Some(flag.to_string())),
+        (Kind::Count, _) => Err(format!("field '{name}' must be a non-negative integer")),
+        (Kind::Number, _) => Err(format!("field '{name}' must be a number")),
+        (Kind::Choice(_), _) => Err(format!("field '{name}' must be a string")),
+        (Kind::Flag, _) => Err(format!("field '{name}' must be a boolean")),
     }
 }
 
@@ -1179,7 +1175,8 @@ fn apply_to_seeds(seeds: &mut SeedLabels, mutations: &[SeedMutation]) {
     }
 }
 
-/// Build the estimator described by a request through the fg-core registry.
+/// Build the estimator described by a request through the fg-core registry: the
+/// estimator table's fields are defaults that keys in the `method` spec override.
 fn build_estimator(
     request: &Json,
     threads: Threads,
@@ -1188,25 +1185,12 @@ fn build_estimator(
         .get("method")
         .and_then(Json::as_str)
         .unwrap_or("dcer");
-    let variant = match optional_usize(request, "variant")? {
-        Some(index) => Some(
-            NormalizationVariant::from_index(index)
-                .ok_or_else(|| format!("variant {index} is not one of 1, 2, 3"))?,
-        ),
-        None => None,
-    };
     let defaults = EstimatorOptions {
-        max_length: optional_usize(request, "lmax")?,
-        lambda: optional_f64(request, "lambda")?,
-        restarts: optional_usize(request, "restarts")?,
-        splits: optional_usize(request, "splits")?,
-        variant,
-        non_backtracking: None,
-        lowrank: None,
-        rank: optional_usize(request, "rank")?,
         threads: Some(threads),
+        ..EstimatorOptions::default()
     };
-    estimator_by_name_with(method, &defaults)
+    let defaults = ESTIMATORS.options(defaults, |key| option_field(request, key))?;
+    ESTIMATORS.by_spec(method, &defaults)
 }
 
 fn matrix_to_json(h: &DenseMatrix) -> Json {
