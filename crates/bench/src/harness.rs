@@ -1,6 +1,5 @@
-//! Experiment bookkeeping: result tables, CSV output, timing, and scale control.
+//! Experiment bookkeeping: result tables, CSV output and timing.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -18,11 +17,11 @@ pub struct ExperimentTable {
 }
 
 impl ExperimentTable {
-    /// Create an empty table.
-    pub fn new(name: &str, headers: &[&str]) -> Self {
+    /// Create an empty table with the columns of a comma-separated header line.
+    pub fn new(name: &str, header: &str) -> Self {
         ExperimentTable {
             name: name.to_string(),
-            headers: headers.iter().map(|s| s.to_string()).collect(),
+            headers: header.split(',').map(str::to_string).collect(),
             rows: Vec::new(),
         }
     }
@@ -32,40 +31,29 @@ impl ExperimentTable {
         self.rows.push(cells);
     }
 
-    /// Render the table as aligned text.
-    pub fn to_text(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                if i < widths.len() {
-                    widths[i] = widths[i].max(cell.len());
-                } else {
-                    widths.push(cell.len());
-                }
-            }
-        }
-        let mut out = String::new();
-        let render_row = |cells: &[String], widths: &[usize], out: &mut String| {
-            for (i, cell) in cells.iter().enumerate() {
-                let width = widths.get(i).copied().unwrap_or(cell.len());
-                let _ = write!(out, "{cell:>width$}  ");
-            }
-            out.push('\n');
-        };
-        render_row(&self.headers, &widths, &mut out);
-        let total: usize = widths.iter().map(|w| w + 2).sum();
-        out.push_str(&"-".repeat(total));
-        out.push('\n');
-        for row in &self.rows {
-            render_row(row, &widths, &mut out);
-        }
-        out
+    /// The cells under `header`, parsed as numbers; a missing or non-numeric
+    /// cell reads NaN, so every comparison against it fails.
+    pub fn column(&self, header: &str) -> Vec<f64> {
+        let index = self.headers.iter().position(|h| h == header);
+        self.rows
+            .iter()
+            .map(|row| {
+                index
+                    .and_then(|i| row.get(i))
+                    .and_then(|cell| cell.parse().ok())
+                    .unwrap_or(f64::NAN)
+            })
+            .collect()
     }
 
-    /// Print the table (with its name as a heading) to stdout.
-    pub fn print(&self) {
-        println!("\n== {} ==", self.name);
-        print!("{}", self.to_text());
+    /// The number under `header` in the row whose first cell is `key` (NaN if
+    /// there is none).
+    pub fn get(&self, key: &str, header: &str) -> f64 {
+        let row = self
+            .rows
+            .iter()
+            .position(|row| row.first().is_some_and(|c| c == key));
+        row.map_or(f64::NAN, |i| self.column(header)[i])
     }
 
     /// Render the table as CSV. A cell (or header) holding `,`, `"` or a line break
@@ -102,10 +90,11 @@ impl ExperimentTable {
         Ok(path)
     }
 
-    /// Print the table and write the CSV, logging the output path (errors are reported
-    /// but not fatal, so figure binaries always show their numbers).
+    /// Print the table (its name as a heading, then its CSV) and write the CSV,
+    /// logging the output path (errors are reported but not fatal, so a run
+    /// always shows its numbers).
     pub fn print_and_save(&self) {
-        self.print();
+        print!("\n== {} ==\n{}", self.name, self.to_csv());
         match self.write_csv() {
             Ok(path) => println!("[saved {}]", path.display()),
             Err(e) => println!("[could not save CSV: {e}]"),
@@ -118,23 +107,6 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let value = f();
     (value, start.elapsed())
-}
-
-/// Global experiment scale factor, read from the `FG_SCALE` environment variable
-/// (default 1.0). Figure binaries multiply their node counts by this factor, so
-/// `FG_SCALE=0.1 cargo run --bin fig3a_sparsity` gives a fast smoke run and
-/// `FG_SCALE=1` the full-size reproduction.
-pub fn scale_factor() -> f64 {
-    std::env::var("FG_SCALE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(1.0)
-}
-
-/// Scale a node count by [`scale_factor`], keeping a sensible floor.
-pub fn scaled_n(base: usize) -> usize {
-    ((base as f64 * scale_factor()).round() as usize).max(200)
 }
 
 /// Logical cores visible to this process (1 if detection fails).
@@ -161,19 +133,16 @@ mod tests {
 
     #[test]
     fn table_text_and_csv_rendering() {
-        let mut t = ExperimentTable::new("unit_test_table", &["f", "GS", "DCEr"]);
+        let mut t = ExperimentTable::new("unit_test_table", "f,GS,DCEr");
         t.push_row(vec!["0.01".into(), "0.85".into(), "0.84".into()]);
         t.push_row(vec!["0.10".into(), "0.90".into(), "0.90".into()]);
-        let text = t.to_text();
-        assert!(text.contains("DCEr"));
-        assert!(text.contains("0.85"));
         let csv = t.to_csv();
         assert!(csv.starts_with("f,GS,DCEr\n"));
         assert_eq!(csv.lines().count(), 3);
 
         // Cells and headers holding a comma, quote or line break are quoted
         // (RFC 4180), so every row keeps the header's field count.
-        let mut quoted = ExperimentTable::new("unit_test_quoted", &["builder", "say \"hi\"", "n"]);
+        let mut quoted = ExperimentTable::new("unit_test_quoted", "builder,say \"hi\",n");
         quoted.push_row(vec![
             "Knn(k=10,weighting=heat)".into(),
             "a \"b\"".into(),
@@ -186,8 +155,20 @@ mod tests {
     }
 
     #[test]
+    fn cells_read_back_as_numbers() {
+        let mut t = ExperimentTable::new("unit_test_cells", "f,GS,DCEr");
+        t.push_row(vec!["0.01".into(), "0.85".into(), "-".into()]);
+        t.push_row(vec!["0.1".into(), "0.90".into(), "0.88".into()]);
+        assert_eq!(t.column("GS"), vec![0.85, 0.90]);
+        assert_eq!(t.get("0.1", "DCEr"), 0.88);
+        assert!(t.get("0.01", "DCEr").is_nan());
+        assert!(t.get("0.5", "GS").is_nan());
+        assert!(t.column("nope").iter().all(|v| v.is_nan()));
+    }
+
+    #[test]
     fn csv_written_to_target() {
-        let mut t = ExperimentTable::new("unit_test_write", &["a"]);
+        let mut t = ExperimentTable::new("unit_test_write", "a");
         t.push_row(vec!["1".into()]);
         let path = t.write_csv().unwrap();
         assert!(path.exists());
@@ -199,14 +180,6 @@ mod tests {
         let (value, elapsed) = time_it(|| (0..10_000).sum::<u64>());
         assert_eq!(value, 49_995_000);
         assert!(elapsed.as_nanos() > 0);
-    }
-
-    #[test]
-    fn scale_factor_defaults_to_one() {
-        // Cannot assume the env var is unset in every environment, but the parsed value
-        // must be positive.
-        assert!(scale_factor() > 0.0);
-        assert!(scaled_n(1000) >= 200);
     }
 
     #[test]

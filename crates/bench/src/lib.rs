@@ -1,28 +1,23 @@
 //! # fg-bench
 //!
-//! Experiment harness shared by the figure-reproduction binaries (`src/bin/fig*.rs`), the
-//! `accuracy_vs_construction` experiment under `benches/` and the end-to-end benchmark
-//! (`src/bin/benchmark/`). These are the project's only timers: the fig binaries time the
-//! paper's cost claims, and the benchmark measures the same stages layer by layer. Every
-//! table and figure of the paper's evaluation section has a corresponding binary that
-//! prints the same rows/series the paper reports and writes a CSV under
-//! `target/experiments/`.
+//! The paper's evaluation as one checked reproduction, plus the helpers the
+//! end-to-end benchmark (`src/bin/benchmark/`) shares.
 //!
-//! The harness keeps experiment sizes configurable through the `FG_SCALE` environment
-//! variable (default 1.0 for figure binaries, where the built-in sizes are already
-//! laptop-friendly reductions of the paper's setups).
+//! [`figures::ROWS`] holds one row per figure panel (Figs. 3, 5–8, 10, 12 and
+//! 14, and the graph-construction comparison): the run that prints the
+//! panel's tables and writes them as CSVs under `target/experiments/`, and the
+//! checks of the claims those tables should bear out. The `reproduce` binary
+//! runs the rows (all, or the ids it is given) at the one scale at which each
+//! claim is meant to hold and ends with one verdict per row; it exits non-zero
+//! when a claim fails that [`figures::DEVIATIONS`] does not list, or a listed
+//! one holds. The rows are built on the sweeps in [`sweeps`] and the table
+//! bookkeeping in [`harness`]. The benchmark is the only performance harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod harness;
 pub mod sweeps;
 
-pub use harness::{
-    detected_cores, percentile_ms, scale_factor, scaled_n, time_it, ExperimentTable,
-};
-pub use sweeps::{
-    accuracy_vs_backend, accuracy_vs_construction, accuracy_vs_sparsity, backends_to_table,
-    construction_to_table, estimator_set, outcomes_to_table, warm_context_for, BackendOutcome,
-    ConstructionOutcome, EstimatorKind, SweepOutcome,
-};
+pub use harness::{detected_cores, percentile_ms};

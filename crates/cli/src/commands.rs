@@ -915,7 +915,7 @@ fn key_lines<O: SpecOptions>(heading: &str) -> String {
     let mut lines = vec![heading.to_string()];
     for key in O::KEYS {
         let value = match key.kind {
-            Kind::Count => "N".to_string(),
+            Kind::Count { .. } => "N".to_string(),
             Kind::Number => "X".to_string(),
             Kind::Choice(words) => words.join("|"),
             Kind::Flag => "true|false".to_string(),

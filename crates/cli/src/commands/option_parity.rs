@@ -1,13 +1,15 @@
 //! Every estimator and propagator key means the same thing on every surface:
 //! the CLI flag, the serve request field, the manifest key and, for
-//! estimators, the key inside a spec string. The parity test walks the key
+//! estimators, the key inside a spec string; a count past its row's maximum
+//! is refused with the same text on each. The parity test walks the key
 //! tables, so adding a row is enough for it to be covered.
 
-use super::{build_estimator, build_propagator, cmd_classify, cmd_estimate, usage};
+use super::{build_estimator, build_propagator, cmd_classify, cmd_construct, cmd_estimate, usage};
 use crate::args::ArgMap;
 use crate::manifest::run_manifest;
 use fg_core::prelude::*;
 use fg_core::ESTIMATORS;
+use fg_datasets::{ConstructionOptions, BUILDERS};
 use fg_graph::spec::{Kind, SpecOptions};
 use fg_propagation::{PropagatorOptions, PROPAGATORS};
 use fg_serve::{predictions_to_file_format, Json, Session};
@@ -122,10 +124,20 @@ impl Drop for Fixture {
     }
 }
 
+/// Values `set` rejects for a row of the kind: [`BAD`], and for a count the
+/// first value past its maximum.
+fn rejected(kind: Kind) -> Vec<String> {
+    let mut values = vec![BAD.to_string()];
+    if let Kind::Count { max } = kind {
+        values.push((max + 1).to_string());
+    }
+    values
+}
+
 /// A value every row of the kind accepts.
 fn good(kind: Kind) -> &'static str {
     match kind {
-        Kind::Count => "2",
+        Kind::Count { .. } => "2",
         Kind::Number => "0.25",
         Kind::Choice(words) => words[words.len() - 1],
         Kind::Flag => "false",
@@ -181,28 +193,30 @@ fn every_option_key_means_the_same_on_every_surface() {
         }
         assert!(applies > 0, "estimator key '{name}' changes no estimator");
 
-        let in_spec = ESTIMATORS
-            .by_spec(&format!("dcer({name}={BAD})"), &defaults)
-            .map(|_| ())
-            .unwrap_err();
-        let cli = build_estimator(&fx.cli(&["--method", "dcer", &flag, BAD]));
-        assert_eq!(cli.map(|_| ()).unwrap_err(), in_spec, "CLI {flag}");
-        let request = format!(
-            r#"{{"cmd":"estimate","{name}":{}}}"#,
-            literal(key.kind, BAD)
-        );
-        let served = fx.serve(request).unwrap_err();
-        let manifested = fx.manifest(&format!("{name} = {}\n", literal(key.kind, BAD)));
-        let manifested = manifested.unwrap_err();
-        if key.kind == Kind::Flag {
-            // JSON and TOML booleans are never a bad flag; the typed surfaces
-            // refuse the non-boolean instead.
-            assert_eq!(served, format!("field '{name}' must be a boolean"));
-            let refusal = format!("key '{name}' must be a boolean, got integer");
-            assert!(manifested.ends_with(&refusal), "{manifested}");
-        } else {
-            assert_eq!(served, in_spec, "serve {name}");
-            assert_eq!(manifested, in_spec, "manifest {name}");
+        for bad in rejected(key.kind) {
+            let in_spec = ESTIMATORS
+                .by_spec(&format!("dcer({name}={bad})"), &defaults)
+                .map(|_| ())
+                .unwrap_err();
+            let cli = build_estimator(&fx.cli(&["--method", "dcer", &flag, &bad]));
+            assert_eq!(cli.map(|_| ()).unwrap_err(), in_spec, "CLI {flag}");
+            let request = format!(
+                r#"{{"cmd":"estimate","{name}":{}}}"#,
+                literal(key.kind, &bad)
+            );
+            let served = fx.serve(request).unwrap_err();
+            let manifested = fx.manifest(&format!("{name} = {}\n", literal(key.kind, &bad)));
+            let manifested = manifested.unwrap_err();
+            if key.kind == Kind::Flag {
+                // JSON and TOML booleans are never a bad flag; the typed surfaces
+                // refuse the non-boolean instead.
+                assert_eq!(served, format!("field '{name}' must be a boolean"));
+                let refusal = format!("key '{name}' must be a boolean, got integer");
+                assert!(manifested.ends_with(&refusal), "{manifested}");
+            } else {
+                assert_eq!(served, in_spec, "serve {name}");
+                assert_eq!(manifested, in_spec, "manifest {name}");
+            }
         }
     }
 
@@ -261,18 +275,41 @@ fn every_option_key_means_the_same_on_every_surface() {
             "propagator key '{name}' changes no propagation"
         );
 
-        let mut opts = PropagatorOptions::default();
-        let expected = PROPAGATORS.set(&mut opts, name, BAD).unwrap_err();
-        let cli = build_propagator(
-            &fx.cli(&["--propagator", "linbp", &flag, BAD]),
-            "propagator",
+        for bad in rejected(key.kind) {
+            let mut opts = PropagatorOptions::default();
+            let expected = PROPAGATORS.set(&mut opts, name, &bad).unwrap_err();
+            let cli = build_propagator(
+                &fx.cli(&["--propagator", "linbp", &flag, &bad]),
+                "propagator",
+            );
+            assert_eq!(cli.map(|_| ()).unwrap_err(), expected, "CLI {flag}");
+            let bad = literal(key.kind, &bad);
+            let request = format!(r#"{{"cmd":"classify","method":"mce","{name}":{bad}}}"#);
+            assert_eq!(fx.serve(request).unwrap_err(), expected, "serve {name}");
+            let manifested = fx.manifest(&format!("{name} = {bad}\n")).unwrap_err();
+            assert_eq!(manifested, expected, "manifest {name}");
+        }
+    }
+
+    // Builder keys travel inside a `--builder` / `builder =` spec on every
+    // surface, so one CLI run per rejected count checks the shared parser.
+    for key in ConstructionOptions::KEYS {
+        let Kind::Count { max } = key.kind else {
+            continue;
+        };
+        let spec = format!("knn({}={})", key.name, max + 1);
+        let in_spec = BUILDERS
+            .by_spec(&spec, &ConstructionOptions::default())
+            .map(|_| ())
+            .unwrap_err();
+        let out = fx.dir.join("edges_c.tsv").display().to_string();
+        let args = ["--blobs", "30", "--builder", &spec, "--out-edges", &out];
+        let args = ArgMap::parse(&args.map(str::to_string)).unwrap();
+        assert_eq!(
+            cmd_construct(&args).unwrap_err(),
+            in_spec,
+            "construct {spec}"
         );
-        assert_eq!(cli.map(|_| ()).unwrap_err(), expected, "CLI {flag}");
-        let bad = literal(key.kind, BAD);
-        let request = format!(r#"{{"cmd":"classify","method":"mce","{name}":{bad}}}"#);
-        assert_eq!(fx.serve(request).unwrap_err(), expected, "serve {name}");
-        let manifested = fx.manifest(&format!("{name} = {bad}\n")).unwrap_err();
-        assert_eq!(manifested, expected, "manifest {name}");
     }
 }
 

@@ -166,11 +166,11 @@ impl Table {
     /// over as text (a float's `to_string` parses back to the same bits).
     fn option_value<O>(&self, key: &Key<O>) -> Result<Option<String>, String> {
         self.typed(key.name, |value| match (key.kind, value) {
-            (Kind::Count | Kind::Number, Value::Int(i)) => Ok(i.to_string()),
+            (Kind::Count { .. } | Kind::Number, Value::Int(i)) => Ok(i.to_string()),
             (Kind::Number, Value::Float(v)) => Ok(v.to_string()),
             (Kind::Choice(_), Value::Str(word)) => Ok(word.clone()),
             (Kind::Flag, Value::Bool(flag)) => Ok(flag.to_string()),
-            (Kind::Count, other) => Err(other.not("an integer")),
+            (Kind::Count { .. }, other) => Err(other.not("an integer")),
             (Kind::Number, other) => Err(other.not("a number")),
             (Kind::Choice(_), other) => Err(other.not("a string")),
             (Kind::Flag, other) => Err(other.not("a boolean")),

@@ -173,14 +173,14 @@ impl SpecOptions for EstimatorOptions {
         Key {
             name: "restarts",
             aliases: &["r"],
-            kind: Kind::Count,
+            kind: Kind::Count { max: 1_000 },
             help: "optimization restarts (DCEr)",
             set: |o, v| put(&mut o.restarts, parse(v, "count")),
         },
         Key {
             name: "lmax",
             aliases: &["l"],
-            kind: Kind::Count,
+            kind: Kind::Count { max: 32 },
             help: "maximum path length (DCE, DCEr)",
             set: |o, v| put(&mut o.max_length, parse(v, "length")),
         },
@@ -194,14 +194,14 @@ impl SpecOptions for EstimatorOptions {
         Key {
             name: "splits",
             aliases: &["b"],
-            kind: Kind::Count,
+            kind: Kind::Count { max: 100 },
             help: "seed/holdout splits (Holdout)",
             set: |o, v| put(&mut o.splits, parse(v, "count")),
         },
         Key {
             name: "variant",
             aliases: &[],
-            kind: Kind::Count,
+            kind: Kind::Count { max: 3 },
             help: "normalization variant 1, 2 or 3 (MCE, DCE, DCEr)",
             set: |o, v| {
                 let variant = parse(v, "variant number").map(NormalizationVariant::from_index);
@@ -240,7 +240,7 @@ impl SpecOptions for EstimatorOptions {
         Key {
             name: "rank",
             aliases: &[],
-            kind: Kind::Count,
+            kind: Kind::Count { max: 1_024 },
             help: "low-rank factor rank; implies mode lowrank (DCE, DCEr)",
             set: |o, v| put(&mut o.rank, parse(v, "rank")),
         },

@@ -729,7 +729,7 @@ impl SpecOptions for ConstructionOptions {
         Key {
             name: "k",
             aliases: &[],
-            kind: Kind::Count,
+            kind: Kind::Count { max: 10_000 },
             help: "neighbor / candidate count",
             set: |o, v| put(&mut o.k, parse(v, "count")),
         },
@@ -771,7 +771,7 @@ impl SpecOptions for ConstructionOptions {
         Key {
             name: "iters",
             aliases: &["iterations"],
-            kind: Kind::Count,
+            kind: Kind::Count { max: 10_000 },
             help: "coordinate-descent sweeps (SparseReg)",
             set: |o, v| put(&mut o.iterations, parse(v, "count")),
         },

@@ -140,8 +140,12 @@ impl<B: ?Sized, O: SpecOptions> Registry<B, O> {
 /// check it before handing the value to [`SpecOptions::set`] as text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// A non-negative integer.
-    Count,
+    /// A non-negative integer no larger than `max`: the most work one value
+    /// may ask for (restarts, path length, iterations, ...).
+    Count {
+        /// The largest accepted value.
+        max: usize,
+    },
     /// A real number.
     Number,
     /// One of the listed words.
@@ -172,13 +176,22 @@ pub trait SpecOptions: Clone + 'static {
     const KEYS: &'static [Key<Self>];
 
     /// Apply one pair through [`KEYS`](Self::KEYS); `key` arrives trimmed and
-    /// ASCII-lowercased, `value` trimmed.
+    /// ASCII-lowercased, `value` trimmed. The row's own parser speaks first; a
+    /// count it accepts is then held to the row's [`Kind::Count`] maximum.
     fn set(&mut self, key: &str, value: &str) -> Result<(), ParamError> {
         let row = Self::KEYS
             .iter()
             .find(|row| row.name == key || row.aliases.contains(&key))
             .ok_or(ParamError::UnknownKey)?;
-        (row.set)(self, value)
+        let mut parsed = self.clone();
+        (row.set)(&mut parsed, value)?;
+        if let Kind::Count { max } = row.kind {
+            if value.parse::<usize>().is_ok_and(|count| count > max) {
+                return Err(ParamError::AboveMax(max));
+            }
+        }
+        *self = parsed;
+        Ok(())
     }
 }
 
@@ -192,6 +205,8 @@ pub enum ParamError {
     Invalid(&'static str, Option<&'static str>),
     /// A complete message from the value type's own parser.
     Message(String),
+    /// A count above its key's [`Kind::Count`] maximum.
+    AboveMax(usize),
 }
 
 impl ParamError {
@@ -213,6 +228,9 @@ impl ParamError {
                 format!("{noun} parameter '{key}' has invalid {what} '{value}'{hint}")
             }
             ParamError::Message(message) => message,
+            ParamError::AboveMax(max) => {
+                format!("{noun} parameter '{key}' has count '{value}' above the maximum {max}")
+            }
         }
     }
 }
@@ -281,7 +299,7 @@ mod tests {
             Key {
                 name: "k",
                 aliases: &[],
-                kind: Kind::Count,
+                kind: Kind::Count { max: 100 },
                 help: "neighbor count",
                 set: |o, v| put(&mut o.k, parse(v, "count")),
             },
@@ -357,6 +375,12 @@ mod tests {
             (
                 "knn(k=lots)",
                 Err("tester parameter 'k' has invalid count 'lots'"),
+            ),
+            // A count may reach its maximum but not pass it.
+            ("knn(k=100)", Ok("knn k=Some(100) w=Some(2.0)")),
+            (
+                "knn(k=101)",
+                Err("tester parameter 'k' has count '101' above the maximum 100"),
             ),
             (
                 "knn(w=-1)",

@@ -38,7 +38,7 @@ impl SpecOptions for PropagatorOptions {
         Key {
             name: "iterations",
             aliases: &[],
-            kind: Kind::Count,
+            kind: Kind::Count { max: 10_000 },
             help: "maximum iterations",
             set: |o, v| put(&mut o.max_iterations, parse(v, "count")),
         },

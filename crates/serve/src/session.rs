@@ -1096,10 +1096,10 @@ fn option_field<O>(request: &Json, key: &Key<O>) -> Result<Option<String>, Strin
     let name = key.name;
     match (key.kind, request.get(name)) {
         (_, None | Some(Json::Null)) => Ok(None),
-        (Kind::Count | Kind::Number, Some(Json::Num(v))) => Ok(Some(v.to_string())),
+        (Kind::Count { .. } | Kind::Number, Some(Json::Num(v))) => Ok(Some(v.to_string())),
         (Kind::Choice(_), Some(Json::Str(word))) => Ok(Some(word.clone())),
         (Kind::Flag, Some(Json::Bool(flag))) => Ok(Some(flag.to_string())),
-        (Kind::Count, _) => Err(format!("field '{name}' must be a non-negative integer")),
+        (Kind::Count { .. }, _) => Err(format!("field '{name}' must be a non-negative integer")),
         (Kind::Number, _) => Err(format!("field '{name}' must be a number")),
         (Kind::Choice(_), _) => Err(format!("field '{name}' must be a string")),
         (Kind::Flag, _) => Err(format!("field '{name}' must be a boolean")),

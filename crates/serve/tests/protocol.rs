@@ -645,6 +645,37 @@ fn oversized_node_count_is_refused_and_other_datasets_keep_serving() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A count past its key's maximum is refused while the request is parsed, so
+/// `restarts: 1e15` answers at once instead of holding a worker (and, cold, the
+/// dataset's write lock) for as long as the optimizer would run.
+#[test]
+fn a_count_past_its_maximum_is_refused_at_once_and_the_dataset_keeps_answering() {
+    let (dir, edges, seeds, _) = dataset("count_bound");
+    let session = Session::new(Threads::Serial, None);
+    let (resp, _) = session.handle_line(&load_line(&edges, &seeds), 1);
+    assert_ok(&resp);
+    let started = std::time::Instant::now();
+    let (resp, _) = session.handle_line(
+        "{\"cmd\":\"estimate\",\"method\":\"dcer\",\"restarts\":1e15}",
+        2,
+    );
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(5),
+        "{resp}"
+    );
+    assert_eq!(
+        parse(&resp).get("error").and_then(Json::as_str),
+        Some(
+            "line 2: estimator parameter 'restarts' has count '1000000000000000' \
+             above the maximum 1000"
+        ),
+        "{resp}"
+    );
+    let (resp, _) = session.handle_line("{\"cmd\":\"classify\",\"method\":\"dcer\"}", 3);
+    assert_ok(&resp);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Reverting a mutation lands back on a seed fingerprint whose engines are still
 /// resident in the LRU: the `seed` request reports `engine_reused` and performs
 /// zero delta work, and the follow-up estimate is computation-free.
