@@ -11,9 +11,11 @@
 //! that holds, so the list cannot go stale.
 
 use crate::harness::{time_it, ExperimentTable};
-use crate::sweeps::{estimator, sparsity_table, Metric, STANDARD_SET};
+use crate::sweeps::{
+    backend_table, construction_table, estimator, sparsity_table, Metric, STANDARD_SET,
+};
 use fg_core::prelude::*;
-use fg_core::{explicit_adjacency_power, matrix_to_free, CoreError, Result};
+use fg_core::{explicit_adjacency_power, matrix_to_free, Result};
 use fg_datasets::{synthesize, BlobConfig, DatasetId};
 use fg_graph::SyntheticGraph;
 use fg_propagation::convergence_epsilon;
@@ -550,40 +552,18 @@ fn fig6h() -> Tables {
 fn fig6i() -> Tables {
     let (syn, _) = synthetic(GeneratorConfig::balanced(N, 15.0, 3, 3.0)?, 61)?;
     let (g, lab) = (&syn.graph, &syn.labeling);
-    let gold = measure_compatibilities(g, lab)?;
-    let header = "f,LinBP,Harmonic,RandomWalk,DCEr+LinBP";
-    let mut table = ExperimentTable::new("fig6i_homophily", header);
-    let backends: [&dyn Propagator; 3] = [
-        &LinBp::default(),
-        &Harmonic::default(),
-        &RandomWalk::default(),
-    ];
-    for (i, f) in [0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0]
-        .into_iter()
-        .enumerate()
-    {
+    let fractions = [0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1.0];
+    let backends = ["linbp", "harmonic", "rw"];
+    let mut table = backend_table("fig6i_homophily", g, lab, &fractions, &backends, 700)?;
+    // Beside the backends on the gold standard, LinBP with an estimated H, on
+    // the same seed draws.
+    table.headers.push("DCEr+LinBP".to_string());
+    for (i, (&f, row)) in fractions.iter().zip(&mut table.rows).enumerate() {
         let mut rng = StdRng::seed_from_u64(700 ^ ((i as u64) << 32));
         let seeds = lab.stratified_sample(f, &mut rng);
-        let pipeline = || Pipeline::on(g).seeds(&seeds);
-        // The backends with the gold standard, then LinBP with an estimated H.
-        let mut reports = Vec::new();
-        for backend in backends {
-            reports.push(
-                pipeline()
-                    .compatibilities("GS", &gold)
-                    .propagator(backend)
-                    .run()?,
-            );
-        }
-        let dcer = pipeline().estimator(estimator("dcer")?);
-        reports.push(dcer.propagator(LinBp::default()).run()?);
-        let mut row = vec![f.to_string()];
-        row.extend(
-            reports
-                .iter()
-                .map(|r| format!("{:.3}", r.accuracy(lab, &seeds))),
-        );
-        table.push_row(row);
+        let dcer = Pipeline::on(g).seeds(&seeds).estimator(estimator("dcer")?);
+        let report = dcer.propagator(LinBp::default()).run()?;
+        row.push(format!("{:.3}", report.accuracy(lab, &seeds)));
     }
     Ok(vec![table])
 }
@@ -745,10 +725,8 @@ fn construction() -> Tables {
         seed: 7,
     };
     let (features, labeling) = fg_datasets::synthesize_blobs(&config)?;
-    let header = "builder,nodes,edges,accuracy,construct_s";
-    let mut table = ExperimentTable::new("accuracy_vs_construction", header);
     // The first spec is the baseline: binary weighting, euclidean, union.
-    for spec in [
+    let specs = [
         "Knn(k=10)",
         "Knn(k=5)",
         "Knn(k=10,weighting=heat)",
@@ -756,23 +734,10 @@ fn construction() -> Tables {
         "Knn(k=10,sym=mutual)",
         "Knn(k=15,sym=mutual)",
         "SparseReg(k=10,alpha=0.05)",
-    ] {
-        let builder = fg_datasets::construction_by_name(spec).map_err(CoreError::InvalidConfig)?;
-        let (graph, construct_time) = time_it(|| builder.build(&features));
-        let graph = graph?;
-        // Every builder is scored on the same five seed draws, so accuracy
-        // differences come from the graph alone.
-        let (dcer, accuracy) = (["DCEr"], Metric::Accuracy);
-        let t = sparsity_table("", &graph, &labeling, &[0.08], &dcer, 5, 13, accuracy)?;
-        table.push_row(vec![
-            builder.name(),
-            graph.num_nodes().to_string(),
-            graph.num_edges().to_string(),
-            t.rows[0][1].clone(),
-            format!("{:.4}", construct_time.as_secs_f64()),
-        ]);
-    }
-    Ok(vec![table])
+    ];
+    let name = "accuracy_vs_construction";
+    let t = construction_table(name, &features, &labeling, &specs, "DCEr", 0.08, 5, 13);
+    Ok(vec![t?])
 }
 
 /// Whether every column of `headers` falls strictly down the rows (`rising`:
@@ -1259,7 +1224,7 @@ mod tests {
     }
 
     #[test]
-    fn construction_sweep_scores_builders_on_shared_seed_draws() {
+    fn construction_row_runs_seven_builders_and_holds_its_ranking() {
         let tables = construction().unwrap();
         let t = &tables[0];
         assert_eq!(t.rows.len(), 7);

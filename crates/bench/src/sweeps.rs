@@ -1,5 +1,6 @@
-//! The accuracy- and L2-vs-sparsity sweep over a set of estimators, returning its
-//! table, that most rows of [`crate::figures::ROWS`] run.
+//! The sweeps the rows of [`crate::figures::ROWS`] run, each returning its table:
+//! the accuracy- and L2-vs-sparsity sweep over a set of estimators that most rows
+//! run, the propagation-backend sweep of Fig. 6i and the graph-construction sweep.
 //!
 //! The sweep drives the estimation + propagation stages through `fg_core::Pipeline`
 //! and propagates with LinBP (the paper's setting).
@@ -10,10 +11,11 @@
 //! no matter how many estimators are compared (the paper's "estimation is cheap
 //! preprocessing" claim, applied to the whole sweep).
 
-use crate::harness::ExperimentTable;
+use crate::harness::{time_it, ExperimentTable};
 use fg_core::prelude::*;
 use fg_core::{CoreError, Result, ESTIMATORS};
 use fg_graph::CompatibilityMatrix;
+use fg_propagation::{PropagatorOptions, PROPAGATORS};
 use fg_sparse::DenseMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -164,6 +166,95 @@ pub fn sparsity_table(
     Ok(table)
 }
 
+/// A propagation-backend sweep: one row per fraction, one accuracy column per
+/// backend (a `PROPAGATORS` name, headed by the backend's own name). Every backend
+/// propagates the measured gold standard from the same seed draw, so the columns
+/// differ by propagation alone (Fig. 6i). An unknown name fails before any work
+/// runs.
+pub fn backend_table(
+    name: &str,
+    graph: &Graph,
+    labeling: &Labeling,
+    fractions: &[f64],
+    backends: &[&str],
+    seed: u64,
+) -> Result<ExperimentTable> {
+    let defaults = PropagatorOptions::default();
+    let build = |name: &&str| PROPAGATORS.build(name, &defaults);
+    let backends = backends
+        .iter()
+        .map(build)
+        .collect::<std::result::Result<Vec<_>, _>>();
+    let backends = backends.map_err(CoreError::InvalidConfig)?;
+    let gold = measure_compatibilities(graph, labeling)?;
+    let names: Vec<String> = backends.iter().map(|b| b.name()).collect();
+    let mut table = ExperimentTable::new(name, &format!("f,{}", names.join(",")));
+    for (fi, &fraction) in fractions.iter().enumerate() {
+        let mut rng = StdRng::seed_from_u64(seed ^ ((fi as u64) << 32));
+        let seeds = labeling.stratified_sample(fraction, &mut rng);
+        let mut row = vec![format!("{fraction}")];
+        for backend in &backends {
+            let report = Pipeline::on(graph)
+                .seeds(&seeds)
+                .compatibilities("GS", &gold)
+                .propagator(backend)
+                .run()?;
+            row.push(format!("{:.3}", report.accuracy(labeling, &seeds)));
+        }
+        table.push_row(row);
+    }
+    Ok(table)
+}
+
+/// A graph-construction sweep: one row per builder spec (a `BUILDERS` spec, named
+/// by the builder) with the graph's nodes and edges, the `column` estimator's mean
+/// LinBP accuracy at `fraction` over the repetitions (a one-fraction
+/// [`sparsity_table`]) and the construction time. Every builder is scored on the
+/// same seed draws, so accuracy differences come from the graph alone. An unknown
+/// spec fails before any work runs.
+#[allow(clippy::too_many_arguments)]
+pub fn construction_table(
+    name: &str,
+    features: &DenseMatrix,
+    labeling: &Labeling,
+    specs: &[&str],
+    column: &str,
+    fraction: f64,
+    repetitions: usize,
+    seed: u64,
+) -> Result<ExperimentTable> {
+    let builders = specs
+        .iter()
+        .map(|spec| fg_datasets::construction_by_name(spec));
+    let builders = builders.collect::<std::result::Result<Vec<_>, _>>();
+    let builders = builders.map_err(CoreError::InvalidConfig)?;
+    let header = "builder,nodes,edges,accuracy,construct_s";
+    let mut table = ExperimentTable::new(name, header);
+    for builder in builders {
+        let (graph, construct_time) = time_it(|| builder.build(features));
+        let graph = graph?;
+        let (fractions, accuracy) = ([fraction], Metric::Accuracy);
+        let t = sparsity_table(
+            "",
+            &graph,
+            labeling,
+            &fractions,
+            &[column],
+            repetitions,
+            seed,
+            accuracy,
+        )?;
+        table.push_row(vec![
+            builder.name(),
+            graph.num_nodes().to_string(),
+            graph.num_edges().to_string(),
+            t.rows[0][1].clone(),
+            format!("{:.4}", construct_time.as_secs_f64()),
+        ]);
+    }
+    Ok(table)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,6 +292,24 @@ mod tests {
     }
 
     #[test]
+    fn backend_sweep_covers_registry_backends() {
+        let cfg = GeneratorConfig::balanced(300, 8.0, 3, 3.0).unwrap();
+        let mut rng = StdRng::seed_from_u64(9);
+        let syn = generate(&cfg, &mut rng).unwrap();
+        let (graph, labeling) = (&syn.graph, &syn.labeling);
+        let backends = ["linbp", "harmonic", "rw"];
+        let table = backend_table("unit", graph, labeling, &[0.1, 0.3], &backends, 11).unwrap();
+        assert_eq!(table.headers, vec!["f", "LinBP", "Harmonic", "RandomWalk"]);
+        assert_eq!(table.rows.len(), 2);
+        for header in &table.headers[1..] {
+            for v in table.column(header) {
+                assert!((0.0..=1.0).contains(&v), "{header}: {v}");
+            }
+        }
+        assert!(backend_table("unit", graph, labeling, &[0.1], &["nope"], 1).is_err());
+    }
+
+    #[test]
     fn cell_group_with_mce_dce_dcer_summarizes_exactly_once() {
         // Acceptance criterion: a sweep cell that evaluates MCE + DCE + DCEr on one
         // seeded graph calls summarize exactly once (counter on the shared cache).
@@ -220,6 +329,48 @@ mod tests {
             assert_eq!(cached.data(), fresh.data(), "{}", estimator.name());
         }
         assert_eq!(ctx.summary_computations(), 1);
+    }
+
+    #[test]
+    fn construction_sweep_scores_builders_on_shared_seed_draws() {
+        let config = fg_datasets::BlobConfig {
+            nodes: 120,
+            classes: 3,
+            dims: 4,
+            spread: 1.2,
+            spread_skew: 1.0,
+            seed: 5,
+        };
+        let (features, labeling) = fg_datasets::synthesize_blobs(&config).unwrap();
+        let specs = ["Knn(k=6)", "Knn(k=6,weighting=heat)"];
+        let sweep = |specs: &[&str]| {
+            construction_table("unit", &features, &labeling, specs, "MCE", 0.1, 2, 9)
+        };
+        let table = sweep(&specs).unwrap();
+        let header = ["builder", "nodes", "edges", "accuracy", "construct_s"];
+        assert_eq!(table.headers, header);
+        assert_eq!(table.rows.len(), specs.len());
+        assert!(
+            table.rows[0][0].starts_with("Knn(k=6,"),
+            "{}",
+            table.rows[0][0]
+        );
+        assert!(table
+            .column("accuracy")
+            .iter()
+            .all(|v| (0.0..=1.0).contains(v)));
+        assert!(table.column("edges").iter().all(|v| *v > 0.0));
+        assert!(table.column("nodes").iter().all(|v| *v == 120.0));
+        // Each builder's accuracy is a sparsity sweep of its graph on the shared draws.
+        for (spec, row) in specs.iter().zip(&table.rows) {
+            let graph = fg_datasets::construction_by_name(spec).unwrap();
+            let graph = graph.build(&features).unwrap();
+            let (mce, accuracy) = (["MCE"], Metric::Accuracy);
+            let alone = sparsity_table("", &graph, &labeling, &[0.1], &mce, 2, 9, accuracy);
+            assert_eq!(row[3], alone.unwrap().rows[0][1], "{spec}");
+        }
+        // Unknown builders fail before any work runs.
+        assert!(sweep(&["Knn(k=6)", "nope"]).is_err());
     }
 
     #[test]
