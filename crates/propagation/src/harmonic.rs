@@ -65,32 +65,31 @@ pub fn harmonic_functions(
             n
         )));
     }
-    let k = seeds.k();
     let w_row = graph.adjacency().row_normalized();
-    let clamp = seeds.to_matrix();
+    let labeled: Vec<(usize, usize)> = (0..n).filter_map(|i| Some((i, seeds.get(i)?))).collect();
 
-    let mut f = clamp.clone();
+    // F ← W_row F with labeled rows clamped, on two n x k buffers allocated once.
+    let mut f = seeds.to_matrix();
+    let mut next = DenseMatrix::zeros(n, seeds.k());
     let mut iterations = 0;
     let mut converged = false;
     for _ in 0..config.max_iterations {
-        let mut f_next = w_row
-            .spmm_dense_with(&f, config.threads)
+        w_row
+            .spmm_dense_into(&f, config.threads, &mut next)
             .map_err(GraphError::Sparse)?;
-        // Clamp labeled nodes back to their observed labels.
-        for i in 0..n {
-            if seeds.get(i).is_some() {
-                for j in 0..k {
-                    f_next.set(i, j, clamp.get(i, j));
-                }
-            }
+        // Clamp labeled nodes back to their observed one-hot labels.
+        for &(i, c) in &labeled {
+            let row = next.row_mut(i);
+            row.fill(0.0);
+            row[c] = 1.0;
         }
         iterations += 1;
         let delta = f
             .data()
             .iter()
-            .zip(f_next.data().iter())
+            .zip(next.data().iter())
             .fold(0.0f64, |acc, (&a, &b)| acc.max((a - b).abs()));
-        f = f_next;
+        std::mem::swap(&mut f, &mut next);
         if delta <= config.tolerance {
             converged = true;
             break;

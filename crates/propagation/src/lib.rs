@@ -26,6 +26,8 @@ pub mod bp;
 pub mod harmonic;
 pub mod linbp;
 pub mod metrics;
+#[cfg(test)]
+mod oracles;
 pub mod propagator;
 pub mod random_walk;
 pub mod registry;

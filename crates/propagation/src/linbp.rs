@@ -134,27 +134,24 @@ pub fn propagate(
     };
     let h_eff = h_used.scaled(epsilon);
 
+    // F ← X + W (F Hε), on three n x k buffers allocated once: F, F·Hε and
+    // W·(F·Hε). The inner product keeps everything n x k.
     let w = graph.adjacency();
     let mut f = x.clone();
+    let mut fh = DenseMatrix::zeros(f.rows(), f.cols());
+    let mut wfh = DenseMatrix::zeros(f.rows(), f.cols());
     let mut iterations = 0;
     let mut converged = false;
     for _ in 0..config.max_iterations {
-        // F_next = X + W (F Hε): the inner product keeps everything n x k.
-        let fh = f.matmul(&h_eff).map_err(GraphError::Sparse)?;
-        let wfh = w
-            .spmm_dense_with(&fh, config.threads)
+        f.matmul_into(&h_eff, &mut fh).map_err(GraphError::Sparse)?;
+        w.spmm_dense_into(&fh, config.threads, &mut wfh)
             .map_err(GraphError::Sparse)?;
-        let f_next = x.add(&wfh).map_err(GraphError::Sparse)?;
+        let delta = add_in_place(&mut f, &x, &wfh);
         iterations += 1;
-        if let Some(tol) = config.tolerance {
-            let delta = max_abs_diff(&f, &f_next);
-            if delta <= tol {
-                f = f_next;
-                converged = true;
-                break;
-            }
+        if config.tolerance.is_some_and(|tol| delta <= tol) {
+            converged = true;
+            break;
         }
-        f = f_next;
     }
 
     let predictions = label(&f);
@@ -169,7 +166,7 @@ pub fn propagate(
 
 /// The residual prior-belief matrix `X̃`: labeled nodes get a centered one-hot row
 /// (`1 - 1/k` on their class, `-1/k` elsewhere), unlabeled nodes stay at zero.
-fn prior_residuals(seeds: &SeedLabels) -> DenseMatrix {
+pub(crate) fn prior_residuals(seeds: &SeedLabels) -> DenseMatrix {
     let k = seeds.k();
     let mut x = DenseMatrix::zeros(seeds.n(), k);
     for i in 0..seeds.n() {
@@ -230,11 +227,16 @@ pub fn label_or_abstain(beliefs: &DenseMatrix) -> Vec<Option<usize>> {
         .collect()
 }
 
-fn max_abs_diff(a: &DenseMatrix, b: &DenseMatrix) -> f64 {
-    a.data()
-        .iter()
-        .zip(b.data().iter())
-        .fold(0.0, |acc, (&x, &y)| acc.max((x - y).abs()))
+/// Overwrite `f` with `x + wfh` and return the largest absolute change of an
+/// entry, in one pass.
+fn add_in_place(f: &mut DenseMatrix, x: &DenseMatrix, wfh: &DenseMatrix) -> f64 {
+    let mut delta = 0.0f64;
+    for ((v, &a), &b) in f.data_mut().iter_mut().zip(x.data()).zip(wfh.data()) {
+        let next = a + b;
+        delta = delta.max((*v - next).abs());
+        *v = next;
+    }
+    delta
 }
 
 #[cfg(test)]

@@ -100,24 +100,27 @@ pub fn multi_rank_walk(
     let alpha = config.damping;
     let restart = 1.0 - alpha;
 
+    // F ← ᾱ U + α W_col F, in place on two n x k buffers allocated once.
     let mut f = teleport.clone();
+    let mut walked = DenseMatrix::zeros(n, k);
     let mut iterations = 0;
     let mut converged = false;
     for _ in 0..config.max_iterations {
-        let walked = w_col
-            .spmm_dense_with(&f, config.threads)
+        w_col
+            .spmm_dense_into(&f, config.threads, &mut walked)
             .map_err(GraphError::Sparse)?;
-        let f_next = teleport
-            .scaled(restart)
-            .add(&walked.scaled(alpha))
-            .map_err(GraphError::Sparse)?;
+        let mut delta = 0.0f64;
+        for ((v, &u), &w) in f
+            .data_mut()
+            .iter_mut()
+            .zip(teleport.data())
+            .zip(walked.data())
+        {
+            let next = u * restart + w * alpha;
+            delta = delta.max((*v - next).abs());
+            *v = next;
+        }
         iterations += 1;
-        let delta = f
-            .data()
-            .iter()
-            .zip(f_next.data().iter())
-            .fold(0.0f64, |acc, (&a, &b)| acc.max((a - b).abs()));
-        f = f_next;
         if delta <= config.tolerance {
             converged = true;
             break;

@@ -7,14 +7,18 @@
 //! datasets** concurrently: each dataset lives behind its own reader/writer lock, so
 //! warm `estimate`/`classify`/`stats` requests on published state proceed in
 //! parallel (shared read locks), while `load`/`unload`/`seed` and cold
-//! engine-building requests take the dataset's exclusive write lock. All
-//! floating-point work runs through the bit-identical kernels and every engine is
-//! published before a read path can see it, so each response is a deterministic
-//! function of the per-dataset request history alone — clients driving disjoint
-//! datasets get byte-identical response streams under any interleaving. Timings
-//! never appear on this port at all: all wall-clock data (per-command latency
-//! histograms, lock-wait histograms) lives in the session's
-//! [`MetricsRegistry`], scraped over the separate metrics listener
+//! engine-building requests take the dataset's exclusive write lock. A
+//! `classify` holds the lock only while it estimates: it then takes a snapshot
+//! (the graph and seed set, shared by `Arc`, and the estimated `H`), releases the
+//! lock, and propagates on the snapshot, so no request waits for another's
+//! propagation. `seed` publishes a new seed set rather than mutating one a
+//! snapshot may hold. All floating-point work runs through the bit-identical
+//! kernels and every engine is published before a read path can see it, so each
+//! response is a deterministic function of the per-dataset request history alone —
+//! clients driving disjoint datasets get byte-identical response streams under any
+//! interleaving. Timings never appear on this port at all: all wall-clock data
+//! (per-command latency histograms, lock-wait and lock-hold histograms) lives in
+//! the session's [`MetricsRegistry`], scraped over the separate metrics listener
 //! ([`MetricsServer`](crate::MetricsServer)).
 //!
 //! Per dataset, a small LRU of engine states keyed by **seed-set fingerprint**
@@ -23,8 +27,9 @@
 //! pre-mutation state stays resident and reverting a mutation is a pure cache hit
 //! (`"engine_reused":true`, zero delta work). Seed fingerprints are maintained in
 //! O(1) per mutation by the rolling scheme in [`SeedLabels`]; `stats` exposes the
-//! per-dataset `seed_scratch_derivations` counter that proves the serving path
-//! never falls back to an O(n) re-derivation.
+//! per-dataset `seed_scratch_derivations` counter, which counts the O(n)
+//! re-derivations ([`SeedLabels::fingerprint_from_scratch`]) run on any seed set
+//! the dataset has held since it was loaded.
 //!
 //! When a persistent [`SummaryStore`] is attached, estimates for the *loaded* seed
 //! set are additionally served straight from persisted `H` entries
@@ -63,9 +68,10 @@ use fg_core::prelude::*;
 use fg_core::{EstimateKey, EstimatorOptions, SummaryKey, SummaryStore, ESTIMATORS};
 use fg_graph::spec::{Key, Kind};
 use fg_graph::Fingerprint;
-use fg_obs::{default_latency_buckets, MetricsRegistry};
+use fg_obs::{default_latency_buckets, Histogram, MetricsRegistry};
 use fg_propagation::{Propagator, PropagatorOptions, PROPAGATORS};
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -125,7 +131,9 @@ struct Dataset {
     /// The map key this dataset lives under (the `dataset` label on its metrics).
     name: String,
     graph: Arc<Graph>,
-    seeds: SeedLabels,
+    /// The current seed set. A `seed` mutation publishes a new `Arc`, so a
+    /// `classify` snapshot taken under the lock keeps the set it started from.
+    seeds: Arc<SeedLabels>,
     classes: usize,
     label: String,
     /// LRU of engine states keyed by seed fingerprint. Every resident engine's
@@ -147,11 +155,21 @@ struct Dataset {
     /// cycling faster than the LRU capacity, re-summarizing on every swing — are
     /// diagnosable from the outside.
     engine_evictions: usize,
+    /// Scratch fingerprint derivations counted on seed sets this dataset has
+    /// since replaced (a `seed` publishes a fresh set, whose own count starts at
+    /// 0), so `stats` reports the count over the dataset's lifetime.
+    retired_scratch_derivations: usize,
 }
 
 impl Dataset {
     fn graph_fingerprint(&self) -> Fingerprint {
         self.graph.fingerprint()
+    }
+
+    /// The graph and seed set a propagation needs, shared by pointer so the
+    /// caller can release the lock before propagating.
+    fn snapshot(&self) -> (Arc<Graph>, Arc<SeedLabels>) {
+        (Arc::clone(&self.graph), Arc::clone(&self.seeds))
     }
 
     fn state_index(&self, seed_fp: Fingerprint) -> Option<usize> {
@@ -220,6 +238,37 @@ pub struct Session {
     /// Test hook: invoked on every warm read while the dataset's shared read lock
     /// is held, so concurrency tests can prove warm reads overlap.
     warm_read_probe: Option<Box<dyn Fn() + Send + Sync>>,
+    /// Test hook: invoked by every `classify` after its snapshot is taken and the
+    /// dataset lock released, just before propagation.
+    propagate_probe: Option<Box<dyn Fn() + Send + Sync>>,
+}
+
+/// A dataset lock guard that records how long it was held when it drops
+/// (`fg_lock_hold_seconds`).
+struct Held<G> {
+    guard: G,
+    since: Instant,
+    hold: Arc<Histogram>,
+}
+
+impl<G: Deref> Deref for Held<G> {
+    type Target = G::Target;
+
+    fn deref(&self) -> &G::Target {
+        &self.guard
+    }
+}
+
+impl<G: DerefMut> DerefMut for Held<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
+        &mut self.guard
+    }
+}
+
+impl<G> Drop for Held<G> {
+    fn drop(&mut self) {
+        self.hold.observe_duration(self.since.elapsed());
+    }
 }
 
 impl Session {
@@ -240,6 +289,7 @@ impl Session {
             metrics: Arc::new(MetricsRegistry::new()),
             slow_request_millis: AtomicU64::new(u64::MAX),
             warm_read_probe: None,
+            propagate_probe: None,
         }
     }
 
@@ -268,6 +318,14 @@ impl Session {
     #[doc(hidden)]
     pub fn set_warm_read_probe(&mut self, probe: Box<dyn Fn() + Send + Sync>) {
         self.warm_read_probe = Some(probe);
+    }
+
+    /// Install a hook invoked by every `classify` after it has taken its snapshot
+    /// and released the dataset lock, just before it propagates. Concurrency tests
+    /// park a classify here while a mutation completes.
+    #[doc(hidden)]
+    pub fn set_propagate_probe(&mut self, probe: Box<dyn Fn() + Send + Sync>) {
+        self.propagate_probe = Some(probe);
     }
 
     fn probe(&self) {
@@ -312,19 +370,37 @@ impl Session {
     }
 
     /// Timed shared lock on one dataset.
-    fn dataset_read<'l>(&self, handle: &'l RwLock<Dataset>) -> RwLockReadGuard<'l, Dataset> {
+    fn dataset_read<'l>(&self, handle: &'l RwLock<Dataset>) -> Held<RwLockReadGuard<'l, Dataset>> {
         let start = Instant::now();
         let guard = handle.read().expect("dataset poisoned");
         self.observe_lock_wait("dataset", "read", start);
-        guard
+        self.held(guard, "read")
     }
 
     /// Timed exclusive lock on one dataset.
-    fn dataset_write<'l>(&self, handle: &'l RwLock<Dataset>) -> RwLockWriteGuard<'l, Dataset> {
+    fn dataset_write<'l>(
+        &self,
+        handle: &'l RwLock<Dataset>,
+    ) -> Held<RwLockWriteGuard<'l, Dataset>> {
         let start = Instant::now();
         let guard = handle.write().expect("dataset poisoned");
         self.observe_lock_wait("dataset", "write", start);
-        guard
+        self.held(guard, "write")
+    }
+
+    /// Wrap a freshly acquired dataset guard so its hold time is recorded.
+    fn held<G>(&self, guard: G, op: &'static str) -> Held<G> {
+        let hold = self.metrics.histogram(
+            "fg_lock_hold_seconds",
+            "Time session dataset locks were held, by lock and operation.",
+            &[("lock", "dataset"), ("op", op)],
+            default_latency_buckets(),
+        );
+        Held {
+            guard,
+            since: Instant::now(),
+            hold,
+        }
     }
 
     /// Fold one estimation outcome into the per-dataset counter families.
@@ -484,13 +560,14 @@ impl Session {
         let dataset = Dataset {
             name: name.clone(),
             graph: Arc::new(graph),
-            seeds,
+            seeds: Arc::new(seeds),
             classes,
             label: edges.clone(),
             states: Vec::new(),
             initial_seed_fp,
             persisted_intermediate: None,
             engine_evictions: 0,
+            retired_scratch_derivations: 0,
         };
         self.metrics
             .counter(
@@ -626,15 +703,14 @@ impl Session {
         validate_mutations(&dataset.seeds, &mutations).map_err(|e| e.to_string())?;
 
         let old_fp = dataset.seeds.fingerprint();
-        // The post-mutation fingerprint decides between reusing a resident engine
-        // state and forking; deriving it from a scratch clone is fine here — the
-        // write path is exclusive, and the authoritative seed set below still
-        // pays only O(1) rolling updates per mutation.
-        let new_fp = {
-            let mut trial = dataset.seeds.clone();
-            apply_to_seeds(&mut trial, &mutations);
-            trial.fingerprint()
-        };
+        // The mutated seed set is built as a copy and published whole at the end,
+        // so `classify` snapshots of the old set stay valid. Each set_label folds
+        // its change into the rolling fingerprint in O(1), so no O(n) scratch
+        // derivation runs here. The new fingerprint decides between reusing a
+        // resident engine state and forking.
+        let mut next = SeedLabels::clone(&dataset.seeds);
+        apply_to_seeds(&mut next, &mutations);
+        let new_fp = next.fingerprint();
 
         let mut delta_applied = 0usize;
         let mut full_recomputes = 0usize;
@@ -685,11 +761,8 @@ impl Session {
                 self.note_persisted(&mut dataset, new_fp);
             }
         }
-        // The authoritative seed set mutates in place: each set_label folds the
-        // change into the rolling fingerprint in O(1), which is what the
-        // `seed_scratch_derivations` counter in `stats` certifies.
-        apply_to_seeds(&mut dataset.seeds, &mutations);
-        debug_assert_eq!(dataset.seeds.fingerprint(), new_fp);
+        dataset.retired_scratch_derivations += dataset.seeds.scratch_derivations();
+        dataset.seeds = Arc::new(next);
         Ok(Json::obj(vec![
             ("mutations", Json::num(mutations.len())),
             ("labeled", Json::num(dataset.seeds.num_labeled())),
@@ -845,7 +918,7 @@ impl Session {
         }
         let engine = DeltaSummary::new(
             Arc::clone(&dataset.graph),
-            dataset.seeds.clone(),
+            SeedLabels::clone(&dataset.seeds),
             target,
             requirements.non_backtracking,
             self.threads,
@@ -932,9 +1005,12 @@ impl Session {
     }
 
     /// `classify`: end-to-end estimation + propagation, optionally restricted to a
-    /// node subset and optionally abstain-aware. The warm path holds one shared
-    /// read lock across estimation *and* propagation, so no mutation can slip
-    /// between the two stages.
+    /// node subset and optionally abstain-aware. Estimation runs under the dataset
+    /// lock (shared when warm, exclusive when it must build an engine), which then
+    /// yields a snapshot: the graph, the seed set and the estimated `H`. The lock
+    /// is released before propagation, so a concurrent `seed` waits for no
+    /// propagation, and this request still answers for the one seed set it
+    /// estimated on.
     fn cmd_classify(&self, request: &Json) -> Result<Json, String> {
         let name = dataset_name(request)?;
         let handle = self.dataset_handle(&name)?;
@@ -959,7 +1035,7 @@ impl Session {
             .and_then(Json::as_bool)
             .unwrap_or(false);
 
-        {
+        let warm = {
             let dataset = self.dataset_read(&handle);
             let warm = match &estimator {
                 Some(estimator) => self.warm_estimate(&dataset, estimator.as_ref())?,
@@ -977,21 +1053,29 @@ impl Session {
                     })
                 }
             };
-            if let Some(outcome) = warm {
-                self.record_estimate_metrics(&name, &outcome);
-                return finish_classify(&dataset, outcome, propagator.as_ref(), &subset, abstain);
+            warm.map(|outcome| (outcome, dataset.snapshot()))
+        };
+        let (outcome, (graph, seeds)) = match warm {
+            Some(warm) => warm,
+            None => {
+                let mut dataset = self.dataset_write(&handle);
+                let estimator = estimator.as_ref().expect("cold path implies estimator");
+                let outcome = self.cold_estimate(&mut dataset, estimator.as_ref())?;
+                (outcome, dataset.snapshot())
             }
-        }
-        let mut dataset = self.dataset_write(&handle);
-        let outcome = self.cold_estimate(
-            &mut dataset,
-            estimator
-                .as_ref()
-                .expect("cold path implies estimator")
-                .as_ref(),
-        )?;
+        };
         self.record_estimate_metrics(&name, &outcome);
-        finish_classify(&dataset, outcome, propagator.as_ref(), &subset, abstain)
+        if let Some(probe) = &self.propagate_probe {
+            probe();
+        }
+        finish_classify(
+            &graph,
+            &seeds,
+            outcome,
+            propagator.as_ref(),
+            &subset,
+            abstain,
+        )
     }
 
     /// `stats`: session-wide counters (monotone across requests, engines, and
@@ -1005,7 +1089,7 @@ impl Session {
         let mut live_full_summarizations = 0usize;
         let mut datasets = Vec::with_capacity(handles.len());
         for (name, handle) in handles {
-            let dataset: RwLockReadGuard<'_, Dataset> = self.dataset_read(&handle);
+            let dataset = self.dataset_read(&handle);
             live_full_summarizations += dataset.full_summarizations();
             datasets.push((name, dataset_stats(&dataset)));
         }
@@ -1218,24 +1302,26 @@ fn parse_subset(request: &Json) -> Result<Option<Vec<usize>>, String> {
     }
 }
 
-/// The propagation half of `classify`: runs with whichever lock the caller holds.
+/// The propagation half of `classify`, on a snapshot taken under the dataset lock
+/// and run after it is released.
 fn finish_classify(
-    dataset: &Dataset,
+    graph: &Graph,
+    seeds: &SeedLabels,
     estimate: EstimateOutcome,
     propagator: &dyn Propagator,
     subset: &Option<Vec<usize>>,
     abstain: bool,
 ) -> Result<Json, String> {
     if let Some(nodes) = subset {
-        if let Some(&bad) = nodes.iter().find(|&&n| n >= dataset.graph.num_nodes()) {
+        if let Some(&bad) = nodes.iter().find(|&&n| n >= graph.num_nodes()) {
             return Err(format!(
                 "'nodes' id {bad} out of range (graph has {} nodes)",
-                dataset.graph.num_nodes()
+                graph.num_nodes()
             ));
         }
     }
     let outcome = propagator
-        .propagate(&dataset.graph, &dataset.seeds, &estimate.h)
+        .propagate(graph, seeds, &estimate.h)
         .map_err(|e| e.to_string())?;
 
     let abstaining = abstain.then(|| outcome.predictions_or_abstain());
@@ -1268,7 +1354,7 @@ fn finish_classify(
         ("optimize_store_hits", Json::num(estimate.h_store_hits)),
     ];
     if let Some(abstaining) = &abstaining {
-        let rate = fg_propagation::abstention_rate(abstaining, &dataset.seeds.unlabeled_nodes());
+        let rate = fg_propagation::abstention_rate(abstaining, &seeds.unlabeled_nodes());
         fields.push(("abstention_rate", Json::Num(rate)));
     }
     Ok(Json::obj(fields))
@@ -1317,7 +1403,7 @@ fn dataset_stats(dataset: &Dataset) -> Json {
         ),
         (
             "seed_scratch_derivations",
-            Json::num(dataset.seeds.scratch_derivations()),
+            Json::num(dataset.retired_scratch_derivations + dataset.seeds.scratch_derivations()),
         ),
         ("engine_states", Json::num(dataset.states.len())),
         ("engine_evictions", Json::num(dataset.engine_evictions)),

@@ -2,7 +2,7 @@
 //! incremental counters, stdio loop, and concurrent TCP clients.
 
 use fg_core::prelude::*;
-use fg_serve::{send_requests_watched, serve_lines, Json, Session, TcpServer};
+use fg_serve::{send_requests_watched, serve_lines, with_watchdog, Json, Session, TcpServer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
@@ -558,6 +558,90 @@ fn warm_reads_from_concurrent_clients_overlap() {
         assert_eq!(other, &responses[0], "concurrent warm responses diverged");
     }
     assert!(responses[0].contains("\"summary_computations\":0"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `classify` holds no dataset lock while it propagates. A probe parks each
+/// classify after it has taken its snapshot (graph, seed set, `H`) and released
+/// the lock; a `seed` on another thread must then complete, and the parked
+/// classify must still answer, byte for byte, what a serial session answers for
+/// the seed set it started from. The first round parks a cold classify (engine
+/// built under the write lock), the second a warm one (shared read lock).
+#[test]
+fn a_classify_parked_after_its_snapshot_lets_a_seed_complete() {
+    use std::sync::{mpsc, Mutex};
+    use std::time::Duration;
+
+    const TEST: &str = "a_classify_parked_after_its_snapshot_lets_a_seed_complete";
+    let (dir, edges, seeds_path, truth) = dataset("parked");
+    let seeded: Vec<usize> = std::fs::read_to_string(&seeds_path)
+        .unwrap()
+        .lines()
+        .map(|line| line.split('\t').next().unwrap().parse().unwrap())
+        .collect();
+    // Twenty new seeds with wrong labels, so the two seed sets classify differently.
+    let nodes: Vec<usize> = (0..truth.n())
+        .filter(|n| !seeded.contains(n))
+        .take(20)
+        .collect();
+    let pairs: Vec<String> = nodes
+        .iter()
+        .map(|&n| format!("[{n},{}]", (truth.class_of(n) + 1) % 3))
+        .collect();
+    let ids: Vec<String> = nodes.iter().map(usize::to_string).collect();
+    let classify = r#"{"cmd":"classify","method":"dcer"}"#.to_string();
+    let mutations = [
+        format!(r#"{{"cmd":"seed","add":[{}]}}"#, pairs.join(",")),
+        format!(r#"{{"cmd":"seed","remove":[{}]}}"#, ids.join(",")),
+    ];
+
+    let serial = Session::new(Threads::Serial, None);
+    let lines = [&classify, &mutations[0], &classify, &mutations[1]];
+    assert_ok(&serial.handle_line(&load_line(&edges, &seeds_path), 1).0);
+    let expected: Vec<String> = lines
+        .iter()
+        .map(|line| serial.handle_line(line, 1).0)
+        .collect();
+    assert_ne!(
+        expected[0], expected[2],
+        "the two seed sets must classify apart"
+    );
+
+    let mut session = Session::new(Threads::Serial, None);
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let (parked_tx, release_rx) = (Mutex::new(parked_tx), Mutex::new(release_rx));
+    session.set_propagate_probe(Box::new(move || {
+        parked_tx.lock().unwrap().send(()).unwrap();
+        release_rx
+            .lock()
+            .unwrap()
+            .recv_timeout(Duration::from_secs(20))
+            .expect("no seed completed while the classify was parked");
+    }));
+    let session = Arc::new(session);
+    assert_ok(&session.handle_line(&load_line(&edges, &seeds_path), 1).0);
+    let mut got = Vec::new();
+    for mutation in &mutations {
+        let reader = Arc::clone(&session);
+        let line = classify.clone();
+        let parked = std::thread::spawn(move || reader.handle_line(&line, 1).0);
+        parked_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the classify never reached its propagation");
+        let writer = Arc::clone(&session);
+        let line = mutation.clone();
+        let seeded = with_watchdog(TEST, 1, move || writer.handle_line(&line, 1).0);
+        release_tx.send(()).unwrap();
+        got.push(parked.join().unwrap());
+        got.push(seeded);
+    }
+    for (index, (got, want)) in got.iter().zip(&expected).enumerate() {
+        assert_eq!(
+            got, want,
+            "response {index} diverged from the serial session"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -433,6 +433,8 @@ fn metrics_endpoint_serves_prometheus_text() {
         "fg_requests_total{cmd=\"estimate\"} 2",
         "fg_summary_computations_total{dataset=\"obs\"}",
         "fg_lock_wait_seconds_count",
+        "# TYPE fg_lock_hold_seconds histogram",
+        "fg_lock_hold_seconds_count{lock=\"dataset\",op=\"read\"}",
     ] {
         assert!(body.contains(family), "scrape missing {family:?}:\n{body}");
     }
