@@ -192,29 +192,8 @@ pub fn cmd_construct(args: &ArgMap) -> CommandResult {
     // feature matrix's fingerprint plus the parameterized builder spec: a warm
     // run loads the finished edge list instead of repeating the O(n^2 d) build.
     let store = open_summary_store(args)?;
-    let features_fp = fg_datasets::features_fingerprint(&features);
     let spec_name = builder.name();
-    let key = GraphKey(features_fp, &spec_name, features.rows());
-    let cached = store.as_ref().and_then(|s| match s.load(&key) {
-        Ok(found) => found,
-        Err(e) => {
-            eprintln!("warning: {e}; reconstructing");
-            None
-        }
-    });
-    let from_cache = cached.is_some();
-    let graph = match cached {
-        Some(graph) => graph,
-        None => {
-            let graph = builder.build(&features).map_err(err)?;
-            if let Some(s) = &store {
-                if let Err(e) = s.save(&key, &graph) {
-                    eprintln!("warning: cannot persist the constructed graph: {e}");
-                }
-            }
-            graph
-        }
-    };
+    let (graph, from_cache) = construct_cached(builder.as_ref(), &features, store.as_deref())?;
     fg_datasets::write_edge_list(Path::new(&out_edges), &graph).map_err(err)?;
     if let Some(out) = args.get("out-features") {
         fg_datasets::write_features(Path::new(out), &features, &labels).map_err(err)?;
@@ -236,6 +215,38 @@ pub fn cmd_construct(args: &ArgMap) -> CommandResult {
         graph.num_edges(),
         graph.average_degree()
     ))
+}
+
+/// The graph `builder` constructs from `features`: loaded from `store` when an
+/// earlier run persisted it under `(feature-matrix fingerprint, builder spec)`,
+/// built (and persisted) otherwise. A corrupt or foreign entry is reported and
+/// rebuilt rather than trusted. The flag says whether the graph came from the
+/// store.
+pub(crate) fn construct_cached(
+    builder: &dyn fg_datasets::GraphBuilder,
+    features: &DenseMatrix,
+    store: Option<&SummaryStore>,
+) -> Result<(Graph, bool), String> {
+    let spec_name = builder.name();
+    let features_fp = fg_datasets::features_fingerprint(features);
+    let key = GraphKey(features_fp, &spec_name, features.rows());
+    let cached = store.and_then(|s| match s.load(&key) {
+        Ok(found) => found,
+        Err(e) => {
+            eprintln!("warning: {e}; reconstructing");
+            None
+        }
+    });
+    if let Some(graph) = cached {
+        return Ok((graph, true));
+    }
+    let graph = builder.build(features).map_err(err)?;
+    if let Some(s) = store {
+        if let Err(e) = s.save(&key, &graph) {
+            eprintln!("warning: cannot persist the constructed graph: {e}");
+        }
+    }
+    Ok((graph, false))
 }
 
 /// Open the persistent summary store selected by `--summary-cache DIR` (absent =
@@ -306,18 +317,17 @@ pub fn cmd_estimate(args: &ArgMap) -> CommandResult {
                 .threads(threads)
                 .store(Arc::clone(store));
             let h = estimator.estimate_with_context(&ctx).map_err(err)?;
+            let work = ctx.work();
             let mut note = format!(
                 "summary computations: {} (store hits: {}, cache dir {})",
-                ctx.summary_computations(),
-                ctx.store_hits(),
+                work.summary_computations,
+                work.store_hits,
                 store.dir().display()
             );
-            let cache = ctx.cache();
-            if cache.factor_computations() + cache.factor_store_hits() > 0 {
+            if work.factor_computations + work.factor_store_hits > 0 {
                 note.push_str(&format!(
                     "\nlow-rank eigensolves: {} (factor store hits: {})",
-                    cache.factor_computations(),
-                    cache.factor_store_hits()
+                    work.factor_computations, work.factor_store_hits
                 ));
             }
             (h, Some(note))

@@ -74,7 +74,7 @@
 //! malformed values are rejected with the offending line number.
 
 use fg_core::prelude::*;
-use fg_core::{EstimatorOptions, GraphKey, ESTIMATORS};
+use fg_core::{EstimatorOptions, ESTIMATORS};
 use fg_datasets::{synthesize, DatasetId};
 use fg_graph::spec::{Key, Kind, SpecOptions};
 use fg_propagation::{PropagatorOptions, PROPAGATORS};
@@ -525,31 +525,8 @@ fn load_feature_run(
         Some(cache_dir) => Some(SummaryStore::open(resolve_path(base, &cache_dir)).map_err(err)?),
         None => None,
     };
-    let features_fp = fg_datasets::features_fingerprint(&data.features);
-    let spec_name = builder.name();
-    let key = GraphKey(features_fp, &spec_name, data.features.rows());
-    let cached = store.as_ref().and_then(|s| {
-        match s.load(&key) {
-            Ok(found) => found,
-            // A corrupt or foreign cache entry is loud but non-fatal: rebuild.
-            Err(e) => {
-                eprintln!("warning: {e}; reconstructing");
-                None
-            }
-        }
-    });
-    let graph = match cached {
-        Some(graph) => graph,
-        None => {
-            let graph = builder.build(&data.features).map_err(err)?;
-            if let Some(s) = &store {
-                if let Err(e) = s.save(&key, &graph) {
-                    eprintln!("warning: cannot persist the constructed graph: {e}");
-                }
-            }
-            graph
-        }
-    };
+    let (graph, _) =
+        crate::commands::construct_cached(builder.as_ref(), &data.features, store.as_ref())?;
     let classes = match entry_or_default!(run, defaults, usize_value, "classes") {
         Some(k) => Some(k),
         None => construct.usize_value("classes")?,
@@ -608,7 +585,8 @@ pub fn run_manifest(path: &Path) -> Result<String, String> {
 /// All entries share one in-memory [`SummaryCache`] (plus whatever persistent
 /// stores they configure), so entries on the same dataset summarize once no matter
 /// which worker runs them. Output is **byte-identical to the serial order**: result
-/// lines are reassembled in manifest order, per-run counters are key-scoped, and
+/// lines are reassembled in manifest order, each run's counters are the work its
+/// own estimation context did, and
 /// entries whose datasets collide on the same `(graph, seeds)` fingerprints are
 /// serialized in manifest order (a condvar turnstile per duplicated key), so the
 /// first entry always does the computing exactly as it would serially. Entries on
@@ -709,8 +687,8 @@ pub fn run_manifest_with(path: &Path, threads: Threads) -> Result<String, String
         .collect();
 
     // Phase 3: run the pipelines. One shared cache deduplicates summaries across
-    // entries; report counters are per-key, so concurrent other-key work never
-    // leaks into a run's own numbers.
+    // entries; each report counts only its own run's work, so concurrent work on
+    // other entries never leaks into a run's own numbers.
     let outcomes: Vec<Result<String, String>> =
         fg_sparse::run_ordered_cells(manifest.runs.len(), threads, |index| {
             let gate = gates[index].clone();

@@ -21,11 +21,16 @@
 //!
 //! Below the in-memory cache sits an optional persistent tier: attach a
 //! [`SummaryStore`] with [`EstimationContext::store`] and cache misses first try the
-//! store (read-through; a hit counts in [`store_hits`](EstimationContext::store_hits),
-//! not in [`summary_computations`](EstimationContext::summary_computations)), and
-//! freshly computed counts are written back so the *next process* on the same dataset
-//! skips summarization entirely. Corrupt or mismatched store files are rejected with a
-//! warning on stderr and recomputed — they can cost time, never correctness.
+//! store (read-through), and freshly computed counts are written back so the *next
+//! process* on the same dataset skips summarization entirely. Estimated `H` matrices
+//! persist there too: [`stored_estimate`](EstimationContext::stored_estimate) probes
+//! for one and [`estimate`](EstimationContext::estimate) can write one back. Corrupt
+//! or mismatched store files are rejected with a warning on stderr and recomputed —
+//! they can cost time, never correctness.
+//!
+//! The cache keeps no counters: every context tallies its own [`Work`], and
+//! [`estimate`](EstimationContext::estimate) also returns the work of the one call —
+//! what the pipeline reports per run and the serving session per request.
 //!
 //! Keys cost an `O(n + m)` hash of the graph, so a context pays for them only when
 //! something reads one: a shared cache, an attached store, the low-rank factor
@@ -43,17 +48,20 @@
 //! assert.
 
 use crate::error::Result;
+use crate::estimators::CompatibilityEstimator;
 use crate::lowrank_counts::lowrank_path_counts;
 use crate::paths::{
     compute_path_counts, summary_from_counts, validate_summary_inputs, CountingBackend,
     GraphSummary, SummaryConfig,
 };
-use crate::store::{FactorKey, SummaryKey, SummaryStore};
+use crate::store::{EstimateKey, FactorKey, SummaryKey, SummaryStore};
 use fg_graph::{factor_fingerprint, FactorConfig, Fingerprint, Graph, LowRankFactor, SeedLabels};
+use fg_obs::Span;
 use fg_sparse::{DenseMatrix, Threads};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// The key of one `(graph, seeds)` entry of a [`SummaryCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -88,12 +96,6 @@ struct PairState {
     /// `Arc` so callers copy it *outside* the cache mutex — the `n x k` copy must not
     /// serialize parallel sweep workers.
     wx: Option<Arc<DenseMatrix>>,
-    /// How many times counts were actually computed for this key (per-key share of
-    /// the cache-wide counter; what [`EstimationContext::summary_computations`]
-    /// reports).
-    computations: usize,
-    /// How many of this key's requests were answered from a persistent store.
-    store_hits: usize,
 }
 
 /// Memoized factorized path statistics, keyed by content: one entry per
@@ -110,50 +112,20 @@ struct PairState {
 /// Locking granularity: a short-lived outer mutex guards the key map, and each key
 /// owns its own mutex that **is** held across a miss's `O(m·k·ℓmax)` computation (and
 /// store I/O). That per-key lock is what guarantees a key is computed **exactly
-/// once** no matter how many threads race on it — which the `computations()` counter
-/// (and the paper's "summarize once" claim) relies on — while misses on *different*
+/// once** no matter how many threads race on it — which the contexts' work counters
+/// (and the paper's "summarize once" claim) rely on — while misses on *different*
 /// keys proceed concurrently, so one shared cache serves both deduplication and
 /// overlap (the parallel manifest runner and `fg serve` sessions lean on this).
 #[derive(Debug, Default)]
 pub struct SummaryCache {
     state: Mutex<PairMap>,
     factors: Mutex<FactorMap>,
-    computations: AtomicUsize,
-    store_hits: AtomicUsize,
-    factor_computations: AtomicUsize,
-    factor_store_hits: AtomicUsize,
 }
 
 impl SummaryCache {
     /// Create an empty cache behind an [`Arc`], ready to share across contexts.
     pub fn shared() -> Arc<SummaryCache> {
         Arc::new(SummaryCache::default())
-    }
-
-    /// How many times path counts were actually computed through this cache (cache
-    /// and store misses). See [`EstimationContext::summary_computations`].
-    pub fn computations(&self) -> usize {
-        self.computations.load(Ordering::Relaxed)
-    }
-
-    /// How many summary requests were answered from a persistent [`SummaryStore`]
-    /// instead of being recomputed.
-    pub fn store_hits(&self) -> usize {
-        self.store_hits.load(Ordering::Relaxed)
-    }
-
-    /// How many times a low-rank factor was actually computed (eigensolve run)
-    /// through this cache — cache *and* store misses. A sweep that evaluates many
-    /// ranks still pays one eigensolve per distinct factor configuration, and a
-    /// warm `.fgv` store tier drives this to zero.
-    pub fn factor_computations(&self) -> usize {
-        self.factor_computations.load(Ordering::Relaxed)
-    }
-
-    /// How many factor requests were answered from a persistent [`SummaryStore`]
-    /// (`.fgv` entries) instead of rerunning the eigensolve.
-    pub fn factor_store_hits(&self) -> usize {
-        self.factor_store_hits.load(Ordering::Relaxed)
     }
 
     /// Number of distinct `(graph, seeds)` pairs currently cached.
@@ -166,27 +138,11 @@ impl SummaryCache {
         self.len() == 0
     }
 
-    fn mode_index(non_backtracking: bool) -> usize {
-        usize::from(non_backtracking)
-    }
-
     /// Get-or-insert the per-key state behind its own lock. The outer map lock is
     /// released before the caller locks the pair, so work on distinct keys overlaps.
     fn pair(&self, key: PairKey) -> Arc<Mutex<PairState>> {
         let mut state = self.state.lock().expect("summary cache poisoned");
         Arc::clone(state.entry(key).or_default())
-    }
-
-    /// Read one counter of a key's state without inserting an entry for absent
-    /// keys (which read as zero).
-    fn pair_counter(&self, key: PairKey, counter: fn(&PairState) -> usize) -> usize {
-        let pair = {
-            let state = self.state.lock().expect("summary cache poisoned");
-            state.get(&key).map(Arc::clone)
-        };
-        pair.map_or(0, |pair| {
-            counter(&pair.lock().expect("summary pair poisoned"))
-        })
     }
 
     /// Get-or-insert the per-factor slot behind its own lock (same granularity
@@ -196,18 +152,6 @@ impl SummaryCache {
     fn factor_slot(&self, factor_fp: Fingerprint) -> Arc<Mutex<Option<Arc<LowRankFactor>>>> {
         let mut factors = self.factors.lock().expect("factor cache poisoned");
         Arc::clone(factors.entry(factor_fp).or_default())
-    }
-
-    /// How many computations this cache has recorded for one key (both counting
-    /// modes together). The per-key view of [`computations`](Self::computations).
-    pub fn key_computations(&self, graph_fp: Fingerprint, seed_fp: Fingerprint) -> usize {
-        self.pair_counter(PairKey::Content(graph_fp, seed_fp), |s| s.computations)
-    }
-
-    /// How many of one key's requests were answered from a persistent store (the
-    /// per-key view of [`store_hits`](Self::store_hits)).
-    pub fn key_store_hits(&self, graph_fp: Fingerprint, seed_fp: Fingerprint) -> usize {
-        self.pair_counter(PairKey::Content(graph_fp, seed_fp), |s| s.store_hits)
     }
 
     /// Insert externally maintained raw counts for a key **without** counting a
@@ -229,7 +173,7 @@ impl SummaryCache {
         }
         let pair = self.pair(PairKey::Content(graph_fp, seed_fp));
         let mut state = pair.lock().expect("summary pair poisoned");
-        let mode = Self::mode_index(non_backtracking);
+        let mode = usize::from(non_backtracking);
         let cached_len = state.counts[mode].as_ref().map_or(0, |c| c.len());
         if cached_len < counts.len() {
             state.counts[mode] = Some(counts);
@@ -252,13 +196,89 @@ impl SummaryCache {
 
     /// Drop one key's cached artifacts (counts for both modes and `W · X`). Used by
     /// long-lived sessions to evict summaries of superseded seed sets so the cache
-    /// does not grow with every mutation. The cache-wide counters are unaffected;
-    /// the evicted key's per-key counters are dropped with its entry, so
-    /// [`key_computations`](Self::key_computations) restarts from zero if the key
-    /// ever reappears.
+    /// does not grow with every mutation; the next request on the key recomputes.
     pub fn remove(&self, graph_fp: Fingerprint, seed_fp: Fingerprint) {
         let mut state = self.state.lock().expect("summary cache poisoned");
         state.remove(&PairKey::Content(graph_fp, seed_fp));
+    }
+}
+
+/// The work estimation requests did through an [`EstimationContext`]: what
+/// [`EstimationContext::work`] reports for the context as a whole and
+/// [`Estimate::work`] for one call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Path-count summaries actually computed (cache and store misses).
+    pub summary_computations: usize,
+    /// Summary requests answered from the persistent store.
+    pub store_hits: usize,
+    /// Low-rank factors actually computed (eigensolves run).
+    pub factor_computations: usize,
+    /// Factor requests answered from the persistent store (`.fgv` entries).
+    pub factor_store_hits: usize,
+    /// Estimates answered whole from a persisted `H` (`.fgh` entries), skipping
+    /// both summarization and optimization.
+    pub estimate_store_hits: usize,
+}
+
+impl Work {
+    /// Every counter, in field order.
+    fn fields(&mut self) -> [&mut usize; 5] {
+        [
+            &mut self.summary_computations,
+            &mut self.store_hits,
+            &mut self.factor_computations,
+            &mut self.factor_store_hits,
+            &mut self.estimate_store_hits,
+        ]
+    }
+}
+
+/// A context's running [`Work`] total, in atomics because sweep threads share one
+/// context.
+#[derive(Debug, Default)]
+struct Tally([AtomicUsize; 5]);
+
+impl Tally {
+    fn add(&self, mut work: Work) {
+        for (total, n) in self.0.iter().zip(work.fields()) {
+            total.fetch_add(*n, Ordering::Relaxed);
+        }
+    }
+
+    fn get(&self) -> Work {
+        let mut work = Work::default();
+        for (total, n) in self.0.iter().zip(work.fields()) {
+            *n = total.load(Ordering::Relaxed);
+        }
+        work
+    }
+}
+
+/// One estimate served by an [`EstimationContext`]: `H`, the work the call did,
+/// and how long its summarize and optimize halves took (both zero for an estimate
+/// read from the store).
+#[derive(Debug, Clone)]
+pub struct Estimate {
+    /// The estimated compatibility matrix.
+    pub h: DenseMatrix,
+    /// The work this one call did.
+    pub work: Work,
+    /// Wall-clock time spent warming the summary the estimator reads.
+    pub summarize_time: Duration,
+    /// Wall-clock time of the graph-size-independent optimization.
+    pub optimize_time: Duration,
+}
+
+impl Estimate {
+    /// An estimate that cost no measured work: a supplied or placeholder `H`.
+    pub(crate) fn unmeasured(h: DenseMatrix) -> Estimate {
+        Estimate {
+            h,
+            work: Work::default(),
+            summarize_time: Duration::ZERO,
+            optimize_time: Duration::ZERO,
+        }
     }
 }
 
@@ -279,6 +299,7 @@ pub struct EstimationContext<'a> {
     threads: Threads,
     cache: Arc<SummaryCache>,
     store: Option<Arc<SummaryStore>>,
+    tally: Tally,
 }
 
 impl<'a> EstimationContext<'a> {
@@ -306,6 +327,7 @@ impl<'a> EstimationContext<'a> {
             threads: Threads::Serial,
             cache,
             store: None,
+            tally: Tally::default(),
         }
     }
 
@@ -372,26 +394,35 @@ impl<'a> EstimationContext<'a> {
         self.store.as_ref()
     }
 
-    /// How many times the underlying path counts were actually computed through this
-    /// context's cache (cache *and* store misses) **for this context's key** — the
-    /// `(graph, seeds)` pair, both counting modes together. A comparison run that
-    /// shares one context across MCE + DCE + DCEr sees exactly one computation per
-    /// counting mode, and a warm persistent store drives this to **zero** — tests and
-    /// the CI warm-path job assert both. The counter is cumulative across every
-    /// context sharing the cache *and* key; work on other keys in a shared cache is
-    /// not counted here (see [`SummaryCache::computations`] for the cache-wide
-    /// total), which keeps per-run reports deterministic when independent runs share
-    /// one cache concurrently.
-    pub fn summary_computations(&self) -> usize {
-        self.cache.pair_counter(self.key(), |s| s.computations)
+    /// Everything this context has done so far (see [`Work`]). Only this
+    /// context's own requests count: work that other contexts sharing the cache
+    /// did, on this key or any other, never shows here.
+    pub fn work(&self) -> Work {
+        self.tally.get()
     }
 
-    /// How many summary requests for this context's key were served from the
-    /// persistent store instead of being recomputed (cumulative across contexts
-    /// sharing the cache and key; see [`SummaryCache::store_hits`] for the cache-wide
-    /// total).
+    /// How many times path counts were actually computed through this context
+    /// (cache *and* store misses, both counting modes together). A comparison run
+    /// that shares one context across MCE + DCE + DCEr sees exactly one computation
+    /// per counting mode, and a warm persistent store drives this to **zero** —
+    /// tests and the CI warm-path job assert both.
+    pub fn summary_computations(&self) -> usize {
+        self.work().summary_computations
+    }
+
+    /// How many of this context's summary requests were served from the
+    /// persistent store instead of being recomputed.
     pub fn store_hits(&self) -> usize {
-        self.cache.pair_counter(self.key(), |s| s.store_hits)
+        self.work().store_hits
+    }
+
+    /// Run `f` with a fresh [`Work`] record, then add what it recorded to the
+    /// context's tally (on errors too: work done before a failure still happened).
+    fn tallied<T>(&self, f: impl FnOnce(&mut Work) -> Result<T>) -> (Result<T>, Work) {
+        let mut work = Work::default();
+        let result = f(&mut work);
+        self.tally.add(work);
+        (result, work)
     }
 
     /// The graph summary for `config`, served from the in-memory cache when a
@@ -408,11 +439,16 @@ impl<'a> EstimationContext<'a> {
     /// from the `O(r²·k)`-per-length factor-space recurrence, cached per
     /// `(factor, mode)` with the same prefix-stability.
     pub fn summary(&self, config: &SummaryConfig) -> Result<GraphSummary> {
+        self.tallied(|work| self.summary_into(config, work)).0
+    }
+
+    /// [`summary`](Self::summary), recording its work in `work`.
+    fn summary_into(&self, config: &SummaryConfig, work: &mut Work) -> Result<GraphSummary> {
         validate_summary_inputs(self.graph, self.seeds, config.max_length)?;
         let counts = match config.backend {
-            CountingBackend::Exact => self.exact_counts(config)?,
+            CountingBackend::Exact => self.exact_counts(config, work)?,
             CountingBackend::LowRank(factor_config) => {
-                self.lowrank_counts_for(config, &factor_config)?
+                self.lowrank_counts_for(config, &factor_config, work)?
             }
         };
         Ok(summary_from_counts(
@@ -425,16 +461,15 @@ impl<'a> EstimationContext<'a> {
 
     /// The exact-backend count prefix for `config`: in-memory cache, then store,
     /// then compute-and-persist.
-    fn exact_counts(&self, config: &SummaryConfig) -> Result<Vec<DenseMatrix>> {
-        let mode = SummaryCache::mode_index(config.non_backtracking);
+    fn exact_counts(&self, config: &SummaryConfig, work: &mut Work) -> Result<Vec<DenseMatrix>> {
+        let mode = usize::from(config.non_backtracking);
         let pair = self.cache.pair(self.key());
         let mut entry = pair.lock().expect("summary pair poisoned");
         let cached_len = entry.counts[mode].as_ref().map_or(0, |c| c.len());
         if cached_len < config.max_length {
             let counts = match self.load_from_store(config) {
                 Some(stored) => {
-                    entry.store_hits += 1;
-                    self.cache.store_hits.fetch_add(1, Ordering::Relaxed);
+                    work.store_hits += 1;
                     stored
                 }
                 None => {
@@ -445,8 +480,7 @@ impl<'a> EstimationContext<'a> {
                         config.non_backtracking,
                         self.threads,
                     )?;
-                    entry.computations += 1;
-                    self.cache.computations.fetch_add(1, Ordering::Relaxed);
+                    work.summary_computations += 1;
                     self.write_back(config, &counts);
                     counts
                 }
@@ -471,6 +505,7 @@ impl<'a> EstimationContext<'a> {
         &self,
         config: &SummaryConfig,
         factor_config: &FactorConfig,
+        work: &mut Work,
     ) -> Result<Vec<DenseMatrix>> {
         let factor_fp = factor_fingerprint(self.graph_fingerprint(), factor_config);
         let key = (factor_fp, config.non_backtracking);
@@ -480,15 +515,14 @@ impl<'a> EstimationContext<'a> {
         if cached_len < config.max_length {
             // Lock order is always pair → factor slot (nothing locks a pair while
             // holding a slot), so resolving the factor here cannot deadlock.
-            let factor = self.factor(factor_config)?;
+            let factor = self.factor_into(factor_config, work)?;
             let counts = lowrank_path_counts(
                 &factor,
                 self.seeds,
                 config.max_length,
                 config.non_backtracking,
             )?;
-            entry.computations += 1;
-            self.cache.computations.fetch_add(1, Ordering::Relaxed);
+            work.summary_computations += 1;
             entry.lowrank_counts.insert(key, counts);
         }
         Ok(entry
@@ -509,6 +543,15 @@ impl<'a> EstimationContext<'a> {
     /// and not at all when a prior process left a `.fgv` entry behind. Factors are
     /// always keyed by content: a factor records its graph's fingerprint.
     pub fn factor(&self, factor_config: &FactorConfig) -> Result<Arc<LowRankFactor>> {
+        self.tallied(|work| self.factor_into(factor_config, work)).0
+    }
+
+    /// [`factor`](Self::factor), recording its work in `work`.
+    fn factor_into(
+        &self,
+        factor_config: &FactorConfig,
+        work: &mut Work,
+    ) -> Result<Arc<LowRankFactor>> {
         let factor_fp = factor_fingerprint(self.graph_fingerprint(), factor_config);
         let slot = self.cache.factor_slot(factor_fp);
         let mut guard = slot.lock().expect("factor slot poisoned");
@@ -518,7 +561,7 @@ impl<'a> EstimationContext<'a> {
         if let Some(store) = &self.store {
             match store.load(&FactorKey(self.graph_fingerprint(), *factor_config)) {
                 Ok(Some(factor)) => {
-                    self.cache.factor_store_hits.fetch_add(1, Ordering::Relaxed);
+                    work.factor_store_hits += 1;
                     let factor = Arc::new(factor);
                     *guard = Some(Arc::clone(&factor));
                     return Ok(factor);
@@ -532,9 +575,7 @@ impl<'a> EstimationContext<'a> {
             factor_config,
             self.threads,
         )?);
-        self.cache
-            .factor_computations
-            .fetch_add(1, Ordering::Relaxed);
+        work.factor_computations += 1;
         if let Some(store) = &self.store {
             if let Err(e) = store.save(&FactorKey::of(&factor), &factor) {
                 eprintln!("warning: could not persist factor: {e}");
@@ -544,17 +585,17 @@ impl<'a> EstimationContext<'a> {
         Ok(factor)
     }
 
+    /// The store key of this pair's counts in `config`'s counting mode.
+    fn summary_key(&self, config: &SummaryConfig) -> SummaryKey {
+        let (graph_fp, seed_fp) = (self.graph_fingerprint(), self.seed_fingerprint());
+        SummaryKey(graph_fp, seed_fp, config.non_backtracking)
+    }
+
     /// Try the persistent tier for a long-enough stored prefix. Returns `None` on a
-    /// miss; corrupt / mismatched files warn on stderr and count as misses. The
-    /// caller records the hit in the per-key and cache-wide counters.
+    /// miss; corrupt / mismatched files warn on stderr and count as misses.
     fn load_from_store(&self, config: &SummaryConfig) -> Option<Vec<DenseMatrix>> {
         let store = self.store.as_ref()?;
-        let key = SummaryKey(
-            self.graph_fingerprint(),
-            self.seed_fingerprint(),
-            config.non_backtracking,
-        );
-        match store.load(&key) {
+        match store.load(&self.summary_key(config)) {
             Ok(Some(counts))
                 if counts[0].rows() == self.seeds.k() && counts.len() >= config.max_length =>
             {
@@ -575,12 +616,7 @@ impl<'a> EstimationContext<'a> {
     /// are otherwise ignored — the result is already in memory).
     fn write_back(&self, config: &SummaryConfig, counts: &[DenseMatrix]) {
         if let Some(store) = &self.store {
-            let key = SummaryKey(
-                self.graph_fingerprint(),
-                self.seed_fingerprint(),
-                config.non_backtracking,
-            );
-            if let Err(e) = store.save(&key, counts) {
+            if let Err(e) = store.save(&self.summary_key(config), counts) {
                 eprintln!("warning: could not persist summary: {e}");
             }
         }
@@ -592,6 +628,83 @@ impl<'a> EstimationContext<'a> {
     /// `config.max_length` are then cache hits.
     pub fn warm(&self, config: &SummaryConfig) -> Result<()> {
         self.summary(config).map(|_| ())
+    }
+
+    /// The store a persisted `H` of `estimator` lives in: present only with an
+    /// attached store and a content-addressable estimator (see
+    /// [`CompatibilityEstimator::content_addressable`]), so without a store nothing
+    /// hashes.
+    fn estimate_slot(&self, estimator: &dyn CompatibilityEstimator) -> Option<&SummaryStore> {
+        self.store
+            .as_deref()
+            .filter(|_| estimator.content_addressable())
+    }
+
+    /// The persisted `H` of `estimator` on this pair, if the attached store holds
+    /// one: the warm path that skips *both* halves of estimation. A hit counts one
+    /// [`estimate_store_hits`](Work::estimate_store_hits); a corrupt entry warns on
+    /// stderr and reads as a miss. Entries are keyed by the estimator's canonical
+    /// parameterized [`name`](CompatibilityEstimator::name).
+    pub fn stored_estimate(&self, estimator: &dyn CompatibilityEstimator) -> Option<Estimate> {
+        let store = self.estimate_slot(estimator)?;
+        let name = estimator.name();
+        let key = EstimateKey(self.graph_fingerprint(), self.seed_fingerprint(), &name);
+        match store.load(&key) {
+            Ok(found) => found.map(|h| {
+                let mut estimate = Estimate::unmeasured(h);
+                estimate.work.estimate_store_hits = 1;
+                self.tally.add(estimate.work);
+                estimate
+            }),
+            Err(e) => {
+                eprintln!("warning: {e}; re-estimating");
+                None
+            }
+        }
+    }
+
+    /// Estimate `H` with `estimator` on this pair: warm the summary it reads
+    /// ([`summary_requirements`](CompatibilityEstimator::summary_requirements)),
+    /// then optimize, timing the halves under the `estimate` and `optimize` spans.
+    /// With `persist` and an attached store, a content-addressable estimator's `H`
+    /// is written back for [`stored_estimate`](Self::stored_estimate) to find
+    /// (best effort: a full disk warns and never costs correctness).
+    ///
+    /// The returned [`Estimate::work`] is what warming cost; the estimator's own
+    /// summary reads are then cache hits. This call never reads a persisted `H` —
+    /// probe with [`stored_estimate`](Self::stored_estimate) first for that.
+    pub fn estimate(
+        &self,
+        estimator: &dyn CompatibilityEstimator,
+        persist: bool,
+    ) -> Result<Estimate> {
+        let estimate_span = Span::enter("estimate");
+        let summarize_start = Instant::now();
+        let (warmed, work) = self.tallied(|work| match estimator.summary_requirements() {
+            Some(config) => self.summary_into(&config, work).map(|_| ()),
+            None => Ok(()),
+        });
+        warmed?;
+        let summarize_time = summarize_start.elapsed();
+        let optimize_span = Span::enter("optimize");
+        let optimize_start = Instant::now();
+        let h = estimator.estimate_with_context(self)?;
+        let optimize_time = optimize_start.elapsed();
+        drop(optimize_span);
+        drop(estimate_span);
+        if let Some(store) = self.estimate_slot(estimator).filter(|_| persist) {
+            let name = estimator.name();
+            let key = EstimateKey(self.graph_fingerprint(), self.seed_fingerprint(), &name);
+            if let Err(e) = store.save(&key, &h) {
+                eprintln!("warning: cannot persist the estimate: {e}");
+            }
+        }
+        Ok(Estimate {
+            h,
+            work,
+            summarize_time,
+            optimize_time,
+        })
     }
 
     /// The cached `W · X` product (`n x k`, `X` the one-hot seed matrix) — the
@@ -702,7 +815,6 @@ mod tests {
         // Served entirely from the published entry: zero computations anywhere.
         let ctx = EstimationContext::with_cache(&graph, &seeds, Arc::clone(&cache));
         let served = ctx.summary(&config).unwrap();
-        assert_eq!(cache.computations(), 0);
         assert_eq!(ctx.summary_computations(), 0);
         for l in 1..=3 {
             assert_eq!(
@@ -718,15 +830,15 @@ mod tests {
             fresh.counts[..1].to_vec(),
         );
         assert_eq!(ctx.summary(&config).unwrap().max_length(), 3);
-        assert_eq!(cache.computations(), 0);
+        assert_eq!(ctx.summary_computations(), 0);
         // Empty publishes are ignored entirely.
         cache.publish(graph.fingerprint(), seeds.fingerprint(), true, Vec::new());
         assert_eq!(cache.len(), 1);
-        // After eviction the next request recomputes (counters are cumulative).
+        // After eviction the next request recomputes.
         cache.remove(graph.fingerprint(), seeds.fingerprint());
         assert!(cache.is_empty());
         ctx.warm(&config).unwrap();
-        assert_eq!(cache.computations(), 1);
+        assert_eq!(ctx.summary_computations(), 1);
     }
 
     #[test]
@@ -742,19 +854,15 @@ mod tests {
             EstimationContext::with_cache(&other.graph, &other_seeds, Arc::clone(&cache));
         ctx.warm(&SummaryConfig::with_max_length(3)).unwrap();
         ctx_other.warm(&SummaryConfig::with_max_length(3)).unwrap();
-        // The cache-wide counter sums both keys; each context only reports its own.
-        assert_eq!(cache.computations(), 2);
+        // Each context reports only its own work.
         assert_eq!(ctx.summary_computations(), 1);
         assert_eq!(ctx_other.summary_computations(), 1);
-        assert_eq!(
-            cache.key_computations(graph.fingerprint(), seeds.fingerprint()),
-            1
-        );
-        // Unknown keys read as zero without creating entries.
-        let absent = Fingerprint::from_u128(0xdead);
-        assert_eq!(cache.key_computations(absent, absent), 0);
-        assert_eq!(cache.key_store_hits(absent, absent), 0);
         assert_eq!(cache.len(), 2);
+        // A later context on a cached key did no work of its own.
+        let late = EstimationContext::with_cache(&graph, &seeds, Arc::clone(&cache));
+        late.warm(&SummaryConfig::with_max_length(3)).unwrap();
+        assert_eq!(late.work(), Work::default());
+        assert_eq!(ctx.summary_computations(), 1);
     }
 
     #[test]
@@ -772,7 +880,8 @@ mod tests {
         let config = SummaryConfig::with_max_length(4);
         let first = ctx.summary(&config).unwrap();
         let second = ctx_copy.summary(&config).unwrap();
-        assert_eq!(cache.computations(), 1);
+        assert_eq!(ctx.summary_computations(), 1);
+        assert_eq!(ctx_copy.summary_computations(), 0);
         assert_eq!(cache.len(), 1);
         for l in 1..=4 {
             assert_eq!(
@@ -787,7 +896,7 @@ mod tests {
         let other_seeds = other.labeling.stratified_sample(0.1, &mut rng);
         let ctx_other = EstimationContext::with_cache(&other.graph, &other_seeds, cache.clone());
         ctx_other.warm(&config).unwrap();
-        assert_eq!(cache.computations(), 2);
+        assert_eq!(ctx_other.summary_computations(), 1);
         assert_eq!(cache.len(), 2);
     }
 
@@ -799,11 +908,6 @@ mod tests {
         let first = ctx.summary(&config).unwrap();
         let cache = Arc::clone(ctx.cache());
         assert_eq!(cache.len(), 1);
-        // The private entry has no content key for anyone to look up.
-        assert_eq!(
-            cache.key_computations(graph.fingerprint(), seeds.fingerprint()),
-            0
-        );
 
         // Another seed set on the same graph, through the handed-out cache, gets
         // its own counts — bit-identical to a fresh summarize, not the first pair's.
@@ -826,12 +930,16 @@ mod tests {
                 fresh.count(l).unwrap().data()
             );
         }
-        assert_eq!(cache.computations(), 2);
         assert_eq!(ctx.summary_computations(), 1);
         assert_eq!(other.summary_computations(), 1);
         // The private context keeps answering from its own entry.
         ctx.warm(&config).unwrap();
-        assert_eq!(cache.computations(), 2);
+        assert_eq!(ctx.summary_computations(), 1);
+        // The private entry has no content key for anyone to look up: a content
+        // context on the same pair computes its own.
+        let content = EstimationContext::with_cache(&graph, &seeds, Arc::clone(&cache));
+        content.warm(&config).unwrap();
+        assert_eq!(content.summary_computations(), 1);
     }
 
     #[test]
@@ -972,7 +1080,7 @@ mod tests {
             ..SummaryConfig::with_lowrank_rank(8)
         };
         let five = ctx.summary(&config).unwrap();
-        assert_eq!(cache.factor_computations(), 1);
+        assert_eq!(ctx.work().factor_computations, 1);
         assert_eq!(ctx.summary_computations(), 1);
         assert_eq!(five.max_length(), 5);
 
@@ -984,7 +1092,7 @@ mod tests {
                 ..config
             })
             .unwrap();
-        assert_eq!(cache.factor_computations(), 1);
+        assert_eq!(ctx.work().factor_computations, 1);
         assert_eq!(ctx.summary_computations(), 1);
         assert_eq!(three.max_length(), 3);
 
@@ -994,7 +1102,7 @@ mod tests {
             ..config
         })
         .unwrap();
-        assert_eq!(cache.factor_computations(), 1);
+        assert_eq!(ctx.work().factor_computations, 1);
         assert_eq!(ctx.summary_computations(), 2);
 
         // A different rank is a different factor.
@@ -1003,12 +1111,12 @@ mod tests {
             ..SummaryConfig::with_lowrank_rank(4)
         })
         .unwrap();
-        assert_eq!(cache.factor_computations(), 2);
+        assert_eq!(ctx.work().factor_computations, 2);
 
         // Low-rank entries never pollute the exact tier (and vice versa).
         ctx.warm(&SummaryConfig::with_max_length(5)).unwrap();
         assert_eq!(ctx.summary_computations(), 4);
-        assert_eq!(cache.factor_computations(), 2);
+        assert_eq!(ctx.work().factor_computations, 2);
     }
 
     #[test]
@@ -1023,23 +1131,20 @@ mod tests {
         };
 
         // Cold: runs the eigensolve and persists the factor as a `.fgv` entry.
-        let cold_cache = SummaryCache::shared();
-        let cold = EstimationContext::with_cache(&graph, &seeds, Arc::clone(&cold_cache))
-            .store(Arc::clone(&store));
+        let cold = EstimationContext::new(&graph, &seeds).store(Arc::clone(&store));
         let fresh = cold.summary(&config).unwrap();
-        assert_eq!(cold_cache.factor_computations(), 1);
-        assert_eq!(cold_cache.factor_store_hits(), 0);
+        assert_eq!(cold.work().factor_computations, 1);
+        assert_eq!(cold.work().factor_store_hits, 0);
 
         // Warm: a brand-new cache (new process) loads the factor from disk — zero
         // eigensolves — and produces bit-identical counts at any thread policy.
         for threads in [Threads::Serial, Threads::Fixed(4)] {
-            let warm_cache = SummaryCache::shared();
-            let warm = EstimationContext::with_cache(&graph, &seeds, Arc::clone(&warm_cache))
+            let warm = EstimationContext::new(&graph, &seeds)
                 .threads(threads)
                 .store(Arc::clone(&store));
             let served = warm.summary(&config).unwrap();
-            assert_eq!(warm_cache.factor_computations(), 0, "{threads:?}");
-            assert_eq!(warm_cache.factor_store_hits(), 1, "{threads:?}");
+            assert_eq!(warm.work().factor_computations, 0, "{threads:?}");
+            assert_eq!(warm.work().factor_store_hits, 1, "{threads:?}");
             for l in 1..=5 {
                 assert_eq!(
                     served.count(l).unwrap().data(),
@@ -1056,18 +1161,14 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
-        let repair_cache = SummaryCache::shared();
-        let repair = EstimationContext::with_cache(&graph, &seeds, Arc::clone(&repair_cache))
-            .store(Arc::clone(&store));
+        let repair = EstimationContext::new(&graph, &seeds).store(Arc::clone(&store));
         repair.warm(&config).unwrap();
-        assert_eq!(repair_cache.factor_computations(), 1);
-        assert_eq!(repair_cache.factor_store_hits(), 0);
-        let healed_cache = SummaryCache::shared();
-        let healed = EstimationContext::with_cache(&graph, &seeds, Arc::clone(&healed_cache))
-            .store(Arc::clone(&store));
+        assert_eq!(repair.work().factor_computations, 1);
+        assert_eq!(repair.work().factor_store_hits, 0);
+        let healed = EstimationContext::new(&graph, &seeds).store(Arc::clone(&store));
         healed.warm(&config).unwrap();
-        assert_eq!(healed_cache.factor_computations(), 0);
-        assert_eq!(healed_cache.factor_store_hits(), 1);
+        assert_eq!(healed.work().factor_computations, 0);
+        assert_eq!(healed.work().factor_store_hits, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

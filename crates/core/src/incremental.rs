@@ -357,9 +357,9 @@ impl DeltaSummary {
     ///
     /// The serving tier's engine LRU forks the live engine before applying a
     /// mutation batch, so the pre-mutation state stays warm for reverts. Zeroing
-    /// the fork's [`stats`](Self::stats) keeps session-wide summarization totals
-    /// honest: the original retains the full summarizations it actually ran, and
-    /// the fork reports only the work it does itself.
+    /// the fork's [`stats`](Self::stats) keeps each engine's counters its own:
+    /// the original retains the full summarizations it actually ran, and the fork
+    /// reports only the work it does itself.
     pub fn fork(&self) -> DeltaSummary {
         DeltaSummary {
             graph: Arc::clone(&self.graph),

@@ -89,7 +89,7 @@ pub mod paths;
 pub mod pipeline;
 pub mod store;
 
-pub use context::{EstimationContext, SummaryCache};
+pub use context::{Estimate, EstimationContext, SummaryCache, Work};
 pub use energy::{distance_weights, DceEnergy, EnergyFunction, LceEnergy, MceEnergy};
 pub use error::{CoreError, Result};
 pub use estimators::registry::{

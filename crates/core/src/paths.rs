@@ -249,42 +249,12 @@ fn seed_transpose_product_with(
         }
         return m;
     }
-    let partials: Vec<DenseMatrix> = {
-        // Workers pull chunk indices from a shared queue and tag each partial with
-        // its index, so the merge below can replay chunk order regardless of which
-        // worker computed which chunk.
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let tagged: Vec<Vec<(usize, DenseMatrix)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let c = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if c >= num_chunks {
-                                break;
-                            }
-                            local
-                                .push((c, seed_transpose_partial(seeds, n_matrix, chunk_range(c))));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("seed-transpose worker panicked"))
-                .collect()
-        });
-        let mut slots: Vec<Option<DenseMatrix>> = (0..num_chunks).map(|_| None).collect();
-        for (c, partial) in tagged.into_iter().flatten() {
-            slots[c] = Some(partial);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every chunk is computed exactly once"))
-            .collect()
-    };
+    // Workers pull chunk indices from the shared cell queue, which hands the
+    // partials back in chunk order whichever worker computed which chunk.
+    let partials = fg_sparse::run_ordered_cells(num_chunks, threads, |c| {
+        Ok::<_, std::convert::Infallible>(seed_transpose_partial(seeds, n_matrix, chunk_range(c)))
+    })
+    .unwrap_or_else(|never| match never {});
     let mut iter = partials.into_iter();
     let mut m = iter.next().expect("at least one chunk");
     for partial in iter {

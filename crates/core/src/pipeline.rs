@@ -17,10 +17,10 @@
 //! propagation outcome (iterations, convergence, `ε`), and accuracy hooks — the
 //! numbers reported in the paper's scalability experiments.
 
-use crate::context::EstimationContext;
+use crate::context::{Estimate, EstimationContext};
 use crate::error::{CoreError, Result};
 use crate::estimators::CompatibilityEstimator;
-use crate::store::{EstimateKey, SummaryStore};
+use crate::store::SummaryStore;
 use fg_graph::{Graph, Labeling, SeedLabels};
 use fg_obs::{Span, Trace};
 use fg_propagation::{LinBp, PropagationOutcome, Propagator};
@@ -366,8 +366,8 @@ impl<'a> Pipeline<'a> {
     /// content fingerprint) while runs on distinct datasets overlap. This is the
     /// manifest-runner / serving-session variant of [`context`](Pipeline::context),
     /// which shares a *fully built* context for one fixed pair. Ignored when a
-    /// shared context is supplied. The report's counters stay per-key, so sharing a
-    /// cache never changes the numbers a run reports for itself.
+    /// shared context is supplied. The report counts only this run's own work, so
+    /// sharing a cache never adds another run's work to its numbers.
     pub fn summary_cache(mut self, cache: Arc<crate::context::SummaryCache>) -> Self {
         self.summary_cache = Some(cache);
         self
@@ -439,145 +439,69 @@ impl<'a> Pipeline<'a> {
         // An uninformative placeholder for backends that never read H.
         let uniform_h = |seeds: &SeedLabels| {
             let k = seeds.k();
-            DenseMatrix::filled(k, k, 1.0 / k as f64)
+            Estimate::unmeasured(DenseMatrix::filled(k, k, 1.0 / k as f64))
         };
-        let (h, estimator_name, summarize_time, optimize_time, computations, store_hits, h_hits) =
-            match self.h_source {
-                Some(HSource::Estimate(estimator)) if !propagator.uses_compatibilities() => {
-                    // The backend ignores H: skip the (potentially expensive)
-                    // estimation stage entirely and record that it was skipped.
-                    let base = self.estimator_label.unwrap_or_else(|| estimator.name());
-                    (
-                        uniform_h(seeds),
-                        format!("{base} (skipped)"),
-                        Duration::ZERO,
-                        Duration::ZERO,
-                        0,
-                        0,
-                        0,
-                    )
-                }
-                Some(HSource::Estimate(estimator)) => {
-                    let estimator: Box<dyn CompatibilityEstimator + 'a> =
-                        match self.estimation_threads {
-                            Some(threads) => estimator.with_threads(threads),
-                            None => estimator,
-                        };
-                    let name = self.estimator_label.unwrap_or_else(|| estimator.name());
-                    // Every estimation run goes through a context (a private one when
-                    // no shared context was supplied) so the summarize and optimize
-                    // halves can be timed separately: warming the summary first makes
-                    // the subsequent estimate call a pure optimization.
-                    let owned_ctx;
-                    let ctx: &EstimationContext<'_> = match self.context {
-                        Some(shared) => shared,
-                        None => {
-                            let threads = self.estimation_threads.unwrap_or(Threads::Serial);
-                            let mut built = match &self.summary_cache {
-                                Some(cache) => EstimationContext::with_cache(
-                                    self.graph,
-                                    seeds,
-                                    Arc::clone(cache),
-                                ),
-                                None => EstimationContext::new(self.graph, seeds),
+        let (estimate, estimator_name) = match self.h_source {
+            Some(HSource::Estimate(estimator)) if !propagator.uses_compatibilities() => {
+                // The backend ignores H: skip the (potentially expensive)
+                // estimation stage entirely and record that it was skipped.
+                let base = self.estimator_label.unwrap_or_else(|| estimator.name());
+                (uniform_h(seeds), format!("{base} (skipped)"))
+            }
+            Some(HSource::Estimate(estimator)) => {
+                let estimator: Box<dyn CompatibilityEstimator + 'a> = match self.estimation_threads
+                {
+                    Some(threads) => estimator.with_threads(threads),
+                    None => estimator,
+                };
+                let name = self.estimator_label.unwrap_or_else(|| estimator.name());
+                // Every estimation run goes through a context (a private one when
+                // no shared context was supplied), which serves a persisted H
+                // first and otherwise times the summarize and optimize halves.
+                let owned_ctx;
+                let ctx: &EstimationContext<'_> = match self.context {
+                    Some(shared) => shared,
+                    None => {
+                        let threads = self.estimation_threads.unwrap_or(Threads::Serial);
+                        let mut built = match &self.summary_cache {
+                            Some(cache) => {
+                                EstimationContext::with_cache(self.graph, seeds, Arc::clone(cache))
                             }
-                            .threads(threads);
-                            if let Some(store) = &self.summary_store {
-                                built = built.store(Arc::clone(store));
-                            }
-                            owned_ctx = built;
-                            &owned_ctx
+                            None => EstimationContext::new(self.graph, seeds),
                         }
-                    };
-                    // The persistent store keys estimated matrices by the canonical
-                    // (un-overridden) estimator name; a hit skips both halves of the
-                    // estimation stage with a bit-identical H. Non-content-addressable
-                    // estimators (gold standard, heuristic) never touch the store,
-                    // and without a store nothing reads the key, so nothing hashes.
-                    let canonical_name = estimator.name();
-                    let h_store = ctx
-                        .summary_store()
-                        .filter(|_| estimator.content_addressable())
-                        .map(|store| {
-                            let key = EstimateKey(
-                                ctx.graph_fingerprint(),
-                                ctx.seed_fingerprint(),
-                                &canonical_name,
-                            );
-                            (Arc::clone(store), key)
-                        });
-                    let stored_h = h_store.as_ref().and_then(|(store, key)| {
-                        match store.load(key) {
-                            Ok(found) => found,
-                            Err(e) => {
-                                // Loud-rejection policy: warn, re-estimate, overwrite.
-                                eprintln!("warning: {e}; re-estimating");
-                                None
-                            }
+                        .threads(threads);
+                        if let Some(store) = &self.summary_store {
+                            built = built.store(Arc::clone(store));
                         }
-                    });
-                    if let Some(h) = stored_h {
-                        (h, name, Duration::ZERO, Duration::ZERO, 0, 0, 1)
-                    } else {
-                        // Counter deltas around this run, so the report stays
-                        // meaningful for shared contexts with cumulative counters.
-                        let estimate_span = Span::enter("estimate");
-                        let computations_before = ctx.summary_computations();
-                        let store_hits_before = ctx.store_hits();
-                        let summarize_start = Instant::now();
-                        if let Some(summary_config) = estimator.summary_requirements() {
-                            ctx.warm(&summary_config)?;
-                        }
-                        let summarize_time = summarize_start.elapsed();
-                        let optimize_span = Span::enter("optimize");
-                        let optimize_start = Instant::now();
-                        let h = estimator.estimate_with_context(ctx)?;
-                        let optimize_time = optimize_start.elapsed();
-                        drop(optimize_span);
-                        drop(estimate_span);
-                        if let Some((store, key)) = &h_store {
-                            // Best effort: a full disk never costs correctness.
-                            if let Err(e) = store.save(key, &h) {
-                                eprintln!("warning: cannot persist the estimate: {e}");
-                            }
-                        }
-                        (
-                            h,
-                            name,
-                            summarize_time,
-                            optimize_time,
-                            ctx.summary_computations() - computations_before,
-                            ctx.store_hits() - store_hits_before,
-                            0,
-                        )
+                        owned_ctx = built;
+                        &owned_ctx
                     }
-                }
-                Some(HSource::Explicit(name, h)) => (
-                    h.clone(),
-                    self.estimator_label.unwrap_or(name),
-                    Duration::ZERO,
-                    Duration::ZERO,
-                    0,
-                    0,
-                    0,
-                ),
-                None if !propagator.uses_compatibilities() => (
-                    uniform_h(seeds),
-                    "none".to_string(),
-                    Duration::ZERO,
-                    Duration::ZERO,
-                    0,
-                    0,
-                    0,
-                ),
-                None => {
-                    return Err(CoreError::InvalidConfig(format!(
-                        "propagation backend '{}' needs a compatibility matrix: call \
-                         .estimator(...) or .compatibilities(...)",
-                        propagator.name()
-                    )));
-                }
-            };
+                };
+                let estimate = match ctx.stored_estimate(&*estimator) {
+                    Some(stored) => stored,
+                    None => ctx.estimate(&*estimator, true)?,
+                };
+                (estimate, name)
+            }
+            Some(HSource::Explicit(name, h)) => (
+                Estimate::unmeasured(h.clone()),
+                self.estimator_label.unwrap_or(name),
+            ),
+            None if !propagator.uses_compatibilities() => (uniform_h(seeds), "none".to_string()),
+            None => {
+                return Err(CoreError::InvalidConfig(format!(
+                    "propagation backend '{}' needs a compatibility matrix: call \
+                     .estimator(...) or .compatibilities(...)",
+                    propagator.name()
+                )));
+            }
+        };
+        let Estimate {
+            h,
+            work,
+            summarize_time,
+            optimize_time,
+        } = estimate;
 
         let propagate_span = Span::enter("propagate");
         let prop_start = Instant::now();
@@ -597,9 +521,9 @@ impl<'a> Pipeline<'a> {
             summarize_time,
             optimize_time,
             propagation_time,
-            summary_computations: computations,
-            summary_store_hits: store_hits,
-            optimize_store_hits: h_hits,
+            summary_computations: work.summary_computations,
+            summary_store_hits: work.store_hits,
+            optimize_store_hits: work.estimate_store_hits,
             accuracy: None,
             micro_accuracy: None,
             abstention_rate: None,
@@ -613,6 +537,7 @@ impl<'a> Pipeline<'a> {
 mod tests {
     use super::*;
     use crate::estimators::{DceWithRestarts, GoldStandard};
+    use crate::store::EstimateKey;
     use fg_graph::{generate, GeneratorConfig};
     use fg_propagation::{Harmonic, LinBpConfig, LoopyBp, RandomWalk};
     use rand::rngs::StdRng;

@@ -10,7 +10,6 @@ use crate::fingerprint::{Fingerprint, FingerprintBuilder, RollingFingerprint};
 use fg_sparse::DenseMatrix;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A complete ground-truth labeling: every node has exactly one class in `0..k`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,41 +141,17 @@ fn rolling_from_observed(observed: &[Option<usize>]) -> RollingFingerprint {
 /// The seed-set [`fingerprint`](Self::fingerprint) is maintained *rolling*: a
 /// commutative [`RollingFingerprint`] over per-`(node, label)` hashes is updated in
 /// O(1) by every [`set_label`](Self::set_label) call, so serving layers that
-/// fingerprint the seed set on every request never pay the O(n) re-derivation
-/// ([`scratch_derivations`](Self::scratch_derivations) lets tests assert exactly
-/// that).
-#[derive(Debug)]
+/// fingerprint the seed set on every request never pay the O(n) re-derivation.
+/// Equality compares the observations (the rolling state is a pure function of
+/// them).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SeedLabels {
     observed: Vec<Option<usize>>,
     k: usize,
     /// Commutative accumulator over `seed_pair_hash(node, label)` for every labeled
     /// node — always equal to `rolling_from_observed(&self.observed)`.
     rolling: RollingFingerprint,
-    /// How many O(n) from-scratch fingerprint derivations ran *after* construction
-    /// (see [`scratch_derivations`](Self::scratch_derivations)).
-    scratch_derivations: AtomicUsize,
 }
-
-impl Clone for SeedLabels {
-    fn clone(&self) -> Self {
-        SeedLabels {
-            observed: self.observed.clone(),
-            k: self.k,
-            rolling: self.rolling,
-            scratch_derivations: AtomicUsize::new(0),
-        }
-    }
-}
-
-impl PartialEq for SeedLabels {
-    fn eq(&self, other: &Self) -> bool {
-        // `rolling` is a pure function of the content and the counter is a
-        // diagnostic, so equality is decided by the observations alone.
-        self.observed == other.observed && self.k == other.k
-    }
-}
-
-impl Eq for SeedLabels {}
 
 impl SeedLabels {
     /// Create a seed set, validating that every present label is `< k`.
@@ -200,7 +175,6 @@ impl SeedLabels {
             observed,
             k,
             rolling,
-            scratch_derivations: AtomicUsize::new(0),
         }
     }
 
@@ -335,11 +309,8 @@ impl SeedLabels {
     ///
     /// Exists as the equality oracle for the rolling scheme: after *any* interleaving
     /// of [`set_label`](Self::set_label) mutations, both methods return identical
-    /// fingerprints. Each call bumps
-    /// [`scratch_derivations`](Self::scratch_derivations), which is how tests assert
-    /// the warm serving path never falls back to this.
+    /// fingerprints.
     pub fn fingerprint_from_scratch(&self) -> Fingerprint {
-        self.scratch_derivations.fetch_add(1, Ordering::Relaxed);
         Self::finish_fingerprint(self.n(), self.k, rolling_from_observed(&self.observed))
     }
 
@@ -358,16 +329,6 @@ impl SeedLabels {
         h.write_u64(sum as u64);
         h.write_u64((sum >> 64) as u64);
         h.finish()
-    }
-
-    /// How many O(n) from-scratch fingerprint derivations this instance ran after
-    /// construction (only [`fingerprint_from_scratch`](Self::fingerprint_from_scratch)
-    /// bumps it — [`fingerprint`](Self::fingerprint) and
-    /// [`set_label`](Self::set_label) never do). Serving tests assert this stays `0`
-    /// across mutate/fingerprint cycles, which is the O(1)-maintenance guarantee in
-    /// counter form. Clones start back at `0`.
-    pub fn scratch_derivations(&self) -> usize {
-        self.scratch_derivations.load(Ordering::Relaxed)
     }
 
     /// Set (or clear) the observed label of one node, returning the previous value.
@@ -616,23 +577,6 @@ mod tests {
             let rebuilt = SeedLabels::new(seeds.as_slice().to_vec(), k).unwrap();
             assert_eq!(seeds.fingerprint(), rebuilt.fingerprint());
         }
-    }
-
-    #[test]
-    fn fingerprint_is_o1_on_the_warm_path() {
-        // The counter form of the O(1) guarantee: mutate-and-fingerprint cycles never
-        // fall back to an O(n) from-scratch derivation.
-        let mut seeds = SeedLabels::new(vec![None; 100], 3).unwrap();
-        for i in 0..50 {
-            seeds.set_label(i, Some(i % 3)).unwrap();
-            let _ = seeds.fingerprint();
-        }
-        assert_eq!(seeds.scratch_derivations(), 0);
-        // Only the explicit oracle pays O(n) — and says so in the counter.
-        let _ = seeds.fingerprint_from_scratch();
-        assert_eq!(seeds.scratch_derivations(), 1);
-        // Clones restart the diagnostic at zero.
-        assert_eq!(seeds.clone().scratch_derivations(), 0);
     }
 
     #[test]

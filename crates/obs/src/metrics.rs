@@ -280,6 +280,25 @@ impl MetricsRegistry {
         family.series.entry(key).or_insert_with(create).clone()
     }
 
+    /// Every series of the counter family `name` as `(labels, value)`, in label
+    /// order (labels sorted by key within a series); empty when the family does
+    /// not exist or is not a counter. The read side for callers that report
+    /// totals from the registry instead of keeping counters of their own.
+    pub fn counter_values(&self, name: &str) -> Vec<(Vec<(String, String)>, u64)> {
+        let families = self.families.lock().expect("metrics registry poisoned");
+        let Some(family) = families.get(name) else {
+            return Vec::new();
+        };
+        family
+            .series
+            .iter()
+            .filter_map(|(labels, handle)| match handle {
+                Handle::Counter(c) => Some((labels.clone(), c.get())),
+                _ => None,
+            })
+            .collect()
+    }
+
     /// Render every family in Prometheus text exposition format, families in
     /// name order and series in label order.
     pub fn render(&self) -> String {
@@ -495,6 +514,25 @@ fg_requests_total{cmd=\"ping\"} 3
         assert_eq!(h.count(), (threads * per_thread) as u64);
         let bucket_total: u64 = h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum();
         assert_eq!(bucket_total, h.count());
+    }
+
+    #[test]
+    fn counter_values_read_back_every_series_in_label_order() {
+        let registry = MetricsRegistry::new();
+        registry
+            .counter("fg_requests_total", "Requests.", &[("cmd", "ping")])
+            .add(3);
+        registry
+            .counter("fg_requests_total", "Requests.", &[("cmd", "load")])
+            .inc();
+        registry.gauge("fg_connections_active", "Live.", &[]).set(2);
+        let label = |cmd: &str| vec![("cmd".to_string(), cmd.to_string())];
+        assert_eq!(
+            registry.counter_values("fg_requests_total"),
+            vec![(label("load"), 1), (label("ping"), 3)]
+        );
+        assert!(registry.counter_values("fg_absent_total").is_empty());
+        assert!(registry.counter_values("fg_connections_active").is_empty());
     }
 
     #[test]

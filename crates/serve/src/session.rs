@@ -26,14 +26,19 @@
 //! engines ([`DeltaSummary::fork`]) and folds the batch into the forks, so the
 //! pre-mutation state stays resident and reverting a mutation is a pure cache hit
 //! (`"engine_reused":true`, zero delta work). Seed fingerprints are maintained in
-//! O(1) per mutation by the rolling scheme in [`SeedLabels`]; `stats` exposes the
-//! per-dataset `seed_scratch_derivations` counter, which counts the O(n)
-//! re-derivations ([`SeedLabels::fingerprint_from_scratch`]) run on any seed set
-//! the dataset has held since it was loaded.
+//! O(1) per mutation by the rolling scheme in [`SeedLabels`].
 //!
-//! When a persistent [`SummaryStore`] is attached, estimates for the *loaded* seed
-//! set are additionally served straight from persisted `H` entries
-//! (`optimize_store_hits`), skipping both summarization and optimization.
+//! Estimates run through the same [`EstimationContext`] calls as a batch
+//! [`Pipeline`]: a persisted-`H` probe
+//! ([`stored_estimate`](EstimationContext::stored_estimate)), then
+//! [`estimate`](EstimationContext::estimate). Serving differs from batch in two
+//! call arguments only: the probe runs under the shared read lock before any engine
+//! is built, and `H` is persisted only for the *loaded* seed set. Each request's
+//! `summary_computations` / `store_hits` / `optimize_store_hits` are the work its
+//! own context did (plus any engine it built), and every such unit of work is
+//! added to the registry's `fg_summary_computations_total` / `fg_store_hits_total`
+//! / `fg_optimize_store_hits_total` families where it happens; `stats` reads its
+//! session totals, and its per-command `count`/`errors`, back from the registry.
 //!
 //! # Protocol
 //!
@@ -65,7 +70,7 @@
 use crate::json::Json;
 use fg_core::incremental::{validate_mutations, DeltaSummary, SeedMutation};
 use fg_core::prelude::*;
-use fg_core::{EstimateKey, EstimatorOptions, SummaryKey, SummaryStore, ESTIMATORS};
+use fg_core::{EstimatorOptions, SummaryKey, SummaryStore, Work, ESTIMATORS};
 use fg_graph::spec::{Key, Kind};
 use fg_graph::Fingerprint;
 use fg_obs::{default_latency_buckets, Histogram, MetricsRegistry};
@@ -73,8 +78,8 @@ use fg_propagation::{Propagator, PropagatorOptions, PROPAGATORS};
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// Whether the serving loop should keep reading after a response.
@@ -115,16 +120,6 @@ struct EngineState {
     rebuild_rows: usize,
 }
 
-impl EngineState {
-    fn full_summarizations(&self) -> usize {
-        self.engines
-            .iter()
-            .flatten()
-            .map(|e| e.stats().full_summarizations)
-            .sum()
-    }
-}
-
 /// One loaded dataset plus its incremental machinery. Lives behind a `RwLock` in
 /// the session's dataset map: warm reads share it, mutations own it.
 struct Dataset {
@@ -155,10 +150,6 @@ struct Dataset {
     /// cycling faster than the LRU capacity, re-summarizing on every swing — are
     /// diagnosable from the outside.
     engine_evictions: usize,
-    /// Scratch fingerprint derivations counted on seed sets this dataset has
-    /// since replaced (a `seed` publishes a fresh set, whose own count starts at
-    /// 0), so `stats` reports the count over the dataset's lifetime.
-    retired_scratch_derivations: usize,
 }
 
 impl Dataset {
@@ -175,36 +166,14 @@ impl Dataset {
     fn state_index(&self, seed_fp: Fingerprint) -> Option<usize> {
         self.states.iter().position(|s| s.seed_fp == seed_fp)
     }
-
-    fn full_summarizations(&self) -> usize {
-        self.states
-            .iter()
-            .map(EngineState::full_summarizations)
-            .sum()
-    }
 }
 
-/// Aggregate per-command counters for `stats`. Deliberately holds **no timing**:
-/// `stats` responses travel over the byte-deterministic protocol port, so they
-/// report only counters that are a pure function of the request history. All
-/// wall-clock aggregation (latency histograms, percentiles) lives in the
-/// session's [`MetricsRegistry`], scraped over the separate metrics listener.
-#[derive(Debug, Default, Clone)]
-struct CommandStat {
-    count: usize,
-    errors: usize,
-}
-
-/// The result of one estimation, with the per-request work counters.
+/// One answered estimation: the estimator's name, `H`, and the work the request
+/// did (its context's work plus any engine it built).
 struct EstimateOutcome {
-    h: DenseMatrix,
     estimator: String,
-    /// Full summarizations this request caused (engine builds + cache misses).
-    computations: usize,
-    /// Summaries this request pulled from the persistent store.
-    store_hits: usize,
-    /// Whether this request was answered straight from a persisted `H` estimate.
-    h_store_hits: usize,
+    h: DenseMatrix,
+    work: Work,
 }
 
 /// A long-lived serving session (see the [module docs](self) for the protocol).
@@ -218,19 +187,13 @@ pub struct Session {
     /// How many seed-set engine states each dataset keeps warm (LRU capacity).
     engine_capacity: usize,
     datasets: RwLock<BTreeMap<String, Arc<RwLock<Dataset>>>>,
-    requests: AtomicUsize,
-    /// Full summarizations performed by engines that were since dropped (dataset
-    /// reloads, lmax upgrades, LRU evictions) — keeps the session total monotone.
-    retired_full_summarizations: AtomicUsize,
-    /// Estimates answered straight from persisted `H` entries.
-    h_store_hits: AtomicUsize,
     /// Monotone recency clock for the per-dataset engine LRUs.
     clock: AtomicU64,
-    commands: Mutex<BTreeMap<&'static str, CommandStat>>,
-    /// The session's metrics registry: per-command latency histograms, lock-wait
-    /// histograms, and per-dataset cache/engine counters. Scraped over the
-    /// metrics listener (`fg serve --metrics-port`); never consulted by the
-    /// protocol port, so responses stay byte-deterministic.
+    /// The session's metrics registry: per-command counters and latency
+    /// histograms, lock-wait and lock-hold histograms, and per-dataset
+    /// cache/engine counters. Scraped over the metrics listener (`fg serve
+    /// --metrics-port`); the protocol port reads only its counters (in `stats`),
+    /// never its timings, so responses stay byte-deterministic.
     metrics: Arc<MetricsRegistry>,
     /// Requests slower than this many milliseconds log one stderr line
     /// (`u64::MAX` disables the slow-request log).
@@ -281,11 +244,7 @@ impl Session {
             store,
             engine_capacity: DEFAULT_ENGINE_STATES,
             datasets: RwLock::new(BTreeMap::new()),
-            requests: AtomicUsize::new(0),
-            retired_full_summarizations: AtomicUsize::new(0),
-            h_store_hits: AtomicUsize::new(0),
             clock: AtomicU64::new(0),
-            commands: Mutex::new(BTreeMap::new()),
             metrics: Arc::new(MetricsRegistry::new()),
             slow_request_millis: AtomicU64::new(u64::MAX),
             warm_read_probe: None,
@@ -403,30 +362,38 @@ impl Session {
         }
     }
 
-    /// Fold one estimation outcome into the per-dataset counter families.
-    fn record_estimate_metrics(&self, dataset: &str, outcome: &EstimateOutcome) {
-        let labels = &[("dataset", dataset)];
-        self.metrics
-            .counter(
+    /// Add work to the per-dataset counter families (the source `stats` reads
+    /// its session totals from).
+    fn count_work(&self, dataset: &str, work: &Work) {
+        for (family, help, n) in [
+            (
                 "fg_summary_computations_total",
                 "Full O(m*k*lmax) summarizations performed, by dataset.",
-                labels,
-            )
-            .add(outcome.computations as u64);
-        self.metrics
-            .counter(
+                work.summary_computations,
+            ),
+            (
                 "fg_store_hits_total",
                 "Summaries served from the persistent store, by dataset.",
-                labels,
-            )
-            .add(outcome.store_hits as u64);
-        self.metrics
-            .counter(
+                work.store_hits,
+            ),
+            (
                 "fg_optimize_store_hits_total",
                 "Estimates served straight from persisted H entries, by dataset.",
-                labels,
-            )
-            .add(outcome.h_store_hits as u64);
+                work.estimate_store_hits,
+            ),
+        ] {
+            let counter = self.metrics.counter(family, help, &[("dataset", dataset)]);
+            counter.add(n as u64);
+        }
+    }
+
+    /// Count `n` full summarizations (engine builds, seed recomputations).
+    fn count_summarizations(&self, dataset: &str, n: usize) {
+        let work = Work {
+            summary_computations: n,
+            ..Work::default()
+        };
+        self.count_work(dataset, &work);
     }
 
     /// Handle one raw request line, producing the response line and the connection
@@ -462,7 +429,6 @@ impl Session {
         };
 
         let start = Instant::now();
-        self.requests.fetch_add(1, Ordering::Relaxed);
         let (outcome, flow) = match cmd.as_str() {
             "ping" => (Ok(Json::str("pong")), Flow::Continue),
             "load" => (self.cmd_load(&request), Flow::Continue),
@@ -487,14 +453,6 @@ impl Session {
             .into_iter()
             .find(|&known| known == cmd)
             .unwrap_or("unknown");
-        {
-            let mut commands = self.commands.lock().expect("command stats poisoned");
-            let stat = commands.entry(key).or_default();
-            stat.count += 1;
-            if outcome.is_err() {
-                stat.errors += 1;
-            }
-        }
         let labels = &[("cmd", key)];
         self.metrics
             .counter("fg_requests_total", "Requests handled, by command.", labels)
@@ -567,7 +525,6 @@ impl Session {
             initial_seed_fp,
             persisted_intermediate: None,
             engine_evictions: 0,
-            retired_scratch_derivations: 0,
         };
         self.metrics
             .counter(
@@ -595,9 +552,9 @@ impl Session {
             .map_write()
             .insert(name, Arc::new(RwLock::new(dataset)));
         // Retire the replaced dataset outside the map lock: evict its cache
-        // entries so the session cache does not grow across reloads, keep its
-        // engines' work counters in the totals, and prune its transient store
-        // files. Waits for in-flight readers of the old dataset to drain.
+        // entries so the session cache does not grow across reloads, and prune
+        // its transient store files. Waits for in-flight readers of the old
+        // dataset to drain.
         if let Some(old) = replaced {
             let mut old = self.dataset_write(&old);
             self.retire_dataset(&mut old);
@@ -620,15 +577,13 @@ impl Session {
         ]))
     }
 
-    /// Evict a dataset's cache entries, fold its engines' work into the retired
-    /// total, and prune its transient (intermediate-fingerprint) store files.
+    /// Evict a dataset's cache entries and engines, and prune its transient
+    /// (intermediate-fingerprint) store files.
     fn retire_dataset(&self, dataset: &mut Dataset) {
         let graph_fp = dataset.graph_fingerprint();
         for state in &dataset.states {
             self.cache.remove(graph_fp, state.seed_fp);
         }
-        self.retired_full_summarizations
-            .fetch_add(dataset.full_summarizations(), Ordering::Relaxed);
         dataset.states.clear();
         if let (Some(store), Some(fp)) = (&self.store, dataset.persisted_intermediate.take()) {
             for non_backtracking in [false, true] {
@@ -663,8 +618,8 @@ impl Session {
     /// current seed set's state). The victim is the state that is cheapest to
     /// rebuild (fewest row units replayed to materialize it), with recency
     /// breaking ties — pure recency would happily drop a fully summarized state
-    /// to keep a one-mutation fork warm. Evicted engines' counters are retired
-    /// and their cache entries dropped; persisted files are governed by
+    /// to keep a one-mutation fork warm. Evicted engines' cache entries are
+    /// dropped; persisted files are governed by
     /// [`note_persisted`](Self::note_persisted), not eviction.
     fn evict_excess(&self, dataset: &mut Dataset, keep: Fingerprint) {
         while dataset.states.len() > self.engine_capacity {
@@ -685,8 +640,6 @@ impl Session {
                     &[("dataset", &dataset.name)],
                 )
                 .inc();
-            self.retired_full_summarizations
-                .fetch_add(state.full_summarizations(), Ordering::Relaxed);
             self.cache
                 .remove(dataset.graph_fingerprint(), state.seed_fp);
         }
@@ -761,7 +714,9 @@ impl Session {
                 self.note_persisted(&mut dataset, new_fp);
             }
         }
-        dataset.retired_scratch_derivations += dataset.seeds.scratch_derivations();
+        if full_recomputes > 0 {
+            self.count_summarizations(&name, full_recomputes);
+        }
         dataset.seeds = Arc::new(next);
         Ok(Json::obj(vec![
             ("mutations", Json::num(mutations.len())),
@@ -777,31 +732,35 @@ impl Session {
         ]))
     }
 
-    /// Run an estimator through a cache-backed context on a dataset, counting this
-    /// request's work via the key-scoped cache counters (deterministic under
-    /// concurrency: distinct datasets never share a key's counters).
-    fn estimate_with_ctx(
+    /// A per-request context on a dataset: the session's shared cache, thread
+    /// policy and store.
+    fn context<'d>(&self, dataset: &'d Dataset) -> EstimationContext<'d> {
+        let ctx =
+            EstimationContext::with_cache(&dataset.graph, &dataset.seeds, Arc::clone(&self.cache))
+                .threads(self.threads);
+        match &self.store {
+            Some(store) => ctx.store(Arc::clone(store)),
+            None => ctx,
+        }
+    }
+
+    /// Estimate through a fresh context, adding its work to the registry even
+    /// when the estimator fails after warming.
+    fn run_estimate(
         &self,
         dataset: &Dataset,
         estimator: &dyn CompatibilityEstimator,
-    ) -> Result<(DenseMatrix, usize, usize), String> {
-        let graph_fp = dataset.graph_fingerprint();
-        let seed_fp = dataset.seeds.fingerprint();
-        let computations_before = self.cache.key_computations(graph_fp, seed_fp);
-        let store_hits_before = self.cache.key_store_hits(graph_fp, seed_fp);
-        let mut ctx =
-            EstimationContext::with_cache(&dataset.graph, &dataset.seeds, Arc::clone(&self.cache))
-                .threads(self.threads);
-        if let Some(store) = &self.store {
-            ctx = ctx.store(Arc::clone(store));
-        }
-        let h = estimator
-            .estimate_with_context(&ctx)
-            .map_err(|e| e.to_string())?;
-        drop(ctx);
-        let computations = self.cache.key_computations(graph_fp, seed_fp) - computations_before;
-        let store_hits = self.cache.key_store_hits(graph_fp, seed_fp) - store_hits_before;
-        Ok((h, computations, store_hits))
+        persist: bool,
+    ) -> Result<EstimateOutcome, String> {
+        let ctx = self.context(dataset);
+        let estimate = ctx.estimate(estimator, persist);
+        self.count_work(&dataset.name, &ctx.work());
+        let estimate = estimate.map_err(|e| e.to_string())?;
+        Ok(EstimateOutcome {
+            estimator: estimator.name(),
+            h: estimate.h,
+            work: estimate.work,
+        })
     }
 
     /// Attempt to answer an estimation without exclusive access: from a persisted
@@ -813,67 +772,34 @@ impl Session {
         dataset: &Dataset,
         estimator: &dyn CompatibilityEstimator,
     ) -> Result<Option<EstimateOutcome>, String> {
-        let name = estimator.name();
-        let seed_fp = dataset.seeds.fingerprint();
-        if let Some(store) = &self.store {
-            if estimator.content_addressable() {
-                match store.load(&EstimateKey(dataset.graph_fingerprint(), seed_fp, &name)) {
-                    Ok(Some(h)) => {
-                        self.h_store_hits.fetch_add(1, Ordering::Relaxed);
-                        self.probe();
-                        return Ok(Some(EstimateOutcome {
-                            h,
-                            estimator: name,
-                            computations: 0,
-                            store_hits: 0,
-                            h_store_hits: 1,
-                        }));
-                    }
-                    Ok(None) => {}
-                    // A corrupt or foreign store entry is loud but non-fatal:
-                    // re-estimate from the live state.
-                    Err(e) => eprintln!("warning: {e}; re-estimating"),
+        if let Some(stored) = self.context(dataset).stored_estimate(estimator) {
+            self.count_work(&dataset.name, &stored.work);
+            self.probe();
+            return Ok(Some(EstimateOutcome {
+                estimator: estimator.name(),
+                h: stored.h,
+                work: stored.work,
+            }));
+        }
+        if let Some(requirements) = estimator.summary_requirements() {
+            let slot = usize::from(requirements.non_backtracking);
+            let seed_fp = dataset.seeds.fingerprint();
+            let warm = dataset.state_index(seed_fp).is_some_and(|index| {
+                let state = &dataset.states[index];
+                let ready = state.engines[slot]
+                    .as_ref()
+                    .is_some_and(|e| e.max_length() >= requirements.max_length);
+                if ready {
+                    state.last_used.store(self.tick(), Ordering::Relaxed);
                 }
+                ready
+            });
+            if !warm {
+                return Ok(None);
             }
         }
-        match estimator.summary_requirements() {
-            None => {
-                self.probe();
-                let (h, computations, store_hits) = self.estimate_with_ctx(dataset, estimator)?;
-                Ok(Some(EstimateOutcome {
-                    h,
-                    estimator: name,
-                    computations,
-                    store_hits,
-                    h_store_hits: 0,
-                }))
-            }
-            Some(requirements) => {
-                let slot = usize::from(requirements.non_backtracking);
-                let warm = dataset.state_index(seed_fp).is_some_and(|index| {
-                    let state = &dataset.states[index];
-                    let ready = state.engines[slot]
-                        .as_ref()
-                        .is_some_and(|e| e.max_length() >= requirements.max_length);
-                    if ready {
-                        state.last_used.store(self.tick(), Ordering::Relaxed);
-                    }
-                    ready
-                });
-                if !warm {
-                    return Ok(None);
-                }
-                self.probe();
-                let (h, computations, store_hits) = self.estimate_with_ctx(dataset, estimator)?;
-                Ok(Some(EstimateOutcome {
-                    h,
-                    estimator: name,
-                    computations,
-                    store_hits,
-                    h_store_hits: 0,
-                }))
-            }
-        }
+        self.probe();
+        self.run_estimate(dataset, estimator, false).map(Some)
     }
 
     /// Ensure an engine for the current seed set satisfies `requirements`,
@@ -912,10 +838,6 @@ impl Session {
         // Maintain at least the paper's ℓmax = 5 so later default requests reuse
         // the same engine instead of forcing a rebuild.
         let target = requirements.max_length.max(5);
-        if let Some(old) = dataset.states[index].engines[slot].take() {
-            self.retired_full_summarizations
-                .fetch_add(old.stats().full_summarizations, Ordering::Relaxed);
-        }
         let engine = DeltaSummary::new(
             Arc::clone(&dataset.graph),
             SeedLabels::clone(&dataset.seeds),
@@ -924,6 +846,7 @@ impl Session {
             self.threads,
         )
         .map_err(|e| e.to_string())?;
+        self.count_summarizations(&dataset.name, 1);
         engine.publish_to(&self.cache);
         if let Some(store) = &self.store {
             if let Err(e) = engine.persist_to(store) {
@@ -957,24 +880,10 @@ impl Session {
         if let Some(requirements) = estimator.summary_requirements() {
             built = self.ensure_engine(dataset, &requirements)?;
         }
-        let (h, computations, store_hits) = self.estimate_with_ctx(dataset, estimator)?;
-        let seed_fp = dataset.seeds.fingerprint();
-        if seed_fp == dataset.initial_seed_fp && estimator.content_addressable() {
-            if let Some(store) = &self.store {
-                let name = estimator.name();
-                let key = EstimateKey(dataset.graph_fingerprint(), seed_fp, &name);
-                if let Err(e) = store.save(&key, &h) {
-                    eprintln!("warning: could not persist the estimate: {e}");
-                }
-            }
-        }
-        Ok(EstimateOutcome {
-            h,
-            estimator: estimator.name(),
-            computations: computations + built,
-            store_hits,
-            h_store_hits: 0,
-        })
+        let persist = dataset.seeds.fingerprint() == dataset.initial_seed_fp;
+        let mut outcome = self.run_estimate(dataset, estimator, persist)?;
+        outcome.work.summary_computations += built;
+        Ok(outcome)
     }
 
     /// `estimate`: compatibility estimation on the named dataset's current seed
@@ -994,14 +903,12 @@ impl Session {
                 self.cold_estimate(&mut dataset, estimator.as_ref())?
             }
         };
-        self.record_estimate_metrics(&name, &outcome);
-        Ok(Json::obj(vec![
+        let mut fields = vec![
             ("estimator", Json::str(outcome.estimator)),
             ("h", matrix_to_json(&outcome.h)),
-            ("summary_computations", Json::num(outcome.computations)),
-            ("store_hits", Json::num(outcome.store_hits)),
-            ("optimize_store_hits", Json::num(outcome.h_store_hits)),
-        ]))
+        ];
+        fields.extend(work_fields(&outcome.work));
+        Ok(Json::obj(fields))
     }
 
     /// `classify`: end-to-end estimation + propagation, optionally restricted to a
@@ -1043,13 +950,12 @@ impl Session {
                     // Homophily propagators ignore H; a uniform matrix keeps the
                     // call shape and never needs the write path.
                     self.probe();
+                    self.count_work(&name, &Work::default());
                     let k = dataset.classes;
                     Some(EstimateOutcome {
-                        h: DenseMatrix::filled(k, k, 1.0 / k as f64),
                         estimator: "none".to_string(),
-                        computations: 0,
-                        store_hits: 0,
-                        h_store_hits: 0,
+                        h: DenseMatrix::filled(k, k, 1.0 / k as f64),
+                        work: Work::default(),
                     })
                 }
             };
@@ -1064,7 +970,6 @@ impl Session {
                 (outcome, dataset.snapshot())
             }
         };
-        self.record_estimate_metrics(&name, &outcome);
         if let Some(probe) = &self.propagate_probe {
             probe();
         }
@@ -1079,50 +984,57 @@ impl Session {
     }
 
     /// `stats`: session-wide counters (monotone across requests, engines, and
-    /// reloads) plus a per-dataset breakdown keyed by dataset name.
+    /// reloads, read from the metrics registry) plus a per-dataset breakdown keyed
+    /// by dataset name.
     fn cmd_stats(&self) -> Json {
         let handles: Vec<(String, Arc<RwLock<Dataset>>)> = self
             .map_read()
             .iter()
             .map(|(name, handle)| (name.clone(), Arc::clone(handle)))
             .collect();
-        let mut live_full_summarizations = 0usize;
-        let mut datasets = Vec::with_capacity(handles.len());
-        for (name, handle) in handles {
-            let dataset = self.dataset_read(&handle);
-            live_full_summarizations += dataset.full_summarizations();
-            datasets.push((name, dataset_stats(&dataset)));
-        }
-        let total = self.cache.computations()
-            + live_full_summarizations
-            + self.retired_full_summarizations.load(Ordering::Relaxed);
-        let commands = {
-            let commands = self.commands.lock().expect("command stats poisoned");
-            Json::Obj(
-                commands
-                    .iter()
-                    .map(|(name, stat)| {
-                        (
-                            name.to_string(),
-                            Json::obj(vec![
-                                ("count", Json::num(stat.count)),
-                                ("errors", Json::num(stat.errors)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            )
+        let datasets = handles
+            .into_iter()
+            .map(|(name, handle)| (name, dataset_stats(&self.dataset_read(&handle))))
+            .collect();
+        let total = |family: &str| -> usize {
+            let series = self.metrics.counter_values(family);
+            series.iter().map(|(_, n)| *n as usize).sum()
         };
+        // Both request families carry one `cmd` label; errors exist only for
+        // commands that failed at least once.
+        let errors: BTreeMap<_, _> = self
+            .metrics
+            .counter_values("fg_request_errors_total")
+            .into_iter()
+            .collect();
+        let commands = self
+            .metrics
+            .counter_values("fg_requests_total")
+            .into_iter()
+            .map(|(labels, count)| {
+                let errors = errors.get(&labels).copied().unwrap_or(0);
+                let cmd = labels.into_iter().map(|(_, cmd)| cmd).collect();
+                let stat = Json::obj(vec![
+                    ("count", Json::num(count as usize)),
+                    ("errors", Json::num(errors as usize)),
+                ]);
+                (cmd, stat)
+            })
+            .collect();
         Json::obj(vec![
-            ("requests", Json::num(self.requests.load(Ordering::Relaxed))),
-            ("summary_computations", Json::num(total)),
-            ("store_hits", Json::num(self.cache.store_hits())),
+            // The registry counts a request once it is answered; this one counts too.
+            ("requests", Json::num(total("fg_requests_total") + 1)),
+            (
+                "summary_computations",
+                Json::num(total("fg_summary_computations_total")),
+            ),
+            ("store_hits", Json::num(total("fg_store_hits_total"))),
             (
                 "optimize_store_hits",
-                Json::num(self.h_store_hits.load(Ordering::Relaxed)),
+                Json::num(total("fg_optimize_store_hits_total")),
             ),
             ("datasets", Json::Obj(datasets)),
-            ("commands", commands),
+            ("commands", Json::Obj(commands)),
         ])
     }
 }
@@ -1349,15 +1261,22 @@ fn finish_classify(
         ("iterations", Json::num(outcome.iterations)),
         ("converged", Json::Bool(outcome.converged)),
         ("predictions", predictions),
-        ("summary_computations", Json::num(estimate.computations)),
-        ("store_hits", Json::num(estimate.store_hits)),
-        ("optimize_store_hits", Json::num(estimate.h_store_hits)),
     ];
+    fields.extend(work_fields(&estimate.work));
     if let Some(abstaining) = &abstaining {
         let rate = fg_propagation::abstention_rate(abstaining, &seeds.unlabeled_nodes());
         fields.push(("abstention_rate", Json::Num(rate)));
     }
     Ok(Json::obj(fields))
+}
+
+/// The per-request work fields of `estimate` and `classify` responses.
+fn work_fields(work: &Work) -> [(&'static str, Json); 3] {
+    [
+        ("summary_computations", Json::num(work.summary_computations)),
+        ("store_hits", Json::num(work.store_hits)),
+        ("optimize_store_hits", Json::num(work.estimate_store_hits)),
+    ]
 }
 
 /// The per-dataset block of a `stats` response.
@@ -1400,10 +1319,6 @@ fn dataset_stats(dataset: &Dataset) -> Json {
         (
             "seed_fingerprint",
             Json::str(dataset.seeds.fingerprint().to_hex()),
-        ),
-        (
-            "seed_scratch_derivations",
-            Json::num(dataset.retired_scratch_derivations + dataset.seeds.scratch_derivations()),
         ),
         ("engine_states", Json::num(dataset.states.len())),
         ("engine_evictions", Json::num(dataset.engine_evictions)),

@@ -181,13 +181,6 @@ fn session_serves_load_seed_estimate_classify_with_incremental_counters() {
             .any(|e| e.get("delta_mutations").and_then(Json::as_usize) == Some(1)),
         "the forked engine absorbed the mutation as a delta: {resp}"
     );
-    // The rolling seed fingerprint never fell back to an O(n) re-derivation.
-    assert_eq!(
-        default
-            .get("seed_scratch_derivations")
-            .and_then(Json::as_usize),
-        Some(0)
-    );
     assert!(stats.get("commands").unwrap().get("classify").is_some());
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -853,6 +846,78 @@ fn persisted_h_estimates_serve_fresh_sessions_without_optimization() {
         cold.get("h").unwrap().to_string(),
         "store-served H must be bit-identical to the estimate that produced it"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One estimate path: the same (graph, seeds, estimator, store) case through a
+/// batch `Pipeline` and a serve `estimate` reports the same `H` bits and the same
+/// work triple cold, then with a warm cache, then in a fresh session on the warm
+/// store.
+#[test]
+fn pipeline_and_session_estimates_report_the_same_h_and_work() {
+    let (dir, edges, seeds_path, _) = dataset("one_path");
+    let graph = fg_datasets::read_edge_list(&edges, 400).unwrap();
+    let seeds = fg_datasets::read_labels(&seeds_path, 400, 3).unwrap();
+    let open = |name: &str| Arc::new(fg_core::SummaryStore::open(dir.join(name)).unwrap());
+    let (batch_store, serve_store) = (open("batch"), open("serve"));
+
+    let batch_cache = SummaryCache::shared();
+    let batch = |cache: &Arc<SummaryCache>| {
+        let report = Pipeline::on(&graph)
+            .seeds(&seeds)
+            .estimator(estimator_by_name("dcer").unwrap())
+            .summary_cache(Arc::clone(cache))
+            .summary_store(Arc::clone(&batch_store))
+            .run()
+            .unwrap();
+        let bits: Vec<u64> = report
+            .estimated_h
+            .data()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let work = (
+            report.summary_computations,
+            report.summary_store_hits,
+            report.optimize_store_hits,
+        );
+        (bits, work)
+    };
+    let served = |session: &Session, line_no: usize| {
+        let (resp, _) = session.handle_line("{\"cmd\":\"estimate\",\"method\":\"dcer\"}", line_no);
+        let result = assert_ok(&resp);
+        let bits: Vec<u64> = result
+            .get("h")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .flat_map(|row| row.as_array().unwrap().iter())
+            .map(|v| v.as_f64().unwrap().to_bits())
+            .collect();
+        let field = |name: &str| result.get(name).and_then(Json::as_usize).unwrap();
+        let work = (
+            field("summary_computations"),
+            field("store_hits"),
+            field("optimize_store_hits"),
+        );
+        (bits, work)
+    };
+    let session = Session::new(Threads::Serial, Some(Arc::clone(&serve_store)));
+    assert_ok(&session.handle_line(&load_line(&edges, &seeds_path), 1).0);
+    let fresh = Session::new(Threads::Serial, Some(Arc::clone(&serve_store)));
+    assert_ok(&fresh.handle_line(&load_line(&edges, &seeds_path), 1).0);
+
+    let cold = (batch(&batch_cache), served(&session, 2));
+    let warm = (batch(&batch_cache), served(&session, 3));
+    let reopened = (batch(&SummaryCache::shared()), served(&fresh, 2));
+    for (step, (batch, serve), work) in [
+        ("cold", cold, (1, 0, 0)),
+        ("warm cache", warm, (0, 0, 1)),
+        ("fresh session", reopened, (0, 0, 1)),
+    ] {
+        assert_eq!(batch, serve, "{step}: batch and serve disagree");
+        assert_eq!(batch.1, work, "{step}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -406,6 +406,80 @@ fn session_counters_stay_monotone_across_reload() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `stats` reads its totals from the metrics registry. On a weighted
+/// (non-integer) graph a `seed` forces a full recomputation, which `seed` adds to
+/// `fg_summary_computations_total`; the session total then equals the sum of that
+/// family's series and the 3 the per-engine bookkeeping reported for this history
+/// (the engine build, the recomputation, and the rebuild after the reload).
+#[test]
+fn stats_summary_computations_count_seed_recomputes() {
+    let dir = temp_dir("weighted");
+    let cfg = GeneratorConfig::balanced(300, 8.0, 3, 8.0).unwrap();
+    let mut rng = StdRng::seed_from_u64(31);
+    let syn = generate(&cfg, &mut rng).unwrap();
+    let seeds = syn.labeling.stratified_sample(0.08, &mut rng);
+    let weighted: Vec<(usize, usize, f64)> = syn
+        .graph
+        .adjacency()
+        .iter()
+        .filter(|&(u, v, _)| u < v)
+        .map(|(u, v, _)| (u, v, 1.5))
+        .collect();
+    let graph = Graph::from_weighted_edges(300, &weighted).unwrap();
+    let edges = dir.join("weighted_edges.tsv");
+    let labels = dir.join("weighted_labels.tsv");
+    fg_datasets::write_edge_list(&edges, &graph).unwrap();
+    let mut lines = String::new();
+    for (node, label) in seeds.as_slice().iter().enumerate() {
+        if let Some(c) = label {
+            lines.push_str(&format!("{node}\t{c}\n"));
+        }
+    }
+    std::fs::write(&labels, lines).unwrap();
+    let node = seeds.unlabeled_nodes()[0];
+    let load = format!(
+        "{{\"cmd\":\"load\",\"edges\":\"{}\",\"labels\":\"{}\",\"nodes\":300,\"classes\":3}}",
+        edges.display(),
+        labels.display()
+    );
+    let history = [
+        load.clone(),
+        "{\"cmd\":\"estimate\",\"method\":\"dcer\"}".into(),
+        format!(
+            "{{\"cmd\":\"seed\",\"add\":[[{node},{}]]}}",
+            syn.labeling.class_of(node)
+        ),
+        "{\"cmd\":\"estimate\",\"method\":\"dcer\"}".into(),
+        "{\"cmd\":\"classify\",\"method\":\"mce\",\"nodes\":[0]}".into(),
+        "{\"cmd\":\"unload\"}".into(),
+        load,
+        "{\"cmd\":\"estimate\",\"method\":\"dcer\"}".into(),
+        "{\"cmd\":\"stats\"}".into(),
+    ];
+    let session = Session::new(Threads::Serial, None);
+    let responses: Vec<String> = history
+        .iter()
+        .enumerate()
+        .map(|(i, line)| session.handle_line(line, i + 1).0)
+        .collect();
+    assert!(
+        responses[2].contains("\"full_recomputes\":1"),
+        "{}",
+        responses[2]
+    );
+    let stats = responses.last().unwrap();
+    let series_total: usize = session
+        .metrics()
+        .render()
+        .lines()
+        .filter(|l| l.starts_with("fg_summary_computations_total{"))
+        .map(|l| l.rsplit(' ').next().unwrap().parse::<usize>().unwrap())
+        .sum();
+    assert_eq!(stats_counter(stats, "summary_computations"), series_total);
+    assert_eq!(series_total, 3, "{stats}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// End to end over TCP: the protocol port answers requests, the metrics port
 /// serves Prometheus text with the expected families, and scraping never
 /// perturbs the protocol responses.
