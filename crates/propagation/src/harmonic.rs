@@ -7,7 +7,7 @@
 
 use crate::linbp::label;
 use fg_graph::{Graph, GraphError, Result, SeedLabels};
-use fg_sparse::{DenseMatrix, Threads};
+use fg_sparse::{vector, DenseMatrix, Threads};
 
 /// Configuration for harmonic-functions propagation.
 #[derive(Debug, Clone)]
@@ -84,11 +84,7 @@ pub fn harmonic_functions(
             row[c] = 1.0;
         }
         iterations += 1;
-        let delta = f
-            .data()
-            .iter()
-            .zip(next.data().iter())
-            .fold(0.0f64, |acc, (&a, &b)| acc.max((a - b).abs()));
+        let delta = vector::max_abs_diff(f.data(), next.data());
         std::mem::swap(&mut f, &mut next);
         if delta <= config.tolerance {
             converged = true;

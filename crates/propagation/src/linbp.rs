@@ -13,10 +13,20 @@
 //! the centered residuals (`X̃`, `H̃`) or the raw matrices (`X`, `H`) are propagated, so
 //! both modes are provided; the echo-cancellation term is omitted exactly as the paper
 //! recommends.
+//!
+//! # Cost
+//!
+//! A run pays `ρ(W)` once per graph (memoized, see [`Graph::spectral_radius`]) and
+//! then, per iteration, one SpMM `W·(F·Hε)` and an update that writes `F`, takes
+//! the convergence delta and computes the next `F·Hε` — at three classes in one
+//! pass over the rows (see [`propagate`]). Every result is bit-identical to the
+//! plain three-step loop (`F·Hε`, the SpMM, then `X + ·`), kept as the oracle in
+//! the crate's tests.
 
 use crate::metrics;
 use fg_graph::{Graph, GraphError, Labeling, Result, SeedLabels};
-use fg_sparse::{spectral_radius_dense, DenseMatrix, Threads};
+use fg_sparse::vector::MaxLanes;
+use fg_sparse::{spectral_radius_dense, DenseMatrix, Span, Threads};
 
 /// How aggressively to scale the compatibility matrix relative to the convergence
 /// boundary (the paper's `s`; `s = 0.5` is the setting used in Section 5.3).
@@ -101,6 +111,10 @@ pub fn convergence_epsilon(graph: &Graph, h: &DenseMatrix, fraction: f64) -> Res
 /// * `seeds` — the observed labels, encoded as explicit beliefs `X`.
 /// * `h` — a `k x k` compatibility matrix (need not be centered).
 /// * `config` — iteration and scaling parameters.
+///
+/// The iteration loop runs on three `n x k` buffers allocated once, under one
+/// `linbp` span with args `iterations` and `converged`, so a trace splits a
+/// propagation into `spectral_radius` (first use of the graph only) and the loop.
 pub fn propagate(
     graph: &Graph,
     seeds: &SeedLabels,
@@ -135,24 +149,29 @@ pub fn propagate(
     let h_eff = h_used.scaled(epsilon);
 
     // F ← X + W (F Hε), on three n x k buffers allocated once: F, F·Hε and
-    // W·(F·Hε). The inner product keeps everything n x k.
+    // W·(F·Hε). The inner product keeps everything n x k. Each iteration is one
+    // SpMM and the `update` that writes F, takes the delta and the next F·Hε.
+    let mut span = Span::enter("linbp");
     let w = graph.adjacency();
     let mut f = x.clone();
     let mut fh = DenseMatrix::zeros(f.rows(), f.cols());
+    f.matmul_into(&h_eff, &mut fh).map_err(GraphError::Sparse)?;
     let mut wfh = DenseMatrix::zeros(f.rows(), f.cols());
     let mut iterations = 0;
     let mut converged = false;
     for _ in 0..config.max_iterations {
-        f.matmul_into(&h_eff, &mut fh).map_err(GraphError::Sparse)?;
         w.spmm_dense_into(&fh, config.threads, &mut wfh)
             .map_err(GraphError::Sparse)?;
-        let delta = add_in_place(&mut f, &x, &wfh);
+        let delta = update(&mut f, &x, &wfh, &h_eff, &mut fh).map_err(GraphError::Sparse)?;
         iterations += 1;
         if config.tolerance.is_some_and(|tol| delta <= tol) {
             converged = true;
             break;
         }
     }
+    span.record("iterations", iterations as u64);
+    span.record("converged", u64::from(converged));
+    drop(span);
 
     let predictions = label(&f);
     Ok(PropagationResult {
@@ -227,22 +246,107 @@ pub fn label_or_abstain(beliefs: &DenseMatrix) -> Vec<Option<usize>> {
         .collect()
 }
 
-/// Overwrite `f` with `x + wfh` and return the largest absolute change of an
-/// entry, in one pass.
-fn add_in_place(f: &mut DenseMatrix, x: &DenseMatrix, wfh: &DenseMatrix) -> f64 {
-    let mut delta = 0.0f64;
-    for ((v, &a), &b) in f.data_mut().iter_mut().zip(x.data()).zip(wfh.data()) {
+/// One LinBP iteration after its SpMM: overwrite `f` with `x + wfh`, return the
+/// largest absolute change of an entry, and write the next iteration's `f · h`
+/// into `fh`.
+///
+/// The change is taken by a [`MaxLanes`]: `max` does not depend on order, so the
+/// delta — and with it `iterations` and `converged` — equals a single
+/// left-to-right chain. Three classes, the common case, take all three steps in
+/// one pass over the rows ([`update_rows`]); any other width adds, then runs
+/// [`DenseMatrix::matmul_into`], since a per-row product of runtime width costs
+/// more than the pass it saves.
+fn update(
+    f: &mut DenseMatrix,
+    x: &DenseMatrix,
+    wfh: &DenseMatrix,
+    h: &DenseMatrix,
+    fh: &mut DenseMatrix,
+) -> fg_sparse::Result<f64> {
+    if h.cols() == 3 {
+        let (f, x, wfh, fh) = (f.data_mut(), x.data(), wfh.data(), fh.data_mut());
+        return Ok(update_rows::<3>(f, x, wfh, h.data(), fh));
+    }
+    let mut delta = MaxLanes::default();
+    let entries = f.data_mut().iter_mut().zip(x.data()).zip(wfh.data());
+    for (i, ((v, &a), &b)) in entries.enumerate() {
         let next = a + b;
-        delta = delta.max((*v - next).abs());
+        delta.offer(i, (*v - next).abs());
         *v = next;
     }
-    delta
+    f.matmul_into(h, fh)?;
+    Ok(delta.max())
+}
+
+/// [`update`] in one pass over `K`-wide row-major rows (`h` is `K x K`), column
+/// `j` in lane `j`. Each `fh` row is summed exactly as
+/// [`DenseMatrix::matmul_into`] sums it: from `+0.0`, in `l` order, skipping the
+/// terms whose `f` entry is `0.0`.
+#[inline(always)]
+fn update_rows<const K: usize>(
+    f: &mut [f64],
+    x: &[f64],
+    wfh: &[f64],
+    h: &[f64],
+    fh: &mut [f64],
+) -> f64 {
+    let mut delta = MaxLanes::default();
+    let rows = f.chunks_exact_mut(K).zip(x.chunks_exact(K));
+    for ((f_row, x_row), (w_row, fh_row)) in
+        rows.zip(wfh.chunks_exact(K).zip(fh.chunks_exact_mut(K)))
+    {
+        for (j, ((v, &a), &b)) in f_row.iter_mut().zip(x_row).zip(w_row).enumerate() {
+            let next = a + b;
+            delta.offer(j, (*v - next).abs());
+            *v = next;
+        }
+        let mut acc = [0.0f64; K];
+        for (&v, h_row) in f_row.iter().zip(h.chunks_exact(K)) {
+            if v == 0.0 {
+                continue;
+            }
+            for (o, &y) in acc.iter_mut().zip(h_row) {
+                *o += v * y;
+            }
+        }
+        fh_row.copy_from_slice(&acc);
+    }
+    delta.max()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fg_graph::CompatibilityMatrix;
+
+    /// `update` reads the change of every entry: with one entry changed alone at
+    /// each position in turn, the delta is that change, at three classes (the
+    /// one-pass kernel) and at other widths; and `fh` is `f · h` bit for bit,
+    /// written over a buffer of NaNs. An infinite entry of `h` makes every
+    /// skipped `0.0 · ∞` term show as a NaN if it were taken.
+    #[test]
+    fn update_delta_sees_a_change_at_every_entry() {
+        let bits = |m: &DenseMatrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let n = 11;
+        for k in [1, 2, 3, 4, 9] {
+            let mut h =
+                DenseMatrix::from_vec(k, k, (0..k * k).map(|i| 0.1 * i as f64 - 0.3).collect())
+                    .unwrap();
+            let x =
+                DenseMatrix::from_vec(n, k, (0..n * k).map(|i| (i % 5) as f64 * 0.25).collect())
+                    .unwrap();
+            h.data_mut()[k * k - 1] = f64::INFINITY;
+            for p in 0..n * k {
+                let mut wfh = DenseMatrix::zeros(n, k);
+                wfh.data_mut()[p] = 0.5;
+                let mut f = x.clone();
+                let mut fh = DenseMatrix::filled(n, k, f64::NAN);
+                let delta = update(&mut f, &x, &wfh, &h, &mut fh).unwrap();
+                assert_eq!(delta, 0.5, "k={k} p={p}");
+                assert_eq!(bits(&fh), bits(&f.matmul(&h).unwrap()), "k={k} p={p}");
+            }
+        }
+    }
 
     /// A small heterophilous graph: two "classes" arranged as a bipartite-ish structure.
     /// Nodes 0..3 are class 0, nodes 4..7 are class 1; edges mostly cross classes.

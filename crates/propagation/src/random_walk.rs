@@ -15,7 +15,7 @@
 use crate::harmonic::uniform_fallback_for_zero_rows;
 use crate::linbp::label;
 use fg_graph::{Graph, GraphError, Result, SeedLabels};
-use fg_sparse::{DenseMatrix, Threads};
+use fg_sparse::{vector, DenseMatrix, Threads};
 
 /// Configuration for random walks with restarts.
 #[derive(Debug, Clone)]
@@ -100,26 +100,21 @@ pub fn multi_rank_walk(
     let alpha = config.damping;
     let restart = 1.0 - alpha;
 
-    // F ← ᾱ U + α W_col F, in place on two n x k buffers allocated once.
+    // F ← ᾱ U + α W_col F on two n x k buffers allocated once: the walk step
+    // lands in `next`, which becomes F.
     let mut f = teleport.clone();
-    let mut walked = DenseMatrix::zeros(n, k);
+    let mut next = DenseMatrix::zeros(n, k);
     let mut iterations = 0;
     let mut converged = false;
     for _ in 0..config.max_iterations {
         w_col
-            .spmm_dense_into(&f, config.threads, &mut walked)
+            .spmm_dense_into(&f, config.threads, &mut next)
             .map_err(GraphError::Sparse)?;
-        let mut delta = 0.0f64;
-        for ((v, &u), &w) in f
-            .data_mut()
-            .iter_mut()
-            .zip(teleport.data())
-            .zip(walked.data())
-        {
-            let next = u * restart + w * alpha;
-            delta = delta.max((*v - next).abs());
-            *v = next;
+        for (v, &u) in next.data_mut().iter_mut().zip(teleport.data()) {
+            *v = u * restart + *v * alpha;
         }
+        let delta = vector::max_abs_diff(f.data(), next.data());
+        std::mem::swap(&mut f, &mut next);
         iterations += 1;
         if delta <= config.tolerance {
             converged = true;

@@ -764,9 +764,13 @@ impl Session {
     }
 
     /// Attempt to answer an estimation without exclusive access: from a persisted
-    /// `H` entry, from an estimator that needs no summaries, or from a resident
-    /// published engine state. Returns `None` when the request needs the write
-    /// path (engine build). Runs under the caller's shared read lock.
+    /// `H` entry, from an estimator that needs no engine — no summaries, or
+    /// low-rank ones, which the context computes and caches itself — or from a
+    /// resident published engine state. Returns `None` when the request needs the
+    /// write path (engine build). Runs under the caller's shared read lock.
+    ///
+    /// A low-rank estimate persists `H` exactly as the write path would: on the
+    /// loaded seed set only.
     fn warm_estimate(
         &self,
         dataset: &Dataset,
@@ -781,7 +785,9 @@ impl Session {
                 work: stored.work,
             }));
         }
-        if let Some(requirements) = estimator.summary_requirements() {
+        let engine = engine_requirements(estimator);
+        let low_rank = engine.is_none() && estimator.summary_requirements().is_some();
+        if let Some(requirements) = engine {
             let slot = usize::from(requirements.non_backtracking);
             let seed_fp = dataset.seeds.fingerprint();
             let warm = dataset.state_index(seed_fp).is_some_and(|index| {
@@ -799,7 +805,8 @@ impl Session {
             }
         }
         self.probe();
-        self.run_estimate(dataset, estimator, false).map(Some)
+        let persist = low_rank && dataset.seeds.fingerprint() == dataset.initial_seed_fp;
+        self.run_estimate(dataset, estimator, persist).map(Some)
     }
 
     /// Ensure an engine for the current seed set satisfies `requirements`,
@@ -877,7 +884,7 @@ impl Session {
             return Ok(outcome);
         }
         let mut built = 0usize;
-        if let Some(requirements) = estimator.summary_requirements() {
+        if let Some(requirements) = engine_requirements(estimator) {
             built = self.ensure_engine(dataset, &requirements)?;
         }
         let persist = dataset.seeds.fingerprint() == dataset.initial_seed_fp;
@@ -1037,6 +1044,15 @@ impl Session {
             ("commands", Json::Obj(commands)),
         ])
     }
+}
+
+/// The summaries `estimator` reads when they come from a [`DeltaSummary`]
+/// engine: exact counts only. Low-rank counts come from the context's own
+/// factor cache, so no engine is built or checked for them.
+fn engine_requirements(estimator: &dyn CompatibilityEstimator) -> Option<SummaryConfig> {
+    estimator
+        .summary_requirements()
+        .filter(|r| matches!(r.backend, CountingBackend::Exact))
 }
 
 fn error_response(id: &Json, line_no: usize, message: &str) -> Json {

@@ -849,6 +849,80 @@ fn persisted_h_estimates_serve_fresh_sessions_without_optimization() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A low-rank `estimate` right after `load` runs through its context under the
+/// shared lock and builds no exact engine: one summary computation, as `fg
+/// estimate --mode lowrank` does, then none for a repeat, and a fresh session
+/// on the same store reads the persisted `H`. On the CI graph (`fg generate
+/// --nodes 2000 --degree 8 --classes 3 --seed 1`, every tenth node seeded).
+#[test]
+fn a_low_rank_estimate_builds_no_exact_engine_and_persists_h() {
+    let dir = std::env::temp_dir().join("fg_serve_test_lowrank_engine");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = GeneratorConfig::balanced(2000, 8.0, 3, 3.0).unwrap();
+    let syn = generate(&cfg, &mut StdRng::seed_from_u64(1)).unwrap();
+    let (edges, seeds_path) = (dir.join("edges.tsv"), dir.join("seeds.tsv"));
+    fg_datasets::write_edge_list(&edges, &syn.graph).unwrap();
+    let seed_lines: String = (0..2000)
+        .step_by(10)
+        .map(|node| format!("{node}\t{}\n", syn.labeling.class_of(node)))
+        .collect();
+    std::fs::write(&seeds_path, seed_lines).unwrap();
+    let load = format!(
+        "{{\"cmd\":\"load\",\"edges\":\"{}\",\"labels\":\"{}\",\"nodes\":2000,\"classes\":3}}",
+        edges.display(),
+        seeds_path.display()
+    );
+    let request = "{\"cmd\":\"estimate\",\"method\":\"dce\",\"mode\":\"lowrank\",\"rank\":8}";
+    let store = Arc::new(fg_core::SummaryStore::open(dir.join("store")).unwrap());
+    let work = |result: &Json| {
+        let field = |name: &str| result.get(name).and_then(Json::as_usize).unwrap();
+        (field("summary_computations"), field("optimize_store_hits"))
+    };
+
+    let session = Session::new(Threads::Serial, Some(Arc::clone(&store)));
+    assert_ok(&session.handle_line(&load, 1).0);
+    let write_holds = || {
+        session
+            .metrics()
+            .histogram(
+                "fg_lock_hold_seconds",
+                "",
+                &[("lock", "dataset"), ("op", "write")],
+                fg_obs::default_latency_buckets(),
+            )
+            .count()
+    };
+    let holds_before = write_holds();
+    let first = assert_ok(&session.handle_line(request, 2).0);
+    assert_eq!(work(&first), (1, 0), "{first}");
+    let repeat = assert_ok(&session.handle_line(request, 3).0);
+    assert_eq!(work(&repeat).0, 0, "{repeat}");
+    assert_eq!(repeat.get("h"), first.get("h"));
+    assert_eq!(
+        write_holds(),
+        holds_before,
+        "no request took the write lock"
+    );
+    let stats = assert_ok(&session.handle_line("{\"cmd\":\"stats\"}", 4).0);
+    let default = stats
+        .get("datasets")
+        .and_then(|d| d.get("default"))
+        .unwrap();
+    assert_eq!(
+        default.get("engine_states").and_then(Json::as_usize),
+        Some(0),
+        "{stats}"
+    );
+
+    let fresh = Session::new(Threads::Serial, Some(Arc::clone(&store)));
+    assert_ok(&fresh.handle_line(&load, 1).0);
+    let reopened = assert_ok(&fresh.handle_line(request, 2).0);
+    assert_eq!(work(&reopened), (0, 1), "{reopened}");
+    assert_eq!(reopened.get("h"), first.get("h"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// One estimate path: the same (graph, seeds, estimator, store) case through a
 /// batch `Pipeline` and a serve `estimate` reports the same `H` bits and the same
 /// work triple cold, then with a warm cache, then in a fresh session on the warm

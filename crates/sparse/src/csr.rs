@@ -535,7 +535,8 @@ impl CsrMatrix {
     /// `k = dense.cols()` is the class count in the summarize and propagation
     /// callers (k ≤ 8 in the paper's experiments) and the active block width in the
     /// eigensolver (tens of columns). k ∈ 1..=8 is one monomorphized register block
-    /// per row; wider RHS go through [`CsrMatrix::spmm_rows_wide`]. Every path sums
+    /// per row, rows in pairs ([`CsrMatrix::spmm_rows_fixed`]); wider RHS go
+    /// through [`CsrMatrix::spmm_rows_wide`]. Every path sums
     /// each output element over its row's stored entries in column order — exactly
     /// the order of the scalar kernel kept as [`CsrMatrix::spmm_dense_reference`] —
     /// so the results are bit-identical to it.
@@ -587,8 +588,14 @@ impl CsrMatrix {
         (&self.indices[range.clone()], weights.range(range))
     }
 
-    /// Monomorphized SpMM row kernel for small `K`: the whole K-wide output row is
-    /// one register block, written out once per row.
+    /// Monomorphized SpMM row kernel for small `K`: rows run in pairs, each row
+    /// of a pair in its own K-wide register block, written out once. The two
+    /// rows' stored entries are walked side by side while both have some left,
+    /// then the longer row finishes alone, and an odd last row runs alone, so
+    /// every output element is still summed over its own row in column order,
+    /// starting from +0.0. What pairing buys is a second independent add chain:
+    /// at `K = 1` (SpMV) a lone row is one dependent chain, whose add latency
+    /// rather than its memory traffic set the cost.
     fn spmm_rows_fixed<const K: usize, V: Weights>(
         &self,
         weights: V,
@@ -596,9 +603,46 @@ impl CsrMatrix {
         rows: Range<usize>,
         out: &mut [f64],
     ) {
-        for (i, out_row) in rows.zip(out.chunks_exact_mut(K)) {
+        let mut pairs = out.chunks_exact_mut(2 * K);
+        let mut i = rows.start;
+        for pair in &mut pairs {
+            let (out_a, out_b) = pair.split_at_mut(K);
+            let (cols_a, vals_a) = self.kernel_row(weights, i);
+            let (cols_b, vals_b) = self.kernel_row(weights, i + 1);
+            let both = cols_a.len().min(cols_b.len());
+            let (mut acc_a, mut acc_b) = ([0.0f64; K], [0.0f64; K]);
+            for (p, (&ca, &cb)) in cols_a[..both].iter().zip(&cols_b[..both]).enumerate() {
+                let (sa, sb) = (ca as usize * K, cb as usize * K);
+                let (xa, xb) = (&data[sa..sa + K], &data[sb..sb + K]);
+                for j in 0..K {
+                    acc_a[j] += vals_a.times(p, xa[j]);
+                    acc_b[j] += vals_b.times(p, xb[j]);
+                }
+            }
+            accumulate::<K, V>(
+                &cols_a[both..],
+                vals_a.range(both..cols_a.len()),
+                data,
+                K,
+                0,
+                &mut acc_a,
+            );
+            accumulate::<K, V>(
+                &cols_b[both..],
+                vals_b.range(both..cols_b.len()),
+                data,
+                K,
+                0,
+                &mut acc_b,
+            );
+            out_a.copy_from_slice(&acc_a);
+            out_b.copy_from_slice(&acc_b);
+            i += 2;
+        }
+        let last = pairs.into_remainder();
+        if !last.is_empty() {
             let (cols, vals) = self.kernel_row(weights, i);
-            spmm_block::<K, V>(cols, vals, data, K, 0, out_row);
+            spmm_block::<K, V>(cols, vals, data, K, 0, last);
         }
     }
 
@@ -895,6 +939,21 @@ fn spmm_block<const W: usize, V: Weights>(
     out_row: &mut [f64],
 ) {
     let mut acc = [0.0f64; W];
+    accumulate::<W, V>(cols, vals, data, k, j0, &mut acc);
+    out_row[j0..j0 + W].copy_from_slice(&acc);
+}
+
+/// Add `w * x` into `acc` for the stored entries `cols`/`vals`, entry by entry in
+/// column order: the inner loop of [`spmm_block`] and of a row pair's tail.
+#[inline(always)]
+fn accumulate<const W: usize, V: Weights>(
+    cols: &[u32],
+    vals: V,
+    data: &[f64],
+    k: usize,
+    j0: usize,
+    acc: &mut [f64; W],
+) {
     for (p, &c) in cols.iter().enumerate() {
         let start = c as usize * k + j0;
         let src = &data[start..start + W];
@@ -902,8 +961,8 @@ fn spmm_block<const W: usize, V: Weights>(
             acc[j] += vals.times(p, src[j]);
         }
     }
-    out_row[j0..j0 + W].copy_from_slice(&acc);
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

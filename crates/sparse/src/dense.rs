@@ -193,10 +193,7 @@ impl DenseMatrix {
     /// can reuse one buffer across iterations.
     ///
     /// Each output entry is `Σ_l self[i][l] · other[l][j]`, summed in `l` order from
-    /// `+0.0` and skipping the terms whose `self[i][l] == 0.0`. A 3-wide output
-    /// (three classes, LinBP's F·H on the common case) accumulates each row in
-    /// registers; every other width runs the general row loop. Both run the same
-    /// sequence of operations, so the result does not depend on the path.
+    /// `+0.0` and skipping the terms whose `self[i][l] == 0.0`.
     pub fn matmul_into(&self, other: &DenseMatrix, out: &mut DenseMatrix) -> Result<()> {
         if self.cols != other.rows {
             return Err(SparseError::DimensionMismatch {
@@ -212,11 +209,13 @@ impl DenseMatrix {
                 right: out.shape(),
             });
         }
-        let (a, b, c) = (&self.data, &other.data, &mut out.data);
-        match other.cols {
-            3 => matmul_rows_fixed::<3>(a, self.cols, b, c),
-            width => matmul_rows(a, self.cols, b, width, c),
-        }
+        matmul_rows(
+            &self.data,
+            self.cols,
+            &other.data,
+            other.cols,
+            &mut out.data,
+        );
         Ok(())
     }
 
@@ -482,7 +481,7 @@ impl DenseMatrix {
     }
 }
 
-/// The general row kernel of [`DenseMatrix::matmul_into`]: `out` (`width`-wide
+/// The row kernel of [`DenseMatrix::matmul_into`]: `out` (`width`-wide
 /// rows) is `a` (`inner`-wide rows) times `b` (`inner x width`).
 fn matmul_rows(a: &[f64], inner: usize, b: &[f64], width: usize, out: &mut [f64]) {
     out.fill(0.0);
@@ -498,29 +497,6 @@ fn matmul_rows(a: &[f64], inner: usize, b: &[f64], width: usize, out: &mut [f64]
                 *o += x * y;
             }
         }
-    }
-}
-
-/// [`matmul_rows`] for a compile-time width `K`: one output row accumulates in a
-/// register block and is written out once. On a 2-vCPU x86-64 host, routing
-/// 3-wide products here raised the 50k-node `serve_mutate` benchmark's
-/// throughput from 39.5 to 40.2 ops/s over the general loop (10 of 10 pairs).
-fn matmul_rows_fixed<const K: usize>(a: &[f64], inner: usize, b: &[f64], out: &mut [f64]) {
-    if inner == 0 {
-        out.fill(0.0);
-        return;
-    }
-    for (a_row, out_row) in a.chunks_exact(inner).zip(out.chunks_exact_mut(K)) {
-        let mut acc = [0.0f64; K];
-        for (&x, b_row) in a_row.iter().zip(b.chunks_exact(K)) {
-            if x == 0.0 {
-                continue;
-            }
-            for (o, &y) in acc.iter_mut().zip(b_row) {
-                *o += x * y;
-            }
-        }
-        out_row.copy_from_slice(&acc);
     }
 }
 
@@ -604,8 +580,8 @@ mod tests {
         assert!(a.matmul_into(&DenseMatrix::zeros(3, 3), &mut out).is_err());
     }
 
-    /// Both row kernels (the 3-wide register block and the general loop) against
-    /// an indexed `get`/`row` loop, bit for bit, on inputs holding zeros (skipped
+    /// The row kernel against an indexed `get`/`row` loop, bit for bit, at every
+    /// output width to 10, on inputs holding zeros (skipped
     /// terms), −0.0 (also skipped) and a NaN, written over a reused output buffer
     /// full of garbage.
     #[test]

@@ -515,39 +515,76 @@ mod tests {
         unit
     }
 
-    /// The register-blocked SpMM (k ≤ 8 is one monomorphized block, wider k
-    /// cut into 16-, 4- and 1..=3-wide blocks) must be bit-identical to the
-    /// scalar reference kernel for every k, thread count, degree profile —
-    /// including hub rows and empty rows — and value layout: the unit kernels,
-    /// which add `x` where the reference adds `1.0 * x`, included.
+    /// Rows that alternate between empty and non-empty, every third non-empty
+    /// row a hub holding half the columns: each row pair of the k ≤ 8 kernel is
+    /// unequal in length, so both of a pair's tail loops run. Every fourth pair
+    /// has its empty row second.
+    fn alternating_hub_csr(rows: usize, cols: usize, seed: u64) -> CsrMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut triplets = Vec::new();
+        let full = (0..rows).filter(|r| (r % 2 == 0) == ((r / 2) % 4 == 0));
+        for (n, r) in full.enumerate() {
+            let nnz = if n % 3 == 0 {
+                cols / 2
+            } else {
+                2 + rng.gen_index(8)
+            };
+            for _ in 0..nnz {
+                triplets.push((r, rng.gen_index(cols), 2.0 * rng.gen::<f64>() - 1.0));
+            }
+        }
+        CsrMatrix::from_triplets(rows, cols, &triplets)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The register-blocked SpMM (k ≤ 8 is one monomorphized block per row,
+    /// rows in pairs; wider k is cut into 16-, 4- and 1..=3-wide blocks) must be
+    /// bit-identical to the scalar reference kernel — compared as bits, so a
+    /// −0.0 where the reference has +0.0 fails — for every k, thread count
+    /// (3 threads start chunks on odd rows), degree profile (hub rows, empty
+    /// rows, rows alternating between the two, an odd row count) and value
+    /// layout: the unit kernels, which add `x` where the reference adds
+    /// `1.0 * x`, included. At k = 1 `spmv`, the same row kernel, is checked too.
     #[test]
     fn blocked_spmm_matches_reference_across_k_and_threads() {
-        let weighted = [random_csr(301, 97, 5), hub_heavy_csr(500, 97, 13)];
+        let weighted = [
+            random_csr(301, 97, 5),
+            hub_heavy_csr(500, 97, 13),
+            alternating_hub_csr(263, 97, 21),
+        ];
+        let alternating = &weighted[2];
+        assert!((0..alternating.rows() / 2).all(|p| {
+            (alternating.row_nnz(2 * p) == 0) != (alternating.row_nnz(2 * p + 1) == 0)
+        }));
         let unit = weighted.each_ref().map(unit_pattern);
         for m in weighted.iter().chain(&unit) {
             // Every k to 72 covers each mix of 16-wide and 4-wide blocks with
             // each remainder width; 100 and 130 take several 16-wide blocks.
             for k in (1usize..=72).chain([100, 130]) {
                 let x = random_dense(m.cols(), k, 40 + k as u64);
-                let reference = m.spmm_dense_reference(&x).unwrap();
+                let reference = bits(m.spmm_dense_reference(&x).unwrap().data());
                 assert_eq!(
-                    reference.data(),
-                    m.spmm_dense(&x).unwrap().data(),
+                    reference,
+                    bits(m.spmm_dense(&x).unwrap().data()),
                     "serial kernel diverged at k={k}"
                 );
                 if k == 1 {
                     // SpMV is the same row kernel.
-                    assert_eq!(reference.data(), m.spmv(x.data()).unwrap(), "spmv");
+                    assert_eq!(reference, bits(&m.spmv(x.data()).unwrap()), "spmv");
                 }
                 for threads in [
                     Threads::Serial,
                     Threads::Fixed(2),
+                    Threads::Fixed(3),
                     Threads::Fixed(4),
                     Threads::Auto,
                 ] {
                     assert_eq!(
-                        reference.data(),
-                        m.spmm_dense_with(&x, threads).unwrap().data(),
+                        reference,
+                        bits(m.spmm_dense_with(&x, threads).unwrap().data()),
                         "k={k} {threads:?}"
                     );
                 }

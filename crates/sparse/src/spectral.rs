@@ -4,8 +4,9 @@
 //! paper computes `ρ(W)` with PyAMG's approximate eigenvalue routine, a Lanczos method;
 //! [`spectral_radius_sparse`] is a plain three-term Lanczos recurrence from a fixed
 //! start vector, which reaches the extremal eigenvalues of a graph adjacency matrix
-//! in a few dozen sparse matrix-vector products or fewer. The `k x k` compatibility
-//! matrices go through [`spectral_radius_dense`].
+//! in a few dozen sparse matrix-vector products or fewer. Each product is
+//! [`CsrMatrix::spmv`], whose row kernel runs rows in pairs so that two add chains
+//! overlap. The `k x k` compatibility matrices go through [`spectral_radius_dense`].
 
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;

@@ -69,12 +69,27 @@ fn tracing_is_byte_invisible_and_spans_nest() {
         "pipeline/estimate",
         "pipeline/estimate/summarize",
         "pipeline/propagate",
+        "pipeline/propagate/linbp",
+        "pipeline/propagate/linbp/spmm",
     ] {
         assert!(
             paths.iter().any(|p| p == expected),
             "span path {expected:?} missing from {paths:?}"
         );
     }
+    // The `linbp` span carries the loop's outcome.
+    let linbp: Vec<_> = trace.records.iter().filter(|r| r.name == "linbp").collect();
+    let [linbp] = linbp.as_slice() else {
+        panic!("expected one linbp span, got {linbp:?}");
+    };
+    let outcome = &traced.outcome;
+    assert_eq!(
+        linbp.args,
+        vec![
+            ("iterations", outcome.iterations as u64),
+            ("converged", u64::from(outcome.converged))
+        ]
+    );
     assert!(
         paths.iter().any(|p| p.contains("spmm")),
         "no spmm kernel span in {paths:?}"
